@@ -1,7 +1,7 @@
 // Experiment harness shared by the table/figure benches: builds the corpus,
 // trains extractors, caches verdicts, prepares featurized pools, the
 // test-split search index, CQS query lists (learned on an auxiliary corpus,
-// the TREC substitute), and assembles PipelineContexts.
+// the TREC substitute), and assembles SharedContexts.
 #pragma once
 
 #include <map>

@@ -44,9 +44,8 @@ class OnlineBinarySvm {
   double bias() const { return bias_; }
   WeightVector DenseWeights() const { return sgd_.DenseWeights(); }
 
-  /// Commits pending regularization and returns the factored weight change
-  /// since the previous commit (see ElasticNetSgd::CommitAll).
-  FactoredWeightDelta CommitWeights() { return sgd_.CommitAll(); }
+  /// Commits pending regularization in place (see ElasticNetSgd::CommitAll).
+  void CommitWeights() { sgd_.CommitAll(); }
   size_t NonZeroCount(double eps = 1e-9) const {
     return sgd_.NonZeroCount(eps);
   }

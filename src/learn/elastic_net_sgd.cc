@@ -36,7 +36,6 @@ void ElasticNetSgd::EnsureFeature(uint32_t id) {
   if (id >= values_.size()) {
     values_.resize(id + 1, 0.0);
     last_step_.resize(id + 1, static_cast<uint32_t>(steps_));
-    touched_slot_.resize(id + 1, 0);
   }
 }
 
@@ -82,14 +81,6 @@ void ElasticNetSgd::ApplyGradient(const SparseVector& x, double factor) {
   const float* vals = x.values();
   for (size_t i = 0; i < x.size(); ++i) {
     const uint32_t id = ids[i];
-    EnsureFeature(id);
-    if (touched_slot_[id] == 0) {
-      // First touch since the last commit: values_[id] still holds the
-      // weight exactly as CommitAll materialized it.
-      touched_ids_.push_back(id);
-      touched_old_.push_back(values_[id]);
-      touched_slot_[id] = static_cast<uint32_t>(touched_ids_.size());
-    }
     Refresh(id);
     values_[id] += factor * static_cast<double>(vals[i]);
   }
@@ -124,55 +115,12 @@ bool ElasticNetSgd::PairStep(const SparseVector& pos,
   return true;
 }
 
-double ElasticNetSgd::DecayScaleSince(size_t step) const {
-  return std::exp(cum_log_decay_[steps_] - cum_log_decay_[step]);
-}
-
-double ElasticNetSgd::L1PenaltySince(size_t step) const {
-  return cum_l1_[steps_] - cum_l1_[step];
-}
-
-FactoredWeightDelta ElasticNetSgd::CommitAll() {
+void ElasticNetSgd::CommitAll() {
   IE_TRACE_SCOPE("learn.commit");
-  FactoredWeightDelta delta;
-  delta.scale = DecayScaleSince(last_commit_step_);
-  delta.penalty = L1PenaltySince(last_commit_step_);
-  const double k = delta.scale;
-  const double p = delta.penalty;
-  size_t zero_clamps = 0;
-  auto sign = [](double v) { return v > 0.0 ? 1.0 : (v < 0.0 ? -1.0 : 0.0); };
   for (uint32_t id = 0; id < values_.size(); ++id) {
-    const bool touched = touched_slot_[id] != 0;
-    const double w1 =
-        touched ? touched_old_[touched_slot_[id] - 1] : values_[id];
-    const double w2 = CurrentWeight(id);
-    values_[id] = w2;
+    values_[id] = CurrentWeight(id);
     last_step_[id] = static_cast<uint32_t>(steps_);
-    if (!touched) {
-      if (w1 == 0.0) continue;  // zero weights stay exactly zero
-      // Untouched and not clamped through zero: the uniform affine map is
-      // exact (same scaled value CurrentWeight just computed), so no
-      // correction entry is needed. The comparison mirrors CurrentWeight's
-      // clamp test bit-for-bit.
-      const double scaled = w1 * k;
-      if (scaled > p || scaled < -p) continue;
-    }
-    const double s1 = sign(w1);
-    const double s2 = sign(w2);
-    const double affine = w1 == 0.0 ? 0.0 : k * w1 - p * s1;
-    const double correction = w2 - affine;
-    if (correction != 0.0) delta.margin_correction.Add(id, correction);
-    if (s1 != s2) {
-      delta.sign_correction.Add(id, s2 - s1);
-      if (s2 == 0.0) ++zero_clamps;  // lazy L1 drove the weight to exact 0
-    }
   }
-  IE_METRIC_COUNT_N("learn.l1_zero_clamps", zero_clamps);
-  std::fill(touched_slot_.begin(), touched_slot_.end(), 0);
-  touched_ids_.clear();
-  touched_old_.clear();
-  last_commit_step_ = steps_;
-  return delta;
 }
 
 WeightVector ElasticNetSgd::DenseWeights() const {

@@ -36,33 +36,6 @@ struct ElasticNetOptions {
   size_t step_clamp = SIZE_MAX;
 };
 
-/// Factored change of the weight vector between two CommitAll() calls.
-/// Every step applies the same decay factor and the same cumulative ℓ1
-/// penalty to every weight, so between commits an *untouched* feature moves
-/// by the uniform affine map
-///
-///   w' = scale·w − penalty·sign(w)        (unless shrunk through zero).
-///
-/// Only gradient-touched features and features clamped to zero deviate from
-/// that map; they are listed as sparse corrections:
-///   margin_correction[f] = w'_f − (scale·w_f − penalty·sign(w_f))
-///   sign_correction[f]   = sign(w'_f) − sign(w_f)
-/// A score cache holding m = w·x and z = Σ_f sign(w_f)·x_f can therefore be
-/// advanced with two scalar multiplies per document plus sparse correction
-/// dot products — the basis of the incremental re-rank engine.
-struct FactoredWeightDelta {
-  double scale = 1.0;
-  double penalty = 0.0;
-  WeightDelta margin_correction;
-  WeightDelta sign_correction;
-
-  /// True when the delta provably leaves every weight bit-unchanged.
-  bool identity() const {
-    return scale == 1.0 && penalty == 0.0 && margin_correction.empty() &&
-           sign_correction.empty();
-  }
-};
-
 class ElasticNetSgd {
  public:
   explicit ElasticNetSgd(ElasticNetOptions options = {});
@@ -90,17 +63,11 @@ class ElasticNetSgd {
   /// snapshot of the weights. O(dimension).
   WeightVector DenseWeights() const;
 
-  /// Commits every feature's pending regularization in place (weight values
-  /// are bit-identical to what CurrentWeight would report) and returns the
-  /// factored change since the previous CommitAll(). O(dimension), but the
-  /// returned corrections cover only gradient-touched and zero-clamped
-  /// features — typically a small fraction of the model support.
-  FactoredWeightDelta CommitAll();
-
-  /// Uniform decay factor accumulated over steps (step, steps_].
-  double DecayScaleSince(size_t step) const;
-  /// Cumulative ℓ1 penalty accumulated over steps (step, steps_].
-  double L1PenaltySince(size_t step) const;
+  /// Commits every feature's pending regularization in place: each stored
+  /// value becomes exactly what CurrentWeight reports, so DenseWeights()
+  /// is unchanged, while later lazy updates start from the committed
+  /// values. The rankers commit at every scoring snapshot. O(dimension).
+  void CommitAll();
 
   /// Count of features with |w| above eps, after materialization.
   size_t NonZeroCount(double eps = 1e-9) const;
@@ -135,15 +102,6 @@ class ElasticNetSgd {
   std::vector<double> cum_log_decay_;
   // cum_l1_[t] = Σ_{τ=1..t} η_τ λ1eff;  [0] = 0.
   std::vector<double> cum_l1_;
-
-  // Gradient touches since the last CommitAll: touched_slot_[id] is 1 +
-  // index into touched_ids_/touched_old_, or 0 when untouched.
-  // touched_old_ records the weight as of the last commit, so CommitAll can
-  // emit the exact correction without keeping a full pre-commit copy.
-  size_t last_commit_step_ = 0;
-  std::vector<uint32_t> touched_slot_;
-  std::vector<uint32_t> touched_ids_;
-  std::vector<double> touched_old_;
 };
 
 }  // namespace ie

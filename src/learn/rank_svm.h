@@ -42,17 +42,16 @@ class OnlineRankSvm {
 
   /// Monotone version of the scoring function. Every SGD step mutates the
   /// weights (Pegasos decay applies even on non-violating steps), and
-  /// nothing else does, so the step count versions w exactly; the
-  /// incremental re-rank engine uses it to skip no-op re-snapshots.
+  /// nothing else does, so the step count versions w exactly; the ranker
+  /// uses it to skip no-op re-snapshots.
   uint64_t version() const { return sgd_.steps(); }
 
   size_t useful_pool_size() const { return useful_.size(); }
   size_t useless_pool_size() const { return useless_.size(); }
   WeightVector DenseWeights() const { return sgd_.DenseWeights(); }
 
-  /// Commits pending regularization and returns the factored weight change
-  /// since the previous commit (see ElasticNetSgd::CommitAll).
-  FactoredWeightDelta CommitWeights() { return sgd_.CommitAll(); }
+  /// Commits pending regularization in place (see ElasticNetSgd::CommitAll).
+  void CommitWeights() { sgd_.CommitAll(); }
   size_t NonZeroCount(double eps = 1e-9) const {
     return sgd_.NonZeroCount(eps);
   }

@@ -8,7 +8,7 @@
 // document that a model update demotes simply has its cached result
 // consumed later. Speculation is invisible in the output and pays off
 // whenever the frontier prefix survives the next re-rank (it almost always
-// does — updates are rare and corrections small; see RerankEngine).
+// does — updates are rare and move the model little; see RerankEngine).
 #pragma once
 
 #include <exception>

@@ -284,7 +284,6 @@ PipelineResult RunImpl(const SharedContext& context,
     info.sample_size = std::min(config.sample_size, context.pool->size());
     info.extract_threads = config.extract_threads;
     info.scoring_threads = config.scoring_threads;
-    info.incremental_rerank = config.incremental_rerank;
     session.recorder->BeginRun(info);
   }
   // Iteration context the record lambda reads; the loop phases fill these
@@ -316,7 +315,6 @@ PipelineResult RunImpl(const SharedContext& context,
     update_dw_c.clear();
     if (engine_ptr != nullptr) {
       rec.full_rescores = engine_ptr->stats().full_rescores;
-      rec.delta_rescores = engine_ptr->stats().delta_rescores;
     }
     const ExtractExecutorStats executor_stats = executor.stats();
     rec.executor_hits = executor_stats.hits;
@@ -431,8 +429,6 @@ PipelineResult RunImpl(const SharedContext& context,
        config.ranker == RankerKind::kRSVMIE);
 
   RerankOptions rerank_options;
-  rerank_options.incremental = config.incremental_rerank && adaptive;
-  rerank_options.density_threshold = config.rerank_density_threshold;
   rerank_options.scoring_threads = config.scoring_threads;
   // RandomRanker's Score() draws from its rng: scoring must stay serial
   // (and in insertion order) to keep runs deterministic.
@@ -612,15 +608,8 @@ PipelineResult RunImpl(const SharedContext& context,
   result.metrics.SetCounter("executor.misses", executor_stats.misses);
   result.metrics.SetCounter("executor.cancelled", executor_stats.cancelled);
 
-  const RerankStats& rerank_stats = session.engine->stats();
   result.metrics.SetCounter("rerank.full_rescores",
-                            rerank_stats.full_rescores);
-  result.metrics.SetCounter("rerank.delta_rescores",
-                            rerank_stats.delta_rescores);
-  result.metrics.SetCounter("rerank.density_fallbacks",
-                            rerank_stats.density_fallbacks);
-  result.metrics.SetCounter("rerank.delta_documents_rescored",
-                            rerank_stats.delta_documents_rescored);
+                            session.engine->stats().full_rescores);
   result.metrics.SetCounter("pipeline.peak_buffer_examples",
                             peak_buffer_examples);
   result.metrics.SetCounter("pipeline.documents_processed",

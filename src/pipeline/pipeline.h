@@ -68,16 +68,6 @@ struct PipelineConfig {
   /// loop returns to the engine (RerankEngine::Requeue) before a re-rank.
   size_t prefetch_window = 64;
 
-  /// Incremental delta re-ranking (see pipeline/rerank_engine.h): on model
-  /// updates, advance cached per-document margins through the factored
-  /// weight delta instead of rescoring the whole remaining pool. Orders
-  /// are identical in both modes; false forces always-full rescoring.
-  bool incremental_rerank = true;
-  /// Density fallback threshold (RerankOptions::density_threshold): delta
-  /// passes whose correction posting mass exceeds this multiple of
-  /// components × pending postings run as full rescores instead.
-  double rerank_density_threshold = 1.0;
-
   /// Search-interface scenario parameters.
   size_t search_initial_queries = 20;
   size_t search_initial_depth = 400;
@@ -155,9 +145,6 @@ struct IE_SHARED_IMMUTABLE SharedContext {
   /// speculative executor parallelizes. See bench/bench_extract.cc.
   const ExtractionSystem* extraction_system = nullptr;
 };
-
-/// Pre-split name; new code should say SharedContext.
-using PipelineContext = SharedContext;
 
 /// Precomputes word features for every document of the corpus. With
 /// `threads` > 1 documents are featurized in parallel with results

@@ -3,7 +3,7 @@
 // (locale-independent, round-trip exact; DESIGN.md §12).
 //
 // Ledger schema (one JSON object per line; DESIGN.md §15):
-//   {"type":"header","schema":1,...run metadata...}
+//   {"type":"header","schema":2,...run metadata...}
 //   {"type":"iter","i":1,...one IterationRecord...}   × N, flushed each
 //   {"type":"end",...run totals...}                   absent if crashed
 #include "pipeline/recorder.h"
@@ -62,12 +62,6 @@ void AppendKeyDouble(std::string* out, const char* key, double value) {
   AppendJsonNumber(out, value);
 }
 
-void AppendKeyBool(std::string* out, const char* key, bool value) {
-  *out += ",\"";
-  *out += key;
-  *out += value ? "\":true" : "\":false";
-}
-
 }  // namespace
 
 PipelineRecorder::PipelineRecorder(Options options)
@@ -103,7 +97,7 @@ void PipelineRecorder::WriteLedgerLine() {
 
 void PipelineRecorder::BeginRun(const RecorderRunInfo& info) {
   if (ledger_ == nullptr) return;
-  line_ = "{\"type\":\"header\",\"schema\":1";
+  line_ = "{\"type\":\"header\",\"schema\":2";
   AppendKeyString(&line_, "ranker", info.ranker);
   AppendKeyString(&line_, "sampler", info.sampler);
   AppendKeyString(&line_, "update", info.update);
@@ -113,7 +107,6 @@ void PipelineRecorder::BeginRun(const RecorderRunInfo& info) {
   AppendKeyUint(&line_, "sample_size", info.sample_size);
   AppendKeyUint(&line_, "extract_threads", info.extract_threads);
   AppendKeyUint(&line_, "scoring_threads", info.scoring_threads);
-  AppendKeyBool(&line_, "incremental_rerank", info.incremental_rerank);
   line_.push_back('}');
   WriteLedgerLine();
 }
@@ -140,7 +133,6 @@ void PipelineRecorder::RecordIteration(IterationRecord record) {
       line_.push_back(']');
     }
     AppendKeyUint(&line_, "full_rescores", record.full_rescores);
-    AppendKeyUint(&line_, "delta_rescores", record.delta_rescores);
     AppendKeyUint(&line_, "hits", record.executor_hits);
     AppendKeyUint(&line_, "waits", record.executor_waits);
     AppendKeyUint(&line_, "misses", record.executor_misses);

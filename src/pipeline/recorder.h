@@ -2,7 +2,7 @@
 // per iteration (one consumed document) the pipeline samples a full
 // IterationRecord across its collaborators — usefulness so far, the
 // detector's drift statistic and retrain decision, exact per-component
-// ‖Δw‖ at updates, the re-rank engine's delta-vs-full counts, executor
+// ‖Δw‖ at updates, the re-rank engine's scoring-pass count, executor
 // hit/wait/miss/cancel totals, speculative queue depth, and process arena
 // bytes — and the recorder fans it out to two sinks:
 //
@@ -66,7 +66,6 @@ struct IterationRecord {
   double weight_delta_norm = 0.0;
   std::vector<double> component_delta_norms;
   uint64_t full_rescores = 0;   // cumulative RerankStats
-  uint64_t delta_rescores = 0;
   uint64_t executor_hits = 0;   // cumulative ExtractExecutorStats
   uint64_t executor_waits = 0;
   uint64_t executor_misses = 0;
@@ -89,7 +88,6 @@ struct RecorderRunInfo {
   uint64_t sample_size = 0;
   uint64_t extract_threads = 1;
   uint64_t scoring_threads = 1;
-  bool incremental_rerank = false;
 };
 
 /// End-of-run totals for the ledger footer line. A ledger without a footer

@@ -25,10 +25,6 @@ RerankEngine::RerankEngine(DocumentRanker* ranker,
       score_override_(std::move(score_override)) {
   IE_CHECK(features_ != nullptr);
   IE_CHECK(ranker_ != nullptr || score_override_ != nullptr);
-  if (ranker_ != nullptr && score_override_ == nullptr) {
-    components_ = ranker_->ScoreComponentCount();
-  }
-  if (!options_.incremental) components_ = 0;
 }
 
 void RerankEngine::AddCandidate(DocId doc) {
@@ -36,173 +32,41 @@ void RerankEngine::AddCandidate(DocId doc) {
     slot_of_doc_.resize(doc + 1, kNoSlot);
   }
   IE_CHECK(slot_of_doc_[doc] == kNoSlot);
-  const uint32_t slot = static_cast<uint32_t>(slots_.size());
-  slot_of_doc_[doc] = slot;
+  slot_of_doc_[doc] = static_cast<uint32_t>(slots_.size());
   slots_.push_back(Slot{doc, 0.0f});
   processed_.push_back(0);
-  if (components_ > 0) {
-    margins_.resize(slots_.size() * components_, 0.0);
-    sign_mass_.resize(slots_.size() * components_, 0.0);
-    // Postings are keyed by slot, not DocId: the correction scatter then
-    // lands directly on the margin rows without an id→slot indirection.
-    posting_index_.Add(slot, (*features_)[doc]);
-  }
   ++pending_;
-  pending_postings_ += (*features_)[doc].size();
 }
 
-std::vector<uint32_t> RerankEngine::PendingSlots() const {
-  std::vector<uint32_t> out;
-  out.reserve(pending_);
-  for (uint32_t s = 0; s < slots_.size(); ++s) {
-    if (!processed_[s]) out.push_back(s);
-  }
-  return out;
-}
-
-void RerankEngine::ScoreSlotFull(uint32_t slot) {
-  const SparseVector& x = (*features_)[slots_[slot].doc];
-  if (components_ > 0) {
-    double* m = &margins_[slot * components_];
-    double* z = &sign_mass_[slot * components_];
-    for (size_t c = 0; c < components_; ++c) {
-      ranker_->ComponentMarginAndSignMass(c, x, &m[c], &z[c]);
-    }
-    slots_[slot].score = static_cast<float>(ranker_->CombineMargins(m));
-  } else if (score_override_ != nullptr) {
-    slots_[slot].score = static_cast<float>(score_override_(slots_[slot].doc));
-  } else {
-    slots_[slot].score = static_cast<float>(ranker_->Score(x));
-  }
-}
-
-void RerankEngine::FullRescore() {
-  IE_TRACE_SCOPE("rerank.full");
-  IE_METRIC_COUNT("rerank.full_rescores");
-  const std::vector<uint32_t> pending = PendingSlots();
-  auto score_one = [&](size_t i) { ScoreSlotFull(pending[i]); };
-  if (options_.allow_parallel_scoring && options_.scoring_threads > 1) {
-    ParallelFor(pending.size(), options_.scoring_threads, score_one);
-  } else {
-    for (size_t i = 0; i < pending.size(); ++i) score_one(i);
-  }
-  scored_upto_ = static_cast<uint32_t>(slots_.size());
-  margins_valid_ = components_ > 0;
-  ++stats_.full_rescores;
-}
-
-bool RerankEngine::TryDeltaRescore() {
-  if (components_ == 0 || !margins_valid_ || ranker_ == nullptr ||
-      !ranker_->HasSnapshotDelta()) {
-    return false;
-  }
-  std::vector<FactoredWeightDelta> deltas;
-  deltas.reserve(components_);
-  size_t posting_touches = 0;
-  for (size_t c = 0; c < components_; ++c) {
-    deltas.push_back(ranker_->ComponentSnapshotDelta(c));
-    for (const uint32_t feature : deltas.back().margin_correction.ids) {
-      posting_touches += posting_index_.Postings(feature).size();
-    }
-    for (const uint32_t feature : deltas.back().sign_correction.ids) {
-      posting_touches += posting_index_.Postings(feature).size();
-    }
-  }
-  // Density fallback (see RerankOptions::density_threshold): compare the
-  // delta pass's posting scatters against the full pass's per-component
-  // feature walks over the pending pool.
-  if (static_cast<double>(posting_touches) >
-      options_.density_threshold * static_cast<double>(components_) *
-          static_cast<double>(pending_postings_)) {
-    ++stats_.density_fallbacks;
-    IE_METRIC_COUNT("rerank.density_fallbacks");
-    return false;
-  }
-  IE_TRACE_SCOPE("rerank.delta");
-  IE_METRIC_COUNT("rerank.delta_rescores");
-  IE_METRIC_COUNT_N("rerank.delta_posting_touches", posting_touches);
-
-  const std::vector<uint32_t> pending = PendingSlots();
-
-  // Pass 1 — uniform advance: m ← scale·m − penalty·z for every pending
-  // cached document (two multiplies per component). Each index writes only
-  // its own slot, so ParallelFor stays deterministic.
-  auto advance_one = [&](size_t i) {
-    const uint32_t slot = pending[i];
-    if (slot >= scored_upto_) return;  // fresh: scored from scratch in pass 3
-    double* m = &margins_[slot * components_];
-    const double* z = &sign_mass_[slot * components_];
-    for (size_t c = 0; c < components_; ++c) {
-      const FactoredWeightDelta& d = deltas[c];
-      if (d.identity()) continue;
-      m[c] = d.scale * m[c] - d.penalty * z[c];
-    }
-  };
-  if (options_.allow_parallel_scoring && options_.scoring_threads > 1) {
-    ParallelFor(pending.size(), options_.scoring_threads, advance_one);
-  } else {
-    for (size_t i = 0; i < pending.size(); ++i) advance_one(i);
-  }
-
-  // Pass 2 — correction scatter: one FMA per (corrected feature, posting).
-  // Serial on purpose: scattering writes race on slots, and the fixed
-  // component/feature/posting iteration order keeps runs deterministic.
-  // This pass is the entire sparse cost of the update — `posting_touches`
-  // fused multiply-adds.
-  std::vector<uint8_t> corrected(slots_.size(), 0);
-  size_t corrected_count = 0;
-  for (size_t c = 0; c < components_; ++c) {
-    auto scatter = [&](const WeightDelta& correction,
-                       std::vector<double>& target) {
-      for (size_t k = 0; k < correction.size(); ++k) {
-        const uint32_t feature = correction.ids[k];
-        const double change = correction.values[k];
-        for (const FeaturePostingIndex::Posting& posting :
-             posting_index_.Postings(feature)) {
-          const uint32_t slot = posting.item;
-          if (slot >= scored_upto_ || processed_[slot]) continue;
-          target[slot * components_ + c] +=
-              change * static_cast<double>(posting.value);
-          if (!corrected[slot]) {
-            corrected[slot] = 1;
-            ++corrected_count;
-          }
-        }
-      }
-    };
-    scatter(deltas[c].margin_correction, margins_);
-    scatter(deltas[c].sign_correction, sign_mass_);
-  }
-
-  // Pass 3 — recombine every pending document (snapshot biases may have
-  // moved even where margins did not) and score new candidates fresh.
-  auto combine_one = [&](size_t i) {
-    const uint32_t slot = pending[i];
-    if (slot >= scored_upto_) {
-      ScoreSlotFull(slot);
-    } else {
-      slots_[slot].score = static_cast<float>(
-          ranker_->CombineMargins(&margins_[slot * components_]));
-    }
-  };
-  if (options_.allow_parallel_scoring && options_.scoring_threads > 1) {
-    ParallelFor(pending.size(), options_.scoring_threads, combine_one);
-  } else {
-    for (size_t i = 0; i < pending.size(); ++i) combine_one(i);
-  }
-
-  scored_upto_ = static_cast<uint32_t>(slots_.size());
-  ++stats_.delta_rescores;
-  stats_.delta_documents_rescored += corrected_count;
-  stats_.delta_posting_touches += posting_touches;
-  IE_METRIC_COUNT_N("rerank.delta_documents_rescored", corrected_count);
-  return true;
+double RerankEngine::Score(DocId doc) const {
+  if (score_override_ != nullptr) return score_override_(doc);
+  return ranker_->Score((*features_)[doc]);
 }
 
 void RerankEngine::Rerank() {
+  IE_TRACE_SCOPE("rerank.full");
+  IE_METRIC_COUNT("rerank.full_rescores");
   if (ranker_ != nullptr) ranker_->SnapshotForScoring();
-  if (!TryDeltaRescore()) FullRescore();
-  RebuildHeap();
+  heap_.clear();
+  heap_.reserve(pending_);
+  for (uint32_t s = 0; s < slots_.size(); ++s) {
+    if (!processed_[s]) heap_.push_back(HeapEntry{0.0f, s});
+  }
+  // Each index writes only its own entry and slot, so ParallelFor stays
+  // deterministic; the serial loop scores in insertion order, which a
+  // stateful Score() (Random) relies on.
+  auto score_one = [&](size_t i) {
+    Slot& slot = slots_[heap_[i].slot];
+    slot.score = static_cast<float>(Score(slot.doc));
+    heap_[i].score = slot.score;
+  };
+  if (options_.allow_parallel_scoring && options_.scoring_threads > 1) {
+    ParallelFor(heap_.size(), options_.scoring_threads, score_one);
+  } else {
+    for (size_t i = 0; i < heap_.size(); ++i) score_one(i);
+  }
+  std::make_heap(heap_.begin(), heap_.end(), HeapEntryLess);
+  ++stats_.full_rescores;
 }
 
 // Strict total order for the frontier heap: higher score first, then
@@ -214,22 +78,12 @@ bool RerankEngine::HeapEntryLess(const HeapEntry& a, const HeapEntry& b) {
   return a.slot > b.slot;
 }
 
-void RerankEngine::RebuildHeap() {
-  heap_.clear();
-  heap_.reserve(pending_);
-  for (uint32_t s = 0; s < slots_.size(); ++s) {
-    if (!processed_[s]) heap_.push_back(HeapEntry{slots_[s].score, s});
-  }
-  std::make_heap(heap_.begin(), heap_.end(), HeapEntryLess);
-}
-
 void RerankEngine::Requeue(DocId doc) {
   IE_CHECK(doc < slot_of_doc_.size() && slot_of_doc_[doc] != kNoSlot);
   const uint32_t slot = slot_of_doc_[doc];
   IE_CHECK(processed_[slot]);
   processed_[slot] = 0;
   ++pending_;
-  pending_postings_ += (*features_)[doc].size();
   heap_.push_back(HeapEntry{slots_[slot].score, slot});
   std::push_heap(heap_.begin(), heap_.end(), HeapEntryLess);
 }
@@ -242,7 +96,6 @@ bool RerankEngine::PopNext(DocId* doc) {
   IE_CHECK(!processed_[top.slot]);
   processed_[top.slot] = 1;
   --pending_;
-  pending_postings_ -= (*features_)[slots_[top.slot].doc].size();
   *doc = slots_[top.slot].doc;
   return true;
 }

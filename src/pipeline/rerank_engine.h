@@ -1,23 +1,15 @@
-// Incremental delta re-rank engine (DESIGN.md §8). The paper's adaptive
-// loop re-scores and re-sorts the entire remaining pool on every model
-// update — an O(pool × features) dot-product pass per update. Between two
-// scoring snapshots the elastic-net learners move every weight by the same
-// decay factor and ℓ1 penalty; only gradient-touched (or zero-clamped)
-// features deviate (see FactoredWeightDelta). This engine caches each
-// candidate's per-component margins m = w·x and sign masses z = Σ sign(w)·x,
-// advances them per update as m ← scale·m − penalty·z (two multiplies per
-// document), scatters the sparse corrections through a value-carrying
-// feature-posting index (one FMA per touched posting), and serves
-// candidates best-first from a binary heap so only the consumed frontier is
-// ever ordered. Incremental and full passes produce identical processing
-// orders (tests/rerank_equivalence_test.cc).
+// Re-rank frontier (DESIGN.md §8). The paper's adaptive loop re-scores the
+// entire remaining pool on every model update. This engine does exactly
+// that — one scoring pass over the pending candidates per Rerank(), serial
+// or under ParallelFor — and serves candidates best-first from a binary
+// heap, so only the consumed frontier is ever ordered. Equal scores pop in
+// insertion order, reproducing the stable sort the heap replaced.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <vector>
 
-#include "index/feature_postings.h"
 #include "ranking/document_ranker.h"
 #include "text/document.h"
 #include "text/sparse_vector.h"
@@ -25,46 +17,21 @@
 namespace ie {
 
 struct RerankOptions {
-  /// Delta re-ranking enabled; plain full rescoring otherwise. Both modes
-  /// order documents identically — incremental is purely a cost saving.
-  bool incremental = true;
-  /// Fallback: a delta pass scatters one FMA per posting of each corrected
-  /// feature, while a full pass gathers every pending document's features
-  /// once per component (margin and sign mass share a fused walk). Scatter
-  /// and gather cost about the same per posting, so when the correction
-  /// support's posting mass exceeds `density_threshold × components ×
-  /// pending postings` the delta pass is near break-even and the engine
-  /// takes the simpler full rescore instead; below it the speedup grows as
-  /// corrections shrink (≥2x once the mass is under roughly half the
-  /// pending postings — see bench_rerank). Dense corrections happen when
-  /// many observations violate the margin since the last snapshot, e.g.
-  /// right after warmup.
-  double density_threshold = 1.0;
-  /// Worker threads for bulk scoring and delta passes (see ParallelFor).
+  /// Worker threads for the scoring pass (see ParallelFor).
   size_t scoring_threads = 1;
   /// Rankers with stateful Score() (Random) must be scored serially.
   bool allow_parallel_scoring = true;
 };
 
 struct RerankStats {
-  size_t full_rescores = 0;      // full scoring passes (incl. fallbacks)
-  size_t delta_rescores = 0;     // incremental passes taken
-  size_t density_fallbacks = 0;  // delta passes abandoned as too dense
-  // Documents needing sparse correction work in delta passes (all other
-  // pending documents are advanced with two multiplies per component).
-  size_t delta_documents_rescored = 0;
-  // Scatter FMAs executed across all delta passes — the entire sparse cost
-  // of the incremental path, comparable against full passes' gather cost
-  // of 2 × components × pending postings each.
-  size_t delta_posting_touches = 0;
+  size_t full_rescores = 0;  // scoring passes, one per Rerank()
 };
 
 /// Priority frontier over the unprocessed candidate pool.
 class RerankEngine {
  public:
-  /// `score_override`, when set, replaces the ranker's Score() in full
-  /// passes (the Perfect oracle scores by usefulness, which features alone
-  /// cannot express); such engines never take the delta path.
+  /// `score_override`, when set, replaces the ranker's Score() (the Perfect
+  /// oracle scores by usefulness, which features alone cannot express).
   RerankEngine(DocumentRanker* ranker,
                const std::vector<SparseVector>* features,
                RerankOptions options,
@@ -76,10 +43,8 @@ class RerankEngine {
   /// eligible on the next Rerank().
   void AddCandidate(DocId doc);
 
-  /// Re-scores pending candidates against the ranker's current model
-  /// (snapshotting it) and rebuilds the frontier heap. Takes the delta path
-  /// when the ranker exposes a snapshot delta, cached margins are valid,
-  /// and the delta support is below the density threshold.
+  /// Re-scores every pending candidate against the ranker's current model
+  /// (snapshotting it) and rebuilds the frontier heap.
   void Rerank();
 
   /// Pops the best pending candidate; false when the pool is exhausted.
@@ -89,8 +54,7 @@ class RerankEngine {
   /// speculative extraction loop pops a lookahead window and pushes the
   /// unconsumed remainder back before re-ranking). The document keeps its
   /// original insertion slot — and hence its tie-break position — and its
-  /// cached margins, which are still valid because delta passes only run
-  /// after every lookahead document has been requeued.
+  /// last score.
   void Requeue(DocId doc);
 
   size_t pending() const { return pending_; }
@@ -107,32 +71,18 @@ class RerankEngine {
   };
 
   static bool HeapEntryLess(const HeapEntry& a, const HeapEntry& b);
-  bool TryDeltaRescore();
-  void FullRescore();
-  void ScoreSlotFull(uint32_t slot);
-  void RebuildHeap();
-  std::vector<uint32_t> PendingSlots() const;
+  double Score(DocId doc) const;
 
   DocumentRanker* ranker_;  // may be null only with score_override
   const std::vector<SparseVector>* features_;
   RerankOptions options_;
   std::function<double(DocId)> score_override_;
 
-  size_t components_ = 0;  // 0 = margin caching / delta path unavailable
   std::vector<Slot> slots_;
-  // Processed flags live outside Slot as a compact byte array: the
-  // correction scatter tests one per touched posting, and a dense uint8
-  // vector keeps that probe to a single cache-friendly byte load.
-  std::vector<uint8_t> processed_;       // parallel to slots_
-  std::vector<double> margins_;          // slots_ x components_, flattened
-  std::vector<double> sign_mass_;        // same layout as margins_
-  std::vector<uint32_t> slot_of_doc_;    // DocId -> slot (kNoSlot = absent)
+  std::vector<uint8_t> processed_;     // parallel to slots_
+  std::vector<uint32_t> slot_of_doc_;  // DocId -> slot (kNoSlot = absent)
   std::vector<HeapEntry> heap_;
-  FeaturePostingIndex posting_index_;    // built only when delta-capable
   size_t pending_ = 0;
-  size_t pending_postings_ = 0;  // feature entries over pending docs
-  uint32_t scored_upto_ = 0;     // slots below this have valid margins
-  bool margins_valid_ = false;
   RerankStats stats_;
 };
 

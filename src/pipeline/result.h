@@ -66,22 +66,11 @@ struct PipelineResult {
 #endif  // IE_OBSERVABILITY
 
   /// Re-rank engine telemetry (see RerankStats in pipeline/rerank_engine.h):
-  /// full scoring passes, incremental delta passes, delta passes abandoned
-  /// as too dense, and documents touched across all delta passes. Thin
-  /// forwarding accessors into `metrics` — kept so bench/eval schemas
-  /// predating the metrics registry read the same numbers.
+  /// scoring passes over the pending pool, one per re-rank. A thin
+  /// forwarding accessor into `metrics` — kept so bench/eval schemas
+  /// predating the metrics registry read the same number.
   size_t full_rescores() const {
     return static_cast<size_t>(metrics.CounterOr("rerank.full_rescores"));
-  }
-  size_t delta_rescores() const {
-    return static_cast<size_t>(metrics.CounterOr("rerank.delta_rescores"));
-  }
-  size_t rerank_density_fallbacks() const {
-    return static_cast<size_t>(metrics.CounterOr("rerank.density_fallbacks"));
-  }
-  size_t delta_documents_rescored() const {
-    return static_cast<size_t>(
-        metrics.CounterOr("rerank.delta_documents_rescored"));
   }
 
   /// Speculative extraction executor telemetry (see

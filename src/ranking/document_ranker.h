@@ -34,78 +34,10 @@ class DocumentRanker {
   /// Priority score; higher means more likely useful.
   virtual double Score(const SparseVector& features) const = 0;
 
-  /// Monotonically increasing model-version counter: changes whenever the
-  /// scoring function would change (TrainInitial / Observe). Rankers that
-  /// never learn report 0 forever. SnapshotForScoring() captures the
-  /// version, letting callers skip re-scoring when nothing moved.
-  virtual uint64_t ModelVersion() const { return 0; }
-
-  // --- Incremental re-rank support (optional) ------------------------------
-  // A ranker whose snapshot score decomposes as
-  //   Score(x) = CombineMargins(m)   with   m[c] = w_c · x
-  // over ScoreComponentCount() linear components lets the pipeline cache
-  // per-document margins and advance them across snapshots instead of
-  // recomputing every dot product. Because the elastic-net learners apply a
-  // *uniform* Pegasos decay and cumulative ℓ1 penalty to every weight, the
-  // change between two snapshots factors (see FactoredWeightDelta) into two
-  // scalars plus sparse corrections, and a cached margin moves by
-  //   m' = scale·m − penalty·z + margin_correction·x
-  //   z' = z + sign_correction·x
-  // where z = ComponentSignMass is cached alongside m. Only documents whose
-  // features intersect a correction support need sparse work; every other
-  // pending document is advanced with two multiplies. Biases live inside
-  // CombineMargins (they shift every document identically, so they never
-  // invalidate cached margins). Rankers that cannot decompose report zero
-  // components and are always fully rescored.
-
-  /// Number of linear score components; 0 = incremental rescore unsupported.
+  /// Number of linear score components whose snapshot weights
+  /// ComponentSnapshotWeights() exposes (RSVM-IE: 1; BAgg-IE: one per
+  /// committee member); 0 for rankers without a weight vector.
   virtual size_t ScoreComponentCount() const { return 0; }
-
-  /// Bias-free margin w_c · x of component c on the latest snapshot.
-  virtual double ComponentMargin(size_t c, const SparseVector& x) const {
-    (void)c;
-    (void)x;
-    return 0.0;
-  }
-
-  /// Sign mass Σ_f sign(w_c,f)·x_f of component c on the latest snapshot —
-  /// the companion cache that prices the uniform ℓ1 penalty per document.
-  virtual double ComponentSignMass(size_t c, const SparseVector& x) const {
-    (void)c;
-    (void)x;
-    return 0.0;
-  }
-
-  /// Margin and sign mass of component c in one pass over x — full
-  /// rescores in incremental mode use this so caching the sign mass does
-  /// not double the gather cost. Must equal the two separate calls
-  /// bit-for-bit; rankers backed by a WeightVector override it with the
-  /// fused single-walk gather.
-  virtual void ComponentMarginAndSignMass(size_t c, const SparseVector& x,
-                                          double* margin,
-                                          double* sign_mass) const {
-    *margin = ComponentMargin(c, x);
-    *sign_mass = ComponentSignMass(c, x);
-  }
-
-  /// Combines component margins (adding any snapshot biases) into the same
-  /// value Score() would produce — bit-identical, so cached-margin and
-  /// direct scoring sort identically.
-  virtual double CombineMargins(const double* margins) const {
-    (void)margins;
-    return 0.0;
-  }
-
-  /// True when the two most recent SnapshotForScoring() calls both captured
-  /// state, i.e. ComponentSnapshotDelta() is defined.
-  virtual bool HasSnapshotDelta() const { return false; }
-
-  /// Factored weight change of component c between the previous and latest
-  /// snapshot (double precision; see FactoredWeightDelta).
-  virtual FactoredWeightDelta ComponentSnapshotDelta(size_t c) const {
-    (void)c;
-    return {};
-  }
 
   /// Dense weights of component c as of the latest SnapshotForScoring()
   /// (RSVM-IE: the single model; BAgg-IE: committee member c). The flight

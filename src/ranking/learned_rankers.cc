@@ -1,7 +1,6 @@
 #include "ranking/learned_rankers.h"
 
 #include <cmath>
-#include <utility>
 
 namespace ie {
 
@@ -26,45 +25,25 @@ void RsvmIeRanker::Observe(const SparseVector& features, bool useful) {
 
 void RsvmIeRanker::SnapshotForScoring() {
   const uint64_t version = svm_.version();
-  if (has_snapshot_ && snapshot_version_ == version) {
-    // Model unchanged since the last snapshot: the delta is the identity.
-    snapshot_delta_ = {};
-    has_delta_ = true;
-    return;
-  }
-  // Committing pins every weight in place, so the change since the previous
-  // snapshot factors into (decay scale, ℓ1 penalty, sparse corrections);
+  if (has_snapshot_ && snapshot_version_ == version) return;
+  // Committing pins every weight's pending lazy regularization in place;
   // DenseWeights after the commit is a plain copy of the committed state.
-  FactoredWeightDelta delta = svm_.CommitWeights();
+  svm_.CommitWeights();
   snapshot_ = svm_.DenseWeights();
-  if (has_snapshot_) {
-    snapshot_delta_ = std::move(delta);
-    has_delta_ = true;
-  }
   snapshot_version_ = version;
   has_snapshot_ = true;
 }
 
 void BaggIeRanker::SnapshotForScoring() {
   const uint64_t version = committee_.version();
-  if (has_snapshot_ && snapshot_version_ == version) {
-    snapshot_deltas_.assign(snapshots_.size(), FactoredWeightDelta{});
-    has_delta_ = true;
-    return;
-  }
+  if (has_snapshot_ && snapshot_version_ == version) return;
   const size_t members = committee_.committee_size();
-  std::vector<FactoredWeightDelta> deltas;
-  deltas.reserve(members);
   snapshots_.resize(members);
   snapshot_biases_.resize(members);
   for (size_t i = 0; i < members; ++i) {
-    deltas.push_back(committee_.mutable_member(i).CommitWeights());
+    committee_.mutable_member(i).CommitWeights();
     snapshots_[i] = committee_.member(i).DenseWeights();
     snapshot_biases_[i] = committee_.member(i).bias();
-  }
-  if (has_snapshot_) {
-    snapshot_deltas_ = std::move(deltas);
-    has_delta_ = true;
   }
   snapshot_version_ = version;
   has_snapshot_ = true;
@@ -74,17 +53,6 @@ double BaggIeRanker::Score(const SparseVector& features) const {
   double s = 0.0;
   for (size_t i = 0; i < snapshots_.size(); ++i) {
     const double margin = snapshots_[i].Dot(features) + snapshot_biases_[i];
-    s += 1.0 / (1.0 + std::exp(-margin));
-  }
-  return s;
-}
-
-double BaggIeRanker::CombineMargins(const double* margins) const {
-  // Must mirror Score() operation-for-operation: cached-margin scores have
-  // to agree with direct scoring to the last bit.
-  double s = 0.0;
-  for (size_t i = 0; i < snapshots_.size(); ++i) {
-    const double margin = margins[i] + snapshot_biases_[i];
     s += 1.0 / (1.0 + std::exp(-margin));
   }
   return s;

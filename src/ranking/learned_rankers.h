@@ -35,26 +35,7 @@ class RsvmIeRanker : public DocumentRanker {
   double Score(const SparseVector& features) const override {
     return snapshot_.Dot(features);
   }
-  uint64_t ModelVersion() const override { return svm_.version(); }
   size_t ScoreComponentCount() const override { return 1; }
-  double ComponentMargin(size_t, const SparseVector& x) const override {
-    return snapshot_.Dot(x);
-  }
-  double ComponentSignMass(size_t, const SparseVector& x) const override {
-    return snapshot_.SignMass(x);
-  }
-  void ComponentMarginAndSignMass(size_t, const SparseVector& x,
-                                  double* margin,
-                                  double* sign_mass) const override {
-    snapshot_.DotAndSignMass(x, margin, sign_mass);
-  }
-  double CombineMargins(const double* margins) const override {
-    return margins[0];
-  }
-  bool HasSnapshotDelta() const override { return has_delta_; }
-  FactoredWeightDelta ComponentSnapshotDelta(size_t) const override {
-    return snapshot_delta_;
-  }
   WeightVector ComponentSnapshotWeights(size_t) const override {
     return snapshot_;
   }
@@ -69,10 +50,8 @@ class RsvmIeRanker : public DocumentRanker {
   RsvmIeOptions options_;
   OnlineRankSvm svm_;
   WeightVector snapshot_;
-  FactoredWeightDelta snapshot_delta_;  // latest snapshot vs the one before
   uint64_t snapshot_version_ = 0;
   bool has_snapshot_ = false;
-  bool has_delta_ = false;
 };
 
 struct BaggIeOptions {
@@ -102,25 +81,8 @@ class BaggIeRanker : public DocumentRanker {
   }
   void SnapshotForScoring() override;
   double Score(const SparseVector& features) const override;
-  uint64_t ModelVersion() const override { return committee_.version(); }
   size_t ScoreComponentCount() const override {
     return committee_.committee_size();
-  }
-  double ComponentMargin(size_t c, const SparseVector& x) const override {
-    return snapshots_[c].Dot(x);
-  }
-  double ComponentSignMass(size_t c, const SparseVector& x) const override {
-    return snapshots_[c].SignMass(x);
-  }
-  void ComponentMarginAndSignMass(size_t c, const SparseVector& x,
-                                  double* margin,
-                                  double* sign_mass) const override {
-    snapshots_[c].DotAndSignMass(x, margin, sign_mass);
-  }
-  double CombineMargins(const double* margins) const override;
-  bool HasSnapshotDelta() const override { return has_delta_; }
-  FactoredWeightDelta ComponentSnapshotDelta(size_t c) const override {
-    return snapshot_deltas_[c];
   }
   WeightVector ComponentSnapshotWeights(size_t c) const override {
     return c < snapshots_.size() ? snapshots_[c] : WeightVector{};
@@ -141,11 +103,8 @@ class BaggIeRanker : public DocumentRanker {
   BaggingCommittee committee_;
   std::vector<WeightVector> snapshots_;
   std::vector<double> snapshot_biases_;
-  // Per member, latest snapshot vs the one before it.
-  std::vector<FactoredWeightDelta> snapshot_deltas_;
   uint64_t snapshot_version_ = 0;
   bool has_snapshot_ = false;
-  bool has_delta_ = false;
 };
 
 }  // namespace ie

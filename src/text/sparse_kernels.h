@@ -6,9 +6,9 @@
 // left-to-right double chain — no multi-accumulator reassociation — so
 // results are bitwise identical to the scalar reference implementations
 // (tests/sparse_kernel_test.cc proves this at float-bit granularity, and
-// the PR 6 golden-hash matrix pins it end-to-end). The wins come from the
-// layout (one cache line holds 16 ids), hoisted bounds checks, branchless
-// sign arithmetic, and unrolled gather loops — not from reordering math.
+// the golden-hash matrix pins it end-to-end). The wins come from the
+// layout (one cache line holds 16 ids), hoisted bounds checks and unrolled
+// gather loops — not from reordering math.
 #pragma once
 
 #include <cstddef>
@@ -54,72 +54,6 @@ inline double GatherDot(const double* w, size_t dim, const uint32_t* ids,
   return s;
 }
 
-// Branchless sign(w) as a double: +1, -1, or ±0. Accumulating
-// sign(w)*v is bitwise identical to the branchy "skip w == 0" reference:
-// the skipped term is (±0.0)*v = ±0.0, and adding ±0.0 to the accumulator
-// never changes it — the accumulator can never hold -0.0 (it starts at
-// +0.0, and a sum of values can only be -0.0 when both operands are -0.0,
-// which is unreachable from +0.0).
-inline double SignOf(double w) {
-  return (w > 0.0 ? 1.0 : 0.0) - (w < 0.0 ? 1.0 : 0.0);
-}
-
-/// Σ sign(w[ids[i]]) * vals[i] over entries with ids[i] < dim.
-inline double GatherSignMass(const double* w, size_t dim, const uint32_t* ids,
-                             const float* vals, size_t n) {
-  const size_t m = BoundedPrefix(ids, n, dim);
-  double s = 0.0;
-  size_t i = 0;
-  for (; i + 4 <= m; i += 4) {
-    s += SignOf(w[ids[i + 0]]) * static_cast<double>(vals[i + 0]);
-    s += SignOf(w[ids[i + 1]]) * static_cast<double>(vals[i + 1]);
-    s += SignOf(w[ids[i + 2]]) * static_cast<double>(vals[i + 2]);
-    s += SignOf(w[ids[i + 3]]) * static_cast<double>(vals[i + 3]);
-  }
-  for (; i < m; ++i) {
-    s += SignOf(w[ids[i]]) * static_cast<double>(vals[i]);
-  }
-  return s;
-}
-
-/// Fused gather-dot: dot and sign mass in one pass over the id array, each
-/// accumulator seeing the exact operation sequence of its standalone
-/// kernel (so results stay bitwise identical to GatherDot/GatherSignMass).
-inline void GatherDotAndSignMass(const double* w, size_t dim,
-                                 const uint32_t* ids, const float* vals,
-                                 size_t n, double* dot, double* sign_mass) {
-  const size_t m = BoundedPrefix(ids, n, dim);
-  double md = 0.0;
-  double z = 0.0;
-  size_t i = 0;
-  for (; i + 4 <= m; i += 4) {
-    const double w0 = w[ids[i + 0]];
-    const double w1 = w[ids[i + 1]];
-    const double w2 = w[ids[i + 2]];
-    const double w3 = w[ids[i + 3]];
-    const double v0 = static_cast<double>(vals[i + 0]);
-    const double v1 = static_cast<double>(vals[i + 1]);
-    const double v2 = static_cast<double>(vals[i + 2]);
-    const double v3 = static_cast<double>(vals[i + 3]);
-    md += w0 * v0;
-    md += w1 * v1;
-    md += w2 * v2;
-    md += w3 * v3;
-    z += SignOf(w0) * v0;
-    z += SignOf(w1) * v1;
-    z += SignOf(w2) * v2;
-    z += SignOf(w3) * v3;
-  }
-  for (; i < m; ++i) {
-    const double w_i = w[ids[i]];
-    const double v = static_cast<double>(vals[i]);
-    md += w_i * v;
-    z += SignOf(w_i) * v;
-  }
-  *dot = md;
-  *sign_mass = z;
-}
-
 /// w[ids[i]] += factor * vals[i] (ids must all be < dim; SparseVector ids
 /// are unique, so the unrolled stores never alias).
 inline void Axpy(double* w, double factor, const uint32_t* ids,
@@ -155,29 +89,6 @@ inline double SparseSparseDot(const uint32_t* a_ids, const float* a_vals,
       s += static_cast<double>(a_vals[ia]) * static_cast<double>(b_vals[ib]);
       ++ia;
       ++ib;
-    }
-  }
-  return s;
-}
-
-/// Sorted-merge Δw·x where the delta side carries double values.
-inline double SparseDeltaDot(const uint32_t* d_ids, const double* d_vals,
-                             size_t d_n, const uint32_t* x_ids,
-                             const float* x_vals, size_t x_n) {
-  double s = 0.0;
-  size_t id = 0;
-  size_t ix = 0;
-  while (id < d_n && ix < x_n) {
-    const uint32_t dd = d_ids[id];
-    const uint32_t dx = x_ids[ix];
-    if (dd < dx) {
-      ++id;
-    } else if (dx < dd) {
-      ++ix;
-    } else {
-      s += d_vals[id] * static_cast<double>(x_vals[ix]);
-      ++id;
-      ++ix;
     }
   }
   return s;

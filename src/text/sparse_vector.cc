@@ -70,11 +70,6 @@ double Dot(const SparseVector& a, const SparseVector& b) {
                                   b.values(), b.size());
 }
 
-double DeltaDot(const WeightDelta& delta, const SparseVector& x) {
-  return kernels::SparseDeltaDot(delta.ids.data(), delta.values.data(),
-                                 delta.size(), x.ids(), x.values(), x.size());
-}
-
 double CosineSimilarity(const SparseVector& a, const SparseVector& b) {
   const double na = a.L2Norm();
   const double nb = b.L2Norm();
@@ -95,17 +90,6 @@ void WeightVector::Scale(double factor) {
 double WeightVector::Dot(const SparseVector& x) const {
   return kernels::GatherDot(w_.data(), w_.size(), x.ids(), x.values(),
                             x.size());
-}
-
-double WeightVector::SignMass(const SparseVector& x) const {
-  return kernels::GatherSignMass(w_.data(), w_.size(), x.ids(), x.values(),
-                                 x.size());
-}
-
-void WeightVector::DotAndSignMass(const SparseVector& x, double* dot,
-                                  double* sign_mass) const {
-  kernels::GatherDotAndSignMass(w_.data(), w_.size(), x.ids(), x.values(),
-                                x.size(), dot, sign_mass);
 }
 
 double WeightVector::L2NormSquared() const {
@@ -149,19 +133,6 @@ double WeightVector::Cosine(const WeightVector& a, const WeightVector& b) {
   const double nb = std::sqrt(b.L2NormSquared());
   if (na == 0.0 || nb == 0.0) return 0.0;
   return dot / (na * nb);
-}
-
-WeightDelta WeightVector::DeltaFrom(const WeightVector& prev) const {
-  WeightDelta delta;
-  const size_t n = std::max(w_.size(), prev.w_.size());
-  for (size_t i = 0; i < n; ++i) {
-    const double now_i = i < w_.size() ? w_[i] : 0.0;
-    const double prev_i = i < prev.w_.size() ? prev.w_[i] : 0.0;
-    if (now_i != prev_i) {
-      delta.Add(static_cast<uint32_t>(i), now_i - prev_i);
-    }
-  }
-  return delta;
 }
 
 SparseVector WeightVector::ToSparse(double eps) const {

@@ -120,26 +120,6 @@ double Dot(const SparseVector& a, const SparseVector& b);
 /// Cosine similarity; 0 when either vector is zero.
 double CosineSimilarity(const SparseVector& a, const SparseVector& b);
 
-/// Sparse double-precision weight change between two model snapshots:
-/// parallel (feature id, w_now - w_prev) arrays sorted by id, changed
-/// features only — the same SoA shape as SparseVector so the delta-dot
-/// kernel streams both sides.
-struct WeightDelta {
-  std::vector<uint32_t> ids;
-  std::vector<double> values;
-
-  void Add(uint32_t id, double value) {
-    ids.push_back(id);
-    values.push_back(value);
-  }
-  bool empty() const { return ids.empty(); }
-  size_t size() const { return ids.size(); }
-};
-
-/// Δw · x over the delta's support. O(|delta| + |x|) sorted merge,
-/// accumulated in delta-entry order.
-double DeltaDot(const WeightDelta& delta, const SparseVector& x);
-
 /// Dense, growable weight vector used by the online learners. Indexing past
 /// the current size reads as 0; writes grow the vector.
 class WeightVector {
@@ -182,33 +162,13 @@ class WeightVector {
 
   /// Calls fn(id, value) for every stored non-zero weight, in id order.
   /// O(dimension) scan but without per-id bounds-checked Get calls; the
-  /// update-detection and delta-re-rank paths iterate supports this way.
+  /// update-detection paths iterate supports this way.
   template <typename Fn>
   void ForEachNonZero(Fn&& fn) const {
     for (uint32_t id = 0; id < w_.size(); ++id) {
       if (w_[id] != 0.0) fn(id, w_[id]);
     }
   }
-
-  /// Sparse difference this - prev: one entry per feature whose weight
-  /// changed, with value this_i - prev_i (exact IEEE subtraction; features
-  /// with bitwise-equal weights are omitted). This is the per-update weight
-  /// delta the incremental re-rank engine consumes — elastic-net keeps it
-  /// small relative to the vocabulary. Double precision on purpose:
-  /// incremental margins must agree with full rescoring to the last bit
-  /// after the score's float cast.
-  WeightDelta DeltaFrom(const WeightVector& prev) const;
-
-  /// Sign mass Σ_i sign(w_i)·x_i over x's support — the companion quantity
-  /// to Dot() that the incremental re-rank engine caches per document: a
-  /// uniform ℓ1 penalty P moves the margin by exactly -P·SignMass(x).
-  double SignMass(const SparseVector& x) const;
-
-  /// Dot(x) and SignMass(x) in one walk over x, bitwise identical to the
-  /// standalone calls — full rescoring passes of the incremental re-rank
-  /// engine cache both without paying two gathers.
-  void DotAndSignMass(const SparseVector& x, double* dot,
-                      double* sign_mass) const;
 
   /// Soft-threshold every weight toward zero by `amount` (ℓ1 proximal
   /// step): w_i <- sign(w_i) * max(0, |w_i| - amount).

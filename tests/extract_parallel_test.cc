@@ -327,9 +327,6 @@ void ExpectSameRun(const PipelineResult& a, const PipelineResult& b) {
   EXPECT_EQ(a.pool_useful, b.pool_useful);
   EXPECT_DOUBLE_EQ(a.extraction_seconds, b.extraction_seconds);
   EXPECT_EQ(a.full_rescores(), b.full_rescores());
-  EXPECT_EQ(a.delta_rescores(), b.delta_rescores());
-  EXPECT_EQ(a.rerank_density_fallbacks(), b.rerank_density_fallbacks());
-  EXPECT_EQ(a.delta_documents_rescored(), b.delta_documents_rescored());
   EXPECT_EQ(a.peak_buffer_examples(), b.peak_buffer_examples());
   EXPECT_EQ(a.final_model_features, b.final_model_features);
   EXPECT_EQ(a.features_added_per_update, b.features_added_per_update);

@@ -384,7 +384,7 @@ TEST(PipelineRecorderTest, LedgerHasHeaderIterAndFooterLines) {
   for (std::string line; std::getline(stream, line);) lines.push_back(line);
   ASSERT_EQ(lines.size(), 12u);  // header + 10 iters + footer
   EXPECT_NE(lines.front().find("\"type\":\"header\""), std::string::npos);
-  EXPECT_NE(lines.front().find("\"schema\":1"), std::string::npos);
+  EXPECT_NE(lines.front().find("\"schema\":2"), std::string::npos);
   EXPECT_NE(lines[1].find("\"type\":\"iter\""), std::string::npos);
   EXPECT_NE(lines[1].find("\"i\":1"), std::string::npos);
   // dw/dw_c appear exactly on the retrained iteration.

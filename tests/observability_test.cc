@@ -343,7 +343,7 @@ TEST(PipelineObservabilityTest, RunPopulatesMetricsAndTrace) {
   ASSERT_NE(result.metrics.FindHistogram("pipeline.rank_seconds"), nullptr);
   EXPECT_EQ(result.metrics.FindHistogram("pipeline.rank_seconds")
                 ->TotalCount(),
-            result.full_rescores() + result.delta_rescores());
+            result.full_rescores());
   const std::string json = ReadFile(path);
   ASSERT_FALSE(json.empty());
   for (const char* span : {"pipeline.run", "pipeline.sample",

@@ -196,6 +196,48 @@ TEST(PipelineTest, OverheadAccountingNonNegative) {
   EXPECT_GT(result.TotalSeconds(), result.extraction_seconds);
 }
 
+// PipelineConfig::Defaults must give the two learned rankers distinct
+// Mod-C trigger angles (the paper calibrates 30 deg for BAgg-IE vs 5 deg
+// for RSVM-IE; a refactor once collapsed both arms of the conditional to
+// the same constant).
+TEST(RerankConfigTest, ModCAlphaDefaultsDifferPerRanker) {
+  const PipelineConfig bagg = PipelineConfig::Defaults(
+      RankerKind::kBAggIE, SamplerKind::kSRS, UpdateKind::kModC, 1);
+  const PipelineConfig rsvm = PipelineConfig::Defaults(
+      RankerKind::kRSVMIE, SamplerKind::kSRS, UpdateKind::kModC, 1);
+  EXPECT_NE(bagg.modc.alpha_degrees, rsvm.modc.alpha_degrees);
+  // The committee swings through wider angles per absorbed batch, so its
+  // trigger must sit above the RSVM-IE one (paper Section 4.2 ordering).
+  EXPECT_GT(bagg.modc.alpha_degrees, rsvm.modc.alpha_degrees);
+}
+
+// Non-adaptive runs must not buffer processed examples at all — the buffer
+// only exists to hand absorbed documents to the detector at the next
+// update, and kNone never updates. Guards against an unbounded
+// accumulation of the whole pool's feature vectors.
+TEST(RerankBufferTest, NonAdaptiveRunKeepsNoExampleBuffer) {
+  const SharedContext context =
+      test::MakeSharedContext(RelationId::kPersonCharge);
+  const PipelineResult result = AdaptiveExtractionPipeline::Run(
+      context, BaseConfig(RankerKind::kRSVMIE, UpdateKind::kNone, 11));
+  EXPECT_EQ(result.peak_buffer_examples(), 0u);
+  EXPECT_EQ(result.NumUpdates(), 0u);
+}
+
+TEST(RerankBufferTest, AdaptiveRunBuffersBetweenUpdates) {
+  const SharedContext context =
+      test::MakeSharedContext(RelationId::kPersonCharge);
+  PipelineConfig config =
+      BaseConfig(RankerKind::kRSVMIE, UpdateKind::kWindF, 11);
+  config.windf_updates = 150;
+  const PipelineResult result = AdaptiveExtractionPipeline::Run(context, config);
+  EXPECT_GT(result.NumUpdates(), 0u);
+  // The buffer drains at every update, so its peak is bounded by the
+  // largest between-updates interval, not the pool size.
+  EXPECT_GT(result.peak_buffer_examples(), 0u);
+  EXPECT_LT(result.peak_buffer_examples(), context.pool->size() / 2);
+}
+
 // ---- FactCrawl pipelines ---------------------------------------------------
 
 TEST(FactCrawlPipelineTest, FcRunInvariants) {

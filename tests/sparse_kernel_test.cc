@@ -2,7 +2,7 @@
 // every kernel must be bitwise identical to a naive scalar reference, since
 // the golden-hash determinism matrix pins scores derived from them. The
 // references here deliberately mirror the pre-SoA implementations: per-entry
-// bounds checks, branchy "skip zero weight" sign mass, no unrolling.
+// bounds checks, no unrolling.
 #include "text/sparse_kernels.h"
 
 #include <cstdint>
@@ -29,21 +29,6 @@ double RefDot(const double* w, size_t dim, const uint32_t* ids,
   double s = 0.0;
   for (size_t i = 0; i < n; ++i) {
     if (ids[i] < dim) s += w[ids[i]] * static_cast<double>(vals[i]);
-  }
-  return s;
-}
-
-double RefSignMass(const double* w, size_t dim, const uint32_t* ids,
-                   const float* vals, size_t n) {
-  double s = 0.0;
-  for (size_t i = 0; i < n; ++i) {
-    if (ids[i] >= dim) continue;
-    const double weight = w[ids[i]];
-    if (weight > 0.0) {
-      s += static_cast<double>(vals[i]);
-    } else if (weight < 0.0) {
-      s -= static_cast<double>(vals[i]);
-    }
   }
   return s;
 }
@@ -120,41 +105,6 @@ TEST(SparseKernelTest, GatherDotBitParityRandomized) {
   }
 }
 
-TEST(SparseKernelTest, GatherSignMassBitParityRandomized) {
-  Rng rng(3);
-  for (int trial = 0; trial < 300; ++trial) {
-    const size_t n = rng.NextBounded(67);
-    const auto s = MakeSparse(rng, n, 1000);
-    const size_t dim = 1 + rng.NextBounded(1200);
-    const auto w = MakeWeights(rng, dim);
-    const double got = kernels::GatherSignMass(w.data(), dim, s.ids.data(),
-                                               s.vals.data(), s.ids.size());
-    const double want = RefSignMass(w.data(), dim, s.ids.data(),
-                                    s.vals.data(), s.ids.size());
-    EXPECT_EQ(Bits(got), Bits(want)) << "trial " << trial;
-  }
-}
-
-TEST(SparseKernelTest, FusedKernelMatchesStandaloneKernelsBitwise) {
-  Rng rng(4);
-  for (int trial = 0; trial < 300; ++trial) {
-    const size_t n = rng.NextBounded(67);
-    const auto s = MakeSparse(rng, n, 1000);
-    const size_t dim = 1 + rng.NextBounded(1200);
-    const auto w = MakeWeights(rng, dim);
-    double dot = -1.0;
-    double sign_mass = -1.0;
-    kernels::GatherDotAndSignMass(w.data(), dim, s.ids.data(), s.vals.data(),
-                                  s.ids.size(), &dot, &sign_mass);
-    EXPECT_EQ(Bits(dot), Bits(kernels::GatherDot(w.data(), dim, s.ids.data(),
-                                                 s.vals.data(),
-                                                 s.ids.size())));
-    EXPECT_EQ(Bits(sign_mass),
-              Bits(kernels::GatherSignMass(w.data(), dim, s.ids.data(),
-                                           s.vals.data(), s.ids.size())));
-  }
-}
-
 TEST(SparseKernelTest, AxpyBitParityRandomized) {
   Rng rng(5);
   for (int trial = 0; trial < 300; ++trial) {
@@ -196,40 +146,14 @@ TEST(SparseKernelTest, SparseSparseDotBitParityRandomized) {
   }
 }
 
-TEST(SparseKernelTest, SparseDeltaDotBitParityRandomized) {
-  Rng rng(7);
-  for (int trial = 0; trial < 300; ++trial) {
-    const auto x = MakeSparse(rng, rng.NextBounded(67), 400);
-    const auto d = MakeSparse(rng, rng.NextBounded(67), 400);
-    std::vector<double> d_vals(d.vals.begin(), d.vals.end());
-    for (auto& v : d_vals) v *= 1.7;  // give the delta non-float doubles
-    double want = 0.0;
-    for (size_t i = 0; i < d.ids.size(); ++i) {
-      for (size_t j = 0; j < x.ids.size(); ++j) {
-        if (d.ids[i] == x.ids[j]) {
-          want += d_vals[i] * static_cast<double>(x.vals[j]);
-        }
-      }
-    }
-    const double got =
-        kernels::SparseDeltaDot(d.ids.data(), d_vals.data(), d.ids.size(),
-                                x.ids.data(), x.vals.data(), x.ids.size());
-    EXPECT_EQ(Bits(got), Bits(want)) << "trial " << trial;
-  }
-}
-
 TEST(SparseKernelTest, EdgeShapesEmptySingleUnaligned) {
   const std::vector<double> w = {0.5, -1.0, 0.0, 2.0, -0.0};
   // Empty.
   EXPECT_EQ(kernels::GatherDot(w.data(), w.size(), nullptr, nullptr, 0), 0.0);
-  EXPECT_EQ(kernels::GatherSignMass(w.data(), w.size(), nullptr, nullptr, 0),
-            0.0);
   // Single entry.
   const uint32_t one_id[] = {1};
   const float one_val[] = {3.0f};
   EXPECT_EQ(kernels::GatherDot(w.data(), w.size(), one_id, one_val, 1), -3.0);
-  EXPECT_EQ(kernels::GatherSignMass(w.data(), w.size(), one_id, one_val, 1),
-            -3.0);
   // Unaligned lengths n = 1..7 against the reference.
   const uint32_t ids[] = {0, 1, 2, 3, 4, 5, 6};
   const float vals[] = {1.f, 2.f, 3.f, 4.f, 5.f, 6.f, 7.f};
@@ -237,21 +161,7 @@ TEST(SparseKernelTest, EdgeShapesEmptySingleUnaligned) {
     EXPECT_EQ(Bits(kernels::GatherDot(w.data(), w.size(), ids, vals, n)),
               Bits(RefDot(w.data(), w.size(), ids, vals, n)))
         << n;
-    EXPECT_EQ(Bits(kernels::GatherSignMass(w.data(), w.size(), ids, vals, n)),
-              Bits(RefSignMass(w.data(), w.size(), ids, vals, n)))
-        << n;
   }
-}
-
-TEST(SparseKernelTest, SignOfNegativeZeroWeightContributesNothing) {
-  // A -0.0 weight must behave exactly like +0.0 under the branchy
-  // reference (skip), i.e. contribute ±0.0 that cannot flip the
-  // accumulator's sign bit.
-  const std::vector<double> w = {-0.0, 1.0};
-  const uint32_t ids[] = {0, 1};
-  const float vals[] = {5.0f, 2.0f};
-  const double got = kernels::GatherSignMass(w.data(), w.size(), ids, vals, 2);
-  EXPECT_EQ(Bits(got), Bits(2.0));
 }
 
 // End-to-end through SparseVector/WeightVector (the production entry

@@ -194,55 +194,6 @@ TEST(WeightVectorTest, ToSparseRoundTrip) {
   EXPECT_FLOAT_EQ(sparse.Get(7), -2.0f);
 }
 
-TEST(WeightVectorTest, SignMassSumsSignsOverSupport) {
-  WeightVector w;
-  w.Set(1, 0.5);
-  w.Set(4, -2.0);
-  w.Set(6, 3.0);
-  // Feature 2 has no weight, feature 4 is negative, feature 9 is past the
-  // vector's size — only the sign of the stored weight matters.
-  const SparseVector x = Make({{1, 2.0f}, {2, 5.0f}, {4, 3.0f}, {9, 1.0f}});
-  EXPECT_DOUBLE_EQ(w.SignMass(x), 2.0 - 3.0);
-}
-
-TEST(WeightVectorTest, SignMassZeroWeightContributesNothing) {
-  WeightVector w;
-  w.Set(0, 0.0);
-  const SparseVector x = Make({{0, 7.0f}});
-  EXPECT_DOUBLE_EQ(w.SignMass(x), 0.0);
-}
-
-TEST(WeightVectorTest, DeltaFromListsChangedFeaturesOnly) {
-  WeightVector prev, now;
-  prev.Set(0, 1.0);
-  prev.Set(2, -0.5);
-  prev.Set(5, 2.0);
-  now.Set(0, 1.0);    // unchanged: excluded
-  now.Set(2, 0.0);    // zeroed: included
-  now.Set(5, 2.25);   // moved: included
-  now.Set(8, -1.0);   // new: included
-  const WeightDelta delta = now.DeltaFrom(prev);
-  ASSERT_EQ(delta.size(), 3u);
-  EXPECT_EQ(delta.ids[0], 2u);
-  EXPECT_DOUBLE_EQ(delta.values[0], 0.5);
-  EXPECT_EQ(delta.ids[1], 5u);
-  EXPECT_DOUBLE_EQ(delta.values[1], 0.25);
-  EXPECT_EQ(delta.ids[2], 8u);
-  EXPECT_DOUBLE_EQ(delta.values[2], -1.0);
-}
-
-TEST(WeightVectorTest, DeltaDotMatchesFullDotDifference) {
-  WeightVector prev, now;
-  prev.Set(1, 0.75);
-  prev.Set(3, -1.5);
-  now = prev;
-  now.Set(3, -1.0);
-  now.Set(6, 0.5);
-  const SparseVector x = Make({{1, 1.0f}, {3, 2.0f}, {6, 4.0f}, {7, 9.0f}});
-  const WeightDelta delta = now.DeltaFrom(prev);
-  EXPECT_NEAR(DeltaDot(delta, x), now.Dot(x) - prev.Dot(x), 1e-12);
-}
-
 TEST(WeightVectorTest, ForEachNonZeroSkipsZeros) {
   WeightVector w;
   w.Set(0, 1.0);

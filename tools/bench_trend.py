@@ -2,12 +2,12 @@
 """Perf-trajectory trend gate (DESIGN.md §14).
 
 Compares fresh bench JSON outputs against the committed baselines at the
-repo root (BENCH_rerank.json, BENCH_extract.json, BENCH_index.json) and
+repo root (BENCH_featurize.json, BENCH_extract.json, BENCH_index.json) and
 fails on regressions of the *gated* metrics:
 
-  rerank   update_batch2.speedup, featurize.speedup   (>= gate, trend)
-  extract  speedup_at_8                               (trend, when gated)
-  index    per-tier compression_ratio                 (>= gate, trend)
+  featurize  featurize.speedup            (>= gate, trend)
+  extract    speedup_at_8                 (trend, when gated)
+  index      per-tier compression_ratio   (>= gate, trend)
 
 Two layers of checking:
 
@@ -26,7 +26,7 @@ Two layers of checking:
 
 Usage:
   tools/bench_trend.py --fresh DIR [--baseline DIR] [--tolerance 0.15]
-                       [--benches rerank,extract,index]
+                       [--benches featurize,extract,index]
 
 Exit codes: 0 ok, 1 regression/invariant failure, 2 usage/IO error.
 """
@@ -37,7 +37,7 @@ import os
 import sys
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-ALL_BENCHES = ("rerank", "extract", "index")
+ALL_BENCHES = ("featurize", "extract", "index")
 
 failures = []
 
@@ -89,34 +89,22 @@ def check_trend(name, metric, fresh_value, base_value, tolerance):
                 base_value))
 
 
-def compare_rerank(fresh, base, tolerance):
-    check_invariants("rerank", fresh)
+def compare_featurize(fresh, base, tolerance):
+    check_invariants("featurize", fresh)
     threshold = fresh.get("gate_threshold", 1.5)
-    gated = [
-        ("update_batch2.speedup",
-         fresh.get("update_batch2", {}).get("speedup"),
-         (base or {}).get("update_batch2", {}).get("speedup")),
-        ("featurize.speedup",
-         fresh.get("featurize", {}).get("speedup"),
-         (base or {}).get("featurize", {}).get("speedup")),
-    ]
-    same_scale = base is not None and fresh.get("docs") == base.get("docs") \
-        and fresh.get("pool") == base.get("pool")
-    for metric, fresh_value, base_value in gated:
-        if fresh_value is None:
-            fail("rerank: missing gated metric %s" % metric)
-            continue
-        if fresh_value < threshold:
-            fail("rerank.%s below gate threshold: %.3f < %.2f"
-                 % (metric, fresh_value, threshold))
-        if same_scale:
-            check_trend("rerank", metric, fresh_value, base_value, tolerance)
-        else:
-            note("rerank.%s: fresh=%.3f (scale differs from baseline; "
-                 "gate-threshold check only)" % (metric, fresh_value))
-    kernel = fresh.get("kernel", {}).get("speedup")
-    if kernel is not None:
-        note("rerank.kernel.speedup: %.3f (informational)" % kernel)
+    fresh_value = fresh.get("featurize", {}).get("speedup")
+    if fresh_value is None:
+        fail("featurize: missing gated metric speedup")
+        return
+    if fresh_value < threshold:
+        fail("featurize.speedup below gate threshold: %.3f < %.2f"
+             % (fresh_value, threshold))
+    if base is not None and fresh.get("docs") == base.get("docs"):
+        check_trend("featurize", "speedup", fresh_value,
+                    base.get("featurize", {}).get("speedup"), tolerance)
+    else:
+        note("featurize.speedup: fresh=%.3f (scale differs from baseline; "
+             "gate-threshold check only)" % fresh_value)
 
 
 def compare_extract(fresh, base, tolerance):
@@ -163,7 +151,7 @@ def compare_index(fresh, base, tolerance):
 
 
 COMPARATORS = {
-    "rerank": compare_rerank,
+    "featurize": compare_featurize,
     "extract": compare_extract,
     "index": compare_index,
 }

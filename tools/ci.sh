@@ -71,18 +71,12 @@ step "golden-hash determinism matrix (rankers x seeds x threads)"
 ctest --test-dir build-default -R 'DeterminismGoldenTest' \
     --output-on-failure -j "$JOBS"
 
-step "bench_rerank smoke (incremental re-rank engine)"
-# One iteration per configuration on a small corpus: verifies the delta
-# passes engage (counters) and the bench harness itself stays healthy.
-IE_BENCH_DOCS=4000 ./build-default/bench/bench_rerank \
-    --benchmark_min_time=1x --benchmark_filter='/(1|8)$'
-
-step "bench_rerank perf trajectory (SoA kernels + arena featurizer)"
-# Hand-timed production-vs-reference comparisons (DESIGN.md §14): re-proves
-# bitwise-identical outputs and enforces the >=1.5x gates on the
-# rerank-update and featurize paths, at smoke scale.
-IE_BENCH_DOCS=4000 ./build-default/bench/bench_rerank \
-    --out=build-default/BENCH_rerank.json --reps=3
+step "bench_featurize perf trajectory (arena featurizer)"
+# Hand-timed production-vs-reference comparison (DESIGN.md §14): re-proves
+# bitwise-identical features and enforces the >=1.5x featurize gate, at
+# smoke scale.
+IE_BENCH_DOCS=4000 ./build-default/bench/bench_featurize \
+    --out=build-default/BENCH_featurize.json --reps=3
 
 step "bench_extract smoke (speculative extraction executor + tracing)"
 # Serial + 2-thread live-extraction runs on a small corpus: proves the
@@ -135,7 +129,7 @@ step "detlint over the observability exporters (export-path discipline)"
 # paths: every float they emit must go through the Format*/AppendJson*
 # helpers (locale-independent, shortest round-trip).
 python3 tools/lint.py --treat-as-src src/common/metrics_export.cc \
-    src/pipeline/recorder.cc bench/bench_extract.cc bench/bench_rerank.cc
+    src/pipeline/recorder.cc bench/bench_extract.cc bench/bench_featurize.cc
 
 step "trace validation (tools/check_trace.py)"
 # The exported trace must be well-formed, balanced, and monotonic, and

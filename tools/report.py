@@ -4,7 +4,7 @@
 The pipeline's flight recorder (src/pipeline/recorder.cc, DESIGN.md §15)
 writes one JSON object per line:
 
-  {"type":"header","schema":1, ...run metadata...}
+  {"type":"header","schema":2, ...run metadata...}
   {"type":"iter","i":1, ...one iteration...}          x N, flushed per line
   {"type":"end", ...run totals...}                    absent if crashed
 
@@ -32,8 +32,8 @@ import sys
 
 PHASES = ("warmup", "main", "tail")
 # Cumulative iteration counters: monotone non-decreasing across the run.
-CUMULATIVE = ("useful_total", "full_rescores", "delta_rescores", "hits",
-              "waits", "misses", "cancelled")
+CUMULATIVE = ("useful_total", "full_rescores", "hits", "waits", "misses",
+              "cancelled")
 
 
 class Ledger:
@@ -105,7 +105,7 @@ def validate(path):
     """Returns a list of findings for one ledger file.
 
     Invariants (beyond parseability):
-      header      schema == 1, present before any iteration
+      header      schema == 2, present before any iteration
       numbering   iter "i" strictly 1,2,3,... (the recorder assigns them)
       executor    hits + waits + misses == i (exactly one Take per doc)
       cumulative  monotone non-decreasing counters (CUMULATIVE)
@@ -121,7 +121,7 @@ def validate(path):
     ledger = parse_ledger(path, findings)
     if ledger.header is None:
         findings.append("%s: missing header line" % path)
-    elif ledger.header.get("schema") != 1:
+    elif ledger.header.get("schema") != 2:
         findings.append("%s: unsupported schema %r" %
                         (path, ledger.header.get("schema")))
 
@@ -139,9 +139,8 @@ def validate(path):
             i = expect
 
         for key in ("doc", "phase", "useful", "useful_total", "useful_rate",
-                    "stat", "retrain", "full_rescores", "delta_rescores",
-                    "hits", "waits", "misses", "cancelled", "queue",
-                    "arena"):
+                    "stat", "retrain", "full_rescores", "hits", "waits",
+                    "misses", "cancelled", "queue", "arena"):
             if key not in obj:
                 findings.append("%s: missing field %r" % (where, key))
         phase = obj.get("phase")
@@ -248,7 +247,6 @@ def summarize(ledger):
         out["useful_rate"] = last.get("useful_rate", 0.0)
         out["updates"] = sum(o.get("retrain", 0) for o in iters)
         out["full_rescores"] = last.get("full_rescores", 0)
-        out["delta_rescores"] = last.get("delta_rescores", 0)
         out["executor_hits"] = last.get("hits", 0)
         out["executor_waits"] = last.get("waits", 0)
         out["executor_misses"] = last.get("misses", 0)
