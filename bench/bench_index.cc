@@ -1,9 +1,10 @@
 // Scale bench for the million-document index stack (DESIGN.md §13):
-// streams a corpus straight to the on-disk format, builds both SearchIndex
-// backends from the mapped file, and reports build throughput, query
-// throughput and resident postings memory per tier, re-proving
-// byte-identical SearchHit output between InvertedIndex and CompactIndex
-// at every tier along the way.
+// streams a corpus straight to the on-disk format, builds the product
+// backend (CompactIndex) and the test oracle (tests/index_oracle.h,
+// reported as "inverted") from the mapped file, and reports build
+// throughput, query throughput and resident postings memory per tier for
+// both, re-proving byte-identical SearchHit output at every tier along the
+// way.
 //
 // Not a google-benchmark microbench: the unit of work is an entire
 // generate → write → build → query pass per corpus size, and results are
@@ -20,8 +21,8 @@
 // Environment knobs: IE_BENCH_DOCS replaces the tier list with a single
 // tier (the CI smoke runs IE_BENCH_DOCS=4000).
 //
-// Acceptance gate: at tiers >= 1M documents the compact backend must hold
-// its postings in >= 4x less resident memory than InvertedIndex
+// Acceptance gate: at tiers >= 1M documents the product backend must hold
+// its postings in >= 4x less resident memory than the oracle
 // (PostingsBytes ratio). Tiers whose estimated RAM/disk footprint does not
 // fit the host are reported as "skipped" instead of run — the gate then
 // reports SKIP, never a false FAIL.
@@ -39,7 +40,7 @@
 #include "corpus/generator.h"
 #include "harness.h"
 #include "index/compact_index.h"
-#include "index/inverted_index.h"
+#include "tests/index_oracle.h"
 
 using namespace ie;
 using namespace ie::bench;
@@ -49,7 +50,7 @@ namespace {
 // Conservative per-document footprint estimates (measured ~172 tokens and
 // ~150 distinct terms per generated document) used only to decide whether
 // a tier fits the host at all.
-constexpr size_t kRamBytesPerDoc = 4096;   // both backends + staging, peak
+constexpr size_t kRamBytesPerDoc = 4096;   // both indexes + staging, peak
 constexpr size_t kDiskBytesPerDoc = 1500;  // corpus file record + tables
 constexpr size_t kQueriesPerTier = 200;
 constexpr size_t kRatioGateDocs = 1000000;
@@ -76,9 +77,9 @@ struct TierStats {
   double gen_write_seconds = 0.0;
   double gen_docs_per_sec = 0.0;
   size_t num_postings = 0;
-  BackendStats inverted;
-  BackendStats compact;
-  double compression_ratio = 0.0;  // inverted postings bytes / compact
+  BackendStats inverted;  // the test oracle
+  BackendStats compact;   // the product backend
+  double compression_ratio = 0.0;  // oracle postings bytes / compact
   bool identical = true;           // SearchHit byte-identity over queries
   std::vector<FinalizeSweepPoint> finalize_sweep;
 };
@@ -260,8 +261,8 @@ int main(int argc, char** argv) {
       std::fclose(f);
     }
 
-    // Phase 2: build each backend from the mapped file.
-    InvertedIndex inverted;
+    // Phase 2: build the oracle and the product backend from the mapped file.
+    test::InvertedIndex inverted;
     {
       Document doc;
       WallTimer timer;
@@ -308,8 +309,9 @@ int main(int argc, char** argv) {
           tier.identical = false;
           all_identical = false;
           std::fprintf(stderr,
-                       "FAIL: backends disagree at docs=%zu k=%zu\n", docs,
-                       k);
+                       "FAIL: CompactIndex disagrees with the oracle at "
+                       "docs=%zu k=%zu\n",
+                       docs, k);
           break;
         }
       }

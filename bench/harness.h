@@ -129,7 +129,7 @@ class Harness {
   World world_;
   Featurizer featurizer_;
   std::vector<SparseVector> word_features_;
-  InvertedIndex index_;
+  CompactIndex index_;
   std::unique_ptr<Corpus> aux_corpus_;
   std::optional<Featurizer> aux_featurizer_;
   std::map<RelationId, std::vector<std::vector<std::string>>> cqs_lists_;

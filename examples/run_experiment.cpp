@@ -77,7 +77,7 @@ int main(int argc, char** argv) {
   Featurizer featurizer(&corpus.vocab());
   const std::vector<SparseVector> word_features =
       FeaturizePool(corpus, featurizer);
-  const InvertedIndex index = BuildPoolIndex(corpus, pool);
+  const CompactIndex index = BuildPoolIndex(corpus, pool);
 
   SharedContext context;
   context.corpus = &corpus;

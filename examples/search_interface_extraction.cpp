@@ -35,7 +35,7 @@ int main() {
   Featurizer featurizer(&corpus.vocab());
   const std::vector<SparseVector> word_features =
       FeaturizePool(corpus, featurizer);
-  const InvertedIndex index = BuildPoolIndex(corpus, pool);
+  const CompactIndex index = BuildPoolIndex(corpus, pool);
 
   // Peek at what QXtract-style query learning discovers from a labeled
   // sample (the same mechanism the pipeline uses internally).

@@ -1,6 +1,4 @@
-// Wall-clock and thread-CPU timers, plus a SimulatedClock used by the
-// extraction pipeline to charge per-document extraction cost without
-// actually burning the CPU for months (see DESIGN.md, substitutions).
+// Wall-clock and thread-CPU timers.
 #pragma once
 
 #include <chrono>
@@ -48,30 +46,6 @@ class CpuTimer {
   }
 
   double start_;
-};
-
-/// Accumulates a mix of simulated charges (e.g. "this document costs 6 s of
-/// extraction") and real measured overhead. The pipeline reports totals from
-/// this clock so that efficiency experiments reproduce the paper's
-/// cost decomposition: total = simulated extraction + measured ranking.
-class SimulatedClock {
- public:
-  void ChargeSeconds(double seconds) { simulated_seconds_ += seconds; }
-  void AddMeasuredSeconds(double seconds) { measured_seconds_ += seconds; }
-
-  double simulated_seconds() const { return simulated_seconds_; }
-  double measured_seconds() const { return measured_seconds_; }
-  double TotalSeconds() const { return simulated_seconds_ + measured_seconds_; }
-  double TotalMinutes() const { return TotalSeconds() / 60.0; }
-
-  void Reset() {
-    simulated_seconds_ = 0.0;
-    measured_seconds_ = 0.0;
-  }
-
- private:
-  double simulated_seconds_ = 0.0;
-  double measured_seconds_ = 0.0;
 };
 
 }  // namespace ie

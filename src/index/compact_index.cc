@@ -42,9 +42,6 @@ constexpr double kBoundSlack = 1.0 + 1e-9;
 
 }  // namespace
 
-CompactIndex::CompactIndex(Bm25Params params, size_t num_shards)
-    : params_(params), shards_(std::max<size_t>(1, num_shards)) {}
-
 size_t CompactIndex::ShardOf(TokenId term) const {
   // splitmix64-style finalizer: term ids are dense and sequential, so the
   // shard assignment must mix, not just mod.
@@ -52,7 +49,7 @@ size_t CompactIndex::ShardOf(TokenId term) const {
   z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   z ^= z >> 31;
-  return static_cast<size_t>(z % shards_.size());
+  return static_cast<size_t>(z % kNumShards);
 }
 
 Status CompactIndex::Add(const Document& doc) {
@@ -87,14 +84,14 @@ Status CompactIndex::Add(const Document& doc) {
 }
 
 double CompactIndex::Contribution(double idf, uint32_t tf, DocId doc) const {
-  // Must stay arithmetically identical to InvertedIndex::Search's per
-  // posting expression — same association order, token for token — or the
-  // cross-backend byte-identity contract breaks in the last ulp.
+  // Must stay arithmetically identical to the test oracle's per-posting
+  // expression (tests/index_oracle.h) — same association order, token for
+  // token — or the byte-identity contract breaks in the last ulp.
   const double len = doc_lengths_.at(doc);
   const double tfd = tf;
   const double denom =
-      tfd + params_.k1 * (1.0 - params_.b + params_.b * len / avg_len_);
-  return idf * (tfd * (params_.k1 + 1.0)) / denom;
+      tfd + kBm25K1 * (1.0 - kBm25B + kBm25B * len / avg_len_);
+  return idf * (tfd * (kBm25K1 + 1.0)) / denom;
 }
 
 void CompactIndex::Finalize(size_t threads) {
@@ -135,7 +132,7 @@ void CompactIndex::Finalize(size_t threads) {
       TermMeta meta;
       meta.doc_freq = static_cast<uint32_t>(list.size());
       const double df = static_cast<double>(list.size());
-      // Same idf expression as InvertedIndex::Search.
+      // Same idf expression as the test oracle's Search.
       meta.idf = std::log(1.0 + (n - df + 0.5) / (df + 0.5));
       meta.first_block = static_cast<uint32_t>(shard.blocks.size());
       for (size_t begin = 0; begin < list.size(); begin += kBlockSize) {
@@ -269,7 +266,7 @@ std::vector<SearchHit> CompactIndex::Search(const std::vector<TokenId>& terms,
   if (k == 0 || doc_lengths_.empty()) return {};
 
   // Cursors in deduped first-occurrence query order — the order the exact
-  // scoring loop below adds contributions in, matching InvertedIndex.
+  // scoring loop below adds contributions in, matching the test oracle.
   std::vector<Cursor> cursors;
   // DETERMINISM: order-insensitive (DedupeQueryTerms returns a plain
   // vector in first-occurrence order; no hash container is iterated here).
@@ -348,7 +345,7 @@ std::vector<SearchHit> CompactIndex::Search(const std::vector<TokenId>& terms,
         full && static_cast<float>(block_upper * kBoundSlack) < threshold;
     if (!prunable) {
       // Exact score, accumulated in deduped query-term order — the same
-      // addition sequence InvertedIndex applies to its score accumulator.
+      // addition sequence the test oracle applies to its score accumulator.
       double score = 0.0;
       for (const Cursor& cursor : cursors) {
         if (!cursor.exhausted && cursor.doc == pivot_doc) {

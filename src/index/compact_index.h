@@ -1,14 +1,14 @@
-// CompactIndex — the million-document backend of the SearchIndex
-// interface (DESIGN.md §13). Postings are sharded by term hash and stored
-// delta-compressed: per term, doc-id gaps (low bit = "tf varint follows";
-// tf == 1 postings pay no tf byte) are LEB128 varints laid out in blocks
-// of 128 postings, each block carrying skip
-// metadata (last doc id, byte offset) and the exact maximum BM25
-// contribution of any posting in the block. Search runs WAND-style
+// CompactIndex — the library's one SearchIndex backend (DESIGN.md §13);
+// BuildPoolIndex returns it for every pool. Postings are sharded by term
+// hash and stored delta-compressed: per term, doc-id gaps (low bit = "tf
+// varint follows"; tf == 1 postings pay no tf byte) are LEB128 varints
+// laid out in blocks of 128 postings, each block carrying skip metadata
+// (last doc id, byte offset) and the exact maximum BM25 contribution of
+// any posting in the block. Search runs WAND-style
 // document-at-a-time top-k with term-level and block-level max-score
 // pruning; the pruning is conservative (see DESIGN.md §13 for the
-// invariant), so the returned hits are byte-identical to
-// InvertedIndex::Search over the same documents.
+// invariant), so the returned hits are byte-identical to the test
+// oracle's (tests/index_oracle.h) over the same documents.
 //
 // Build protocol: Add() every document, then Finalize() once — Finalize
 // computes the corpus statistics the max-score metadata depends on
@@ -42,7 +42,10 @@ class CompactIndex : public SearchIndex {
   /// ids, so the cap is theoretical.
   static constexpr DocId kMaxDocId = 0x7fffffffu;
 
-  explicit CompactIndex(Bm25Params params = {}, size_t num_shards = 16);
+  /// Term-hash shards: independent encode units for Finalize(threads).
+  static constexpr size_t kNumShards = 16;
+
+  CompactIndex() : shards_(kNumShards) {}
 
   /// Stages a document (bag-of-words over all sentences). Documents may be
   /// added in any id order; re-adding the same id is an error, as is
@@ -71,8 +74,6 @@ class CompactIndex : public SearchIndex {
   /// Compressed accounting: shard blobs + block skip/max metadata +
   /// per-term directory entries.
   size_t PostingsBytes() const override;
-
-  size_t NumShards() const { return shards_.size(); }
 
  private:
   // Field order keeps the struct at 24 bytes (no padding holes): the skip
@@ -104,7 +105,6 @@ class CompactIndex : public SearchIndex {
   const TermMeta* FindTerm(TokenId term, const Shard** shard) const;
   double Contribution(double idf, uint32_t tf, DocId doc) const;
 
-  Bm25Params params_;
   std::vector<Shard> shards_;
   std::unordered_map<DocId, uint32_t> doc_lengths_;
   size_t num_postings_ = 0;

@@ -1,14 +1,15 @@
-// SearchIndex — the keyword-retrieval interface every index backend
-// implements (DESIGN.md §13). QXtract-style query generation, CQS
-// sampling, FactCrawl, and the search-interface access scenario all
-// retrieve documents through this interface, so backends are
-// interchangeable; the contract is *byte-identical* `SearchHit` output:
-// for the same indexed documents and query, every backend must return the
-// same hits with bit-equal float scores (same BM25 arithmetic, same
-// per-document accumulation order, same tie-break). The two backends are
-//   InvertedIndex — uncompressed in-memory postings (small/medium pools);
-//   CompactIndex  — sharded, delta+varint-compressed postings with
-//                   block-max top-k pruning (million-document pools).
+// SearchIndex — the keyword-retrieval interface (DESIGN.md §13), the
+// repository's substitute for Lucene (DESIGN.md §2). QXtract-style query
+// generation, CQS sampling, FactCrawl, and the search-interface access
+// scenario all retrieve documents through it: documents are ranked by how
+// well they match the query, NOT by extraction usefulness, which is exactly
+// the mismatch the paper's rankers fix. The library ships one backend,
+// CompactIndex (sharded, delta+varint-compressed postings with block-max
+// top-k pruning). The contract is *byte-identical* `SearchHit` output
+// against the test oracle (tests/index_oracle.h, uncompressed postings):
+// for the same indexed documents and query, both return the same hits
+// with bit-equal float scores (same BM25 arithmetic, same per-document
+// accumulation order, same tie-break).
 #pragma once
 
 #include <cstdint>
@@ -25,10 +26,10 @@ struct SearchHit {
   float score = 0.0f;
 };
 
-struct Bm25Params {
-  double k1 = 1.2;
-  double b = 0.75;
-};
+/// BM25 parameters (the standard defaults), shared by CompactIndex and the
+/// test oracle so their arithmetic cannot drift.
+inline constexpr double kBm25K1 = 1.2;
+inline constexpr double kBm25B = 0.75;
 
 class SearchIndex {
  public:
@@ -49,8 +50,8 @@ class SearchIndex {
                                         size_t k) const = 0;
 
   /// Bytes resident for postings storage (lists + per-term/skip metadata;
-  /// excludes document-length tables, which both backends share). The
-  /// scale bench reports the backend ratio from this.
+  /// excludes document-length tables, which every backend keeps). The
+  /// scale bench reports the product-to-oracle ratio from this.
   virtual size_t PostingsBytes() const = 0;
 
   /// Convenience: tokenizes `query` on whitespace (space, tab, CR, LF —
@@ -60,14 +61,14 @@ class SearchIndex {
                                     const Vocabulary& vocab, size_t k) const;
 };
 
-/// Distinct query terms in first-occurrence order. Both backends dedupe
+/// Distinct query terms in first-occurrence order. Every backend dedupes
 /// through this so a repeated token never re-walks its posting list
 /// (double-adding its contribution was the pre-interface BM25 bug) and the
 /// per-document float-accumulation order matches across backends.
 std::vector<TokenId> DedupeQueryTerms(const std::vector<TokenId>& terms);
 
 /// Sorts the best `k` hits to the front — descending score, ascending doc
-/// id on ties — and truncates. Shared by both backends so the final
+/// id on ties — and truncates. Shared by every backend so the final
 /// ordering logic cannot drift.
 void SortHitsTopK(std::vector<SearchHit>& hits, size_t k);
 

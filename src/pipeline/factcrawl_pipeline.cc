@@ -5,6 +5,7 @@
 
 #include "common/logging.h"
 #include "common/timer.h"
+#include "pipeline/session.h"
 #include "sampling/sampler.h"
 
 namespace ie {
@@ -37,15 +38,7 @@ PipelineResult FactCrawlPipeline::Run(const SharedContext& context,
   };
 
   // ---- Sample + query learning + one-time query evaluation -------------
-  std::unique_ptr<Sampler> sampler;
-  if (config.sampler == SamplerKind::kCQS) {
-    IE_CHECK(context.cqs_queries != nullptr);
-    sampler = std::make_unique<CqsSampler>(*context.cqs_queries,
-                                           context.index,
-                                           &context.corpus->vocab());
-  } else {
-    sampler = std::make_unique<SrsSampler>();
-  }
+  std::unique_ptr<Sampler> sampler = MakeSampler(context, config.sampler);
   for (DocId id : sampler->Sample(
            *context.pool, std::min(config.sample_size, context.pool->size()),
            &rng)) {

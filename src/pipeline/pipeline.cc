@@ -149,23 +149,13 @@ std::vector<float> ComputeIdf(const Corpus& corpus, size_t threads) {
   return idf;
 }
 
-InvertedIndex BuildPoolIndex(const Corpus& corpus,
-                             const std::vector<DocId>& pool) {
-  InvertedIndex index;
-  for (DocId id : pool) {
-    IE_CHECK(index.Add(corpus.doc(id)).ok());
-  }
-  return index;
-}
-
-CompactIndex BuildCompactPoolIndex(const Corpus& corpus,
-                                   const std::vector<DocId>& pool,
-                                   size_t build_threads) {
+CompactIndex BuildPoolIndex(const Corpus& corpus,
+                            const std::vector<DocId>& pool) {
   CompactIndex index;
   for (DocId id : pool) {
     IE_CHECK(index.Add(corpus.doc(id)).ok());
   }
-  index.Finalize(build_threads);
+  index.Finalize();
   return index;
 }
 

@@ -13,7 +13,6 @@
 #include "corpus/corpus.h"
 #include "extract/extraction_system.h"
 #include "index/compact_index.h"
-#include "index/inverted_index.h"
 #include "pipeline/result.h"
 #include "ranking/learned_rankers.h"
 #include "text/featurizer.h"
@@ -161,17 +160,11 @@ std::vector<SparseVector> FeaturizePool(const Corpus& corpus,
 /// result is exactly the serial one.
 std::vector<float> ComputeIdf(const Corpus& corpus, size_t threads = 1);
 
-/// Builds an index over the pool documents (the uncompressed reference
-/// backend; SharedContext::index accepts either backend).
-InvertedIndex BuildPoolIndex(const Corpus& corpus,
-                             const std::vector<DocId>& pool);
-
-/// Builds the compressed scale backend over the pool documents (finalized,
-/// ready to search). Byte-identical retrieval to BuildPoolIndex's result
-/// at any build_threads count (the shards encode independently).
-CompactIndex BuildCompactPoolIndex(const Corpus& corpus,
-                                   const std::vector<DocId>& pool,
-                                   size_t build_threads = 1);
+/// Builds the search index over the pool documents: the one place that
+/// decides which backend serves retrieval. Returns a finalized
+/// CompactIndex, ready to search.
+CompactIndex BuildPoolIndex(const Corpus& corpus,
+                            const std::vector<DocId>& pool);
 
 class AdaptiveExtractionPipeline {
  public:

@@ -162,18 +162,6 @@ TEST(TimerTest, CpuTimerMeasuresWork) {
   EXPECT_GT(timer.ElapsedSeconds(), 0.0);
 }
 
-TEST(SimulatedClockTest, Accumulates) {
-  SimulatedClock clock;
-  clock.ChargeSeconds(120.0);
-  clock.AddMeasuredSeconds(6.0);
-  EXPECT_DOUBLE_EQ(clock.simulated_seconds(), 120.0);
-  EXPECT_DOUBLE_EQ(clock.measured_seconds(), 6.0);
-  EXPECT_DOUBLE_EQ(clock.TotalSeconds(), 126.0);
-  EXPECT_DOUBLE_EQ(clock.TotalMinutes(), 2.1);
-  clock.Reset();
-  EXPECT_DOUBLE_EQ(clock.TotalSeconds(), 0.0);
-}
-
 // ---- ParallelFor edge cases -------------------------------------------
 
 TEST(ParallelForEdgeTest, ZeroIterationsNeverCallsFn) {

@@ -1,6 +1,7 @@
-// CompactIndex correctness: the byte-identity contract with InvertedIndex
-// (DESIGN.md §13) — same hits, same float bits, same order — plus the
-// build-protocol errors and the block/skip machinery at multi-block scale.
+// CompactIndex correctness: the byte-identity contract with the test
+// oracle (index_oracle.h, DESIGN.md §13) — same hits, same float bits,
+// same order — plus the build-protocol errors and the block/skip machinery
+// at multi-block scale.
 #include "index/compact_index.h"
 
 #include <gtest/gtest.h>
@@ -11,7 +12,7 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "index/inverted_index.h"
+#include "index_oracle.h"
 #include "pipeline/pipeline.h"
 #include "test_util.h"
 #include "text/tokenizer.h"
@@ -37,6 +38,14 @@ void ExpectSameHits(const std::vector<SearchHit>& expected,
   }
 }
 
+/// The oracle over the documents BuildPoolIndex indexes.
+test::InvertedIndex BuildOraclePoolIndex(const Corpus& corpus,
+                                         const std::vector<DocId>& pool) {
+  test::InvertedIndex oracle;
+  for (DocId id : pool) EXPECT_TRUE(oracle.Add(corpus.doc(id)).ok());
+  return oracle;
+}
+
 class CompactIndexTest : public ::testing::Test {
  protected:
   void AddBoth(DocId id, const std::string& text) {
@@ -56,7 +65,7 @@ class CompactIndexTest : public ::testing::Test {
   }
 
   Vocabulary vocab_;
-  InvertedIndex inverted_;
+  test::InvertedIndex inverted_;
   CompactIndex compact_;
 };
 
@@ -157,7 +166,7 @@ TEST_F(CompactIndexTest, MultiBlockPostingListsWithPruning) {
 TEST_F(CompactIndexTest, RandomizedEquivalence200QueriesPerSeed) {
   for (uint64_t seed : {11u, 22u, 33u}) {
     Vocabulary vocab;
-    InvertedIndex inverted;
+    test::InvertedIndex inverted;
     CompactIndex compact;
     Rng rng(seed);
     constexpr uint32_t kVocabSize = 300;
@@ -257,9 +266,9 @@ TEST_F(CompactIndexTest, ParallelFinalizeIsByteIdenticalToSerial) {
 
 TEST_F(CompactIndexTest, SharedCorpusPoolEquivalenceAndCompression) {
   const Corpus& corpus = test::SharedCorpus();
-  const InvertedIndex& inverted = test::SharedIndex();
-  const CompactIndex compact =
-      BuildCompactPoolIndex(corpus, corpus.splits().test);
+  const test::InvertedIndex inverted =
+      BuildOraclePoolIndex(corpus, corpus.splits().test);
+  const CompactIndex& compact = test::SharedIndex();
   EXPECT_EQ(compact.NumDocs(), inverted.NumDocs());
   EXPECT_EQ(compact.NumPostings(), inverted.NumPostings());
 
@@ -287,8 +296,9 @@ TEST_F(CompactIndexTest, SharedCorpusPoolEquivalenceAndCompression) {
 //
 // Runs the full adaptive pipeline over the golden matrix cells with the
 // index-hungry configuration (CQS sampling + search-interface access) and
-// asserts the two backends produce identical runs — processing order,
-// verdicts, update positions, final weights, simulated cost.
+// asserts BuildPoolIndex's product backend and the oracle produce
+// identical runs — processing order, verdicts, update positions, final
+// weights, simulated cost.
 
 void ExpectSameRun(const PipelineResult& a, const PipelineResult& b) {
   EXPECT_EQ(a.processing_order, b.processing_order);
@@ -321,16 +331,16 @@ TEST_P(BackendMatrixTest, GoldenMatrixCellBackendInvariant) {
   config.sample_size = 120;
   config.access = AccessMode::kSearchInterface;
 
-  const PipelineResult with_inverted =
+  const PipelineResult with_product =
       AdaptiveExtractionPipeline::Run(context, config);
 
-  const CompactIndex compact = BuildCompactPoolIndex(
+  const test::InvertedIndex oracle = BuildOraclePoolIndex(
       test::SharedCorpus(), test::SharedCorpus().splits().test);
-  context.index = &compact;
-  const PipelineResult with_compact =
+  context.index = &oracle;
+  const PipelineResult with_oracle =
       AdaptiveExtractionPipeline::Run(context, config);
 
-  ExpectSameRun(with_inverted, with_compact);
+  ExpectSameRun(with_oracle, with_product);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -241,15 +241,21 @@ TEST(RerankBufferTest, AdaptiveRunBuffersBetweenUpdates) {
 // ---- FactCrawl pipelines ---------------------------------------------------
 
 TEST(FactCrawlPipelineTest, FcRunInvariants) {
-  const SharedContext context =
-      test::MakeSharedContext(RelationId::kPersonCharge);
-  FactCrawlConfig config;
-  config.sample_size = 120;
-  config.seed = 59;
-  const PipelineResult result = FactCrawlPipeline::Run(context, config);
-  CheckRunInvariants(result, context);
-  EXPECT_EQ(result.NumUpdates(), 0u);  // FC never re-ranks
-  EXPECT_GE(result.warmup_documents, 120u);  // sample + query evaluation
+  SharedContext context = test::MakeSharedContext(RelationId::kPersonCharge);
+  const std::vector<std::string> queries = {"courtroom", "trial", "fraud",
+                                            "prosecutor"};
+  context.cqs_queries = &queries;
+  for (const SamplerKind sampler : {SamplerKind::kSRS, SamplerKind::kCQS}) {
+    SCOPED_TRACE(SamplerKindName(sampler));
+    FactCrawlConfig config;
+    config.sampler = sampler;
+    config.sample_size = 120;
+    config.seed = 59;
+    const PipelineResult result = FactCrawlPipeline::Run(context, config);
+    CheckRunInvariants(result, context);
+    EXPECT_EQ(result.NumUpdates(), 0u);  // FC never re-ranks
+    EXPECT_GE(result.warmup_documents, 120u);  // sample + query evaluation
+  }
 }
 
 TEST(FactCrawlPipelineTest, AdaptiveFcReranks) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "index/compact_index.h"
 #include "ranking/document_ranker.h"
 #include "ranking/factcrawl.h"
 #include "ranking/learned_rankers.h"
@@ -225,6 +226,7 @@ class FactCrawlTest : public ::testing::Test {
       doc.id = id;
       ASSERT_TRUE(index_.Add(doc).ok());
     }
+    index_.Finalize();
     // Sample: labeled examples exposing "courtroom" as a useful-doc term.
     for (int i = 0; i < 60; ++i) {
       const bool useful = i % 2 == 0;
@@ -240,7 +242,7 @@ class FactCrawlTest : public ::testing::Test {
   bool IsUseful(DocId id) const { return id < 10; }
 
   Vocabulary vocab_;
-  InvertedIndex index_;
+  CompactIndex index_;
   std::vector<LabeledExample> sample_;
 };
 

@@ -4,6 +4,7 @@
 
 #include <set>
 
+#include "index/compact_index.h"
 #include "sampling/cqs_learning.h"
 #include "test_util.h"
 #include "text/tokenizer.h"
@@ -62,9 +63,10 @@ class CqsTest : public ::testing::Test {
                                    : "sunny weather breeze calm skies.";
       ASSERT_TRUE(index_.Add(TextToDocument(id, text, vocab_)).ok());
     }
+    index_.Finalize();
   }
   Vocabulary vocab_;
-  InvertedIndex index_;
+  CompactIndex index_;
 };
 
 TEST_F(CqsTest, PrefersQueryMatchedDocuments) {

@@ -72,9 +72,10 @@ inline const std::vector<SparseVector>& SharedWordFeatures() {
   return *features;
 }
 
-/// Search index over the shared corpus test split.
-inline const InvertedIndex& SharedIndex() {
-  static const auto* index = new InvertedIndex(
+/// Search index over the shared corpus test split (BuildPoolIndex's
+/// product backend).
+inline const CompactIndex& SharedIndex() {
+  static const auto* index = new CompactIndex(
       BuildPoolIndex(SharedCorpus(), SharedCorpus().splits().test));
   return *index;
 }

@@ -94,8 +94,10 @@ IE_BENCH_DOCS=4000 ./build-default/bench/bench_extract \
 
 step "bench_index smoke (streaming corpus + compact index scale path)"
 # One small tier end-to-end: stream-generate to the on-disk corpus format,
-# build both SearchIndex backends from the mapped file, prove byte-identical
-# hits and record the postings-compression ratio. The ≥4x @ 1M-doc gate
+# build the product backend (CompactIndex) and the test oracle
+# (tests/index_oracle.h) from the mapped file, prove the product backend
+# returns the oracle's hits byte for byte and record the
+# postings-compression ratio against the oracle. The ≥4x @ 1M-doc gate
 # self-skips below the million-doc tier (run the full tiers with
 # `./build-default/bench/bench_index` to refresh BENCH_index.json).
 IE_BENCH_DOCS=4000 ./build-default/bench/bench_index \
@@ -104,7 +106,7 @@ python3 - build-default/BENCH_index.json <<'EOF'
 import json, sys
 data = json.load(open(sys.argv[1]))
 if not data["byte_identical"]:
-    sys.exit("FAIL: CompactIndex hits differ from InvertedIndex")
+    sys.exit("FAIL: product backend (CompactIndex) hits differ from the oracle")
 ratio = data["tiers"][0]["compression_ratio"]
 print("compression_ratio = %.2fx" % ratio)
 EOF
@@ -117,12 +119,12 @@ step "bench trend vs committed trajectory (tools/bench_trend.py)"
 # protocol).
 python3 tools/bench_trend.py --fresh build-default
 
-step "detlint over the index/scale layer (src rules, bench included)"
+step "detlint over the index/scale layer (src rules, oracle and bench included)"
 # The new scale-path files must satisfy the src/-scoped determinism rules
-# even where they live outside src/ (the bench harness drives the same
-# backends CI certifies byte-identical).
+# even where they live outside src/ (the test oracle and the bench harness
+# that compares it with the product backend).
 python3 tools/lint.py --treat-as-src src/index src/corpus/corpus_io.cc \
-    bench/bench_index.cc
+    tests/index_oracle.h bench/bench_index.cc
 
 step "detlint over the observability exporters (export-path discipline)"
 # The ledger writer and Prometheus renderer are machine-parsed export
