@@ -135,10 +135,10 @@ int main(int argc, char** argv) {
             ? static_cast<double>(result.processing_order.size()) /
                   result.extract_wall_seconds
             : 0.0;
-    stats.hits = result.speculative_hits();
-    stats.waits = result.speculative_waits();
-    stats.misses = result.speculative_misses();
-    stats.cancelled = result.speculative_cancelled();
+    stats.hits = result.speculative_hits;
+    stats.waits = result.speculative_waits;
+    stats.misses = result.speculative_misses;
+    stats.cancelled = result.speculative_cancelled;
     if (threads == 1) {
       reference_order = result.processing_order;
       serial_metrics = result.metrics;

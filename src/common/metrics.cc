@@ -224,21 +224,6 @@ const T* FindSorted(const std::vector<std::pair<std::string, T>>& entries,
   return &it->second;
 }
 
-template <typename T>
-void SetSorted(std::vector<std::pair<std::string, T>>* entries,
-               std::string_view name, T value) {
-  auto it = std::lower_bound(
-      entries->begin(), entries->end(), name,
-      [](const std::pair<std::string, T>& e, std::string_view n) {
-        return e.first < n;
-      });
-  if (it != entries->end() && it->first == name) {
-    it->second = value;
-  } else {
-    entries->insert(it, {std::string(name), value});
-  }
-}
-
 }  // namespace
 
 uint64_t MetricsSnapshot::CounterOr(std::string_view name,
@@ -262,14 +247,6 @@ const HistogramSnapshot* MetricsSnapshot::FindHistogram(
       });
   if (it == histograms.end() || it->name != name) return nullptr;
   return &*it;
-}
-
-void MetricsSnapshot::SetCounter(std::string_view name, uint64_t value) {
-  SetSorted(&counters, name, value);
-}
-
-void MetricsSnapshot::SetGauge(std::string_view name, double value) {
-  SetSorted(&gauges, name, value);
 }
 
 MetricsSnapshot MetricsSnapshot::DeltaSince(

@@ -133,11 +133,6 @@ struct MetricsSnapshot {
   double GaugeOr(std::string_view name, double fallback = 0.0) const;
   const HistogramSnapshot* FindHistogram(std::string_view name) const;
 
-  /// Inserts or overwrites a counter, keeping the name ordering (the
-  /// pipeline stamps exact per-run values from its own stats structs).
-  void SetCounter(std::string_view name, uint64_t value);
-  void SetGauge(std::string_view name, double value);
-
   /// What happened between `start` and this snapshot, both taken from the
   /// same registry: counters and histogram bucket counts subtract exactly;
   /// histogram summaries invert RunningStats::Merge (count/mean/m2 exact up

@@ -17,10 +17,11 @@ PipelineResult FactCrawlPipeline::Run(const SharedContext& context,
            context.featurizer != nullptr &&
            context.word_features != nullptr && context.index != nullptr);
   Rng rng(config.seed);
+  const std::vector<DocId> pool = DistinctPool(*context.pool);
 
   PipelineResult result;
-  result.pool_size = context.pool->size();
-  result.pool_useful = context.outcomes->CountUseful(*context.pool);
+  result.pool_size = pool.size();
+  result.pool_useful = context.outcomes->CountUseful(pool);
 
   std::unordered_set<DocId> processed;
   std::vector<LabeledExample> labeled;
@@ -39,16 +40,15 @@ PipelineResult FactCrawlPipeline::Run(const SharedContext& context,
 
   // ---- Sample + query learning + one-time query evaluation -------------
   std::unique_ptr<Sampler> sampler = MakeSampler(context, config.sampler);
-  for (DocId id : sampler->Sample(
-           *context.pool, std::min(config.sample_size, context.pool->size()),
-           &rng)) {
+  for (DocId id :
+       sampler->Sample(pool, std::min(config.sample_size, pool.size()), &rng)) {
     process_doc(id);
   }
 
   FactCrawlOptions fc_options = config.factcrawl;
   if (fc_options.retrieved_per_query == 0) {
     fc_options.retrieved_per_query =
-        std::max<size_t>(30, context.pool->size() / 100);
+        std::max<size_t>(30, pool.size() / 100);
   }
   FactCrawl factcrawl(fc_options, context.index, &context.corpus->vocab());
   CpuTimer setup_timer;
@@ -71,7 +71,7 @@ PipelineResult FactCrawlPipeline::Run(const SharedContext& context,
   }
 
   std::vector<DocId> remaining;
-  for (DocId id : *context.pool) {
+  for (DocId id : pool) {
     if (processed.count(id) == 0) remaining.push_back(id);
   }
   rng.Shuffle(remaining);

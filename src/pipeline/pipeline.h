@@ -45,7 +45,7 @@ struct PipelineConfig {
   RsvmIeOptions rsvm = {};
   BaggIeOptions bagg = {};
 
-  /// Wind-F fires this many times over the run (paper: 50).
+  /// Wind-F fires this many times over the run (paper: 50); 0 never fires.
   size_t windf_updates = 50;
   TopKOptions topk = {};
   ModCOptions modc = {};  // alpha auto-set per ranker by Defaults()
@@ -73,21 +73,12 @@ struct PipelineConfig {
   size_t search_refresh_features = 100;  // paper: top-100 features
   size_t search_refresh_depth = 100;
 
-  /// Populate PipelineResult::metrics with this run's delta against the
-  /// process-wide MetricsRegistry (counters, gauges, latency histograms).
-  /// The exact run-scoped counters (rerank.*, executor.*) are stamped
-  /// regardless, so the result accessors always work. No-op when
-  /// IE_OBSERVABILITY is compiled out.
-  bool metrics_enabled = true;
   /// When non-empty, the run records begin/end spans + counter tracks into
   /// the global Tracer and writes a Chrome-trace/Perfetto JSON here
   /// (validate with tools/check_trace.py). Skipped with a warning if
   /// another trace session is already active. No-op when IE_OBSERVABILITY
   /// is compiled out.
   std::string trace_path;
-  /// Per-thread trace-buffer capacity in events; spans beyond it are
-  /// dropped whole (the export stays balanced) and counted.
-  size_t trace_buffer_events = 1 << 16;
 
   /// Flight recorder (DESIGN.md §15; pipeline/recorder.h). When non-empty,
   /// every processed document appends one JSONL line to this path, flushed
@@ -100,9 +91,6 @@ struct PipelineConfig {
   /// common/timeseries.h). No-op — and the result member does not exist —
   /// when IE_OBSERVABILITY is compiled out.
   bool record_iterations = false;
-  /// Hard bound on retained in-memory iteration records; beyond it the
-  /// series halves its resolution (stride doubling) instead of evicting.
-  size_t iteration_series_capacity = 512;
 
   /// Builds a config with per-ranker detector defaults. Mod-C α keeps the
   /// paper's ordering (BAgg-IE above RSVM-IE; paper: 30° vs 5°) at
@@ -118,7 +106,7 @@ struct PipelineConfig {
 /// member is a deep-const view; the `shared-immutable` lint rule
 /// cross-checks the IE_SHARED_IMMUTABLE marker, so a mutable member or a
 /// non-const pointer cannot slip in silently. All per-run mutable state
-/// lives in SessionState (pipeline/session.h).
+/// lives in the run's ExtractionSession (private to pipeline.cc).
 struct IE_SHARED_IMMUTABLE SharedContext {
   const Corpus* corpus = nullptr;
   const std::vector<DocId>* pool = nullptr;  // e.g. the test split

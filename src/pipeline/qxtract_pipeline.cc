@@ -17,13 +17,13 @@ PipelineResult QXtractPipeline::Run(const SharedContext& context,
            context.outcomes != nullptr && context.relation != nullptr &&
            context.word_features != nullptr && context.index != nullptr);
   Rng rng(config.seed);
+  const std::vector<DocId> pool = DistinctPool(*context.pool);
 
   PipelineResult result;
-  result.pool_size = context.pool->size();
-  result.pool_useful = context.outcomes->CountUseful(*context.pool);
+  result.pool_size = pool.size();
+  result.pool_useful = context.outcomes->CountUseful(pool);
 
-  const std::unordered_set<DocId> pool_set(context.pool->begin(),
-                                           context.pool->end());
+  const std::unordered_set<DocId> pool_set(pool.begin(), pool.end());
   std::unordered_set<DocId> processed;
   auto process_doc = [&](DocId id) {
     const bool useful = context.outcomes->useful(id);
@@ -36,9 +36,8 @@ PipelineResult QXtractPipeline::Run(const SharedContext& context,
   // ---- Sample and label -------------------------------------------------
   std::unique_ptr<Sampler> sampler = MakeSampler(context, config.sampler);
   std::vector<LabeledExample> sample;
-  for (DocId id : sampler->Sample(
-           *context.pool, std::min(config.sample_size, context.pool->size()),
-           &rng)) {
+  for (DocId id :
+       sampler->Sample(pool, std::min(config.sample_size, pool.size()), &rng)) {
     process_doc(id);
     sample.push_back(
         {(*context.word_features)[id],
@@ -50,7 +49,7 @@ PipelineResult QXtractPipeline::Run(const SharedContext& context,
   CpuTimer timer;
   const size_t depth = config.retrieved_per_query > 0
                            ? config.retrieved_per_query
-                           : std::max<size_t>(50, context.pool->size() / 20);
+                           : std::max<size_t>(50, pool.size() / 20);
   std::vector<DocId> retrieval_order;  // rank-of-retrieval, deduped
   std::unordered_set<DocId> retrieved;
   for (size_t m = 0; m < kNumQueryMethods; ++m) {
@@ -73,7 +72,7 @@ PipelineResult QXtractPipeline::Run(const SharedContext& context,
   // ---- Process: retrieval order first, random remainder last ------------
   for (DocId id : retrieval_order) process_doc(id);
   std::vector<DocId> leftovers;
-  for (DocId id : *context.pool) {
+  for (DocId id : pool) {
     if (processed.count(id) == 0) leftovers.push_back(id);
   }
   rng.Shuffle(leftovers);

@@ -10,10 +10,12 @@
 
 #if IE_OBSERVABILITY
 
+#include <algorithm>
 #include <charconv>
 
 #include "common/logging.h"
 #include "common/string_util.h"
+#include "pipeline/pipeline.h"
 
 namespace ie {
 
@@ -95,24 +97,30 @@ void PipelineRecorder::WriteLedgerLine() {
   }
 }
 
-void PipelineRecorder::BeginRun(const RecorderRunInfo& info) {
+void PipelineRecorder::BeginRun(const PipelineConfig& config,
+                                size_t pool_size) {
   if (ledger_ == nullptr) return;
   line_ = "{\"type\":\"header\",\"schema\":2";
-  AppendKeyString(&line_, "ranker", info.ranker);
-  AppendKeyString(&line_, "sampler", info.sampler);
-  AppendKeyString(&line_, "update", info.update);
-  AppendKeyString(&line_, "access", info.access);
-  AppendKeyUint(&line_, "seed", info.seed);
-  AppendKeyUint(&line_, "pool_size", info.pool_size);
-  AppendKeyUint(&line_, "sample_size", info.sample_size);
-  AppendKeyUint(&line_, "extract_threads", info.extract_threads);
-  AppendKeyUint(&line_, "scoring_threads", info.scoring_threads);
+  AppendKeyString(&line_, "ranker", RankerKindName(config.ranker));
+  AppendKeyString(&line_, "sampler", SamplerKindName(config.sampler));
+  AppendKeyString(&line_, "update", UpdateKindName(config.update));
+  AppendKeyString(&line_, "access", AccessModeName(config.access));
+  AppendKeyUint(&line_, "seed", config.seed);
+  AppendKeyUint(&line_, "pool_size", pool_size);
+  AppendKeyUint(&line_, "sample_size",
+                std::min(config.sample_size, pool_size));
+  AppendKeyUint(&line_, "extract_threads", config.extract_threads);
+  AppendKeyUint(&line_, "scoring_threads", config.scoring_threads);
   line_.push_back('}');
   WriteLedgerLine();
 }
 
 void PipelineRecorder::RecordIteration(IterationRecord record) {
   record.index = iterations_++;
+  useful_total_ += record.useful ? 1 : 0;
+  record.useful_total = useful_total_;
+  record.useful_rate = static_cast<double>(useful_total_) /
+                       static_cast<double>(record.index + 1);
   if (ledger_ != nullptr) {
     line_ = "{\"type\":\"iter\"";
     AppendKeyUint(&line_, "i", record.index + 1);
@@ -150,21 +158,19 @@ void PipelineRecorder::RecordIteration(IterationRecord record) {
   }
 }
 
-void PipelineRecorder::EndRun(const RecorderRunSummary& summary) {
+void PipelineRecorder::EndRun(const PipelineResult& result) {
   if (ledger_ == nullptr) return;
   line_ = "{\"type\":\"end\"";
   AppendKeyUint(&line_, "iterations", iterations_);
-  AppendKeyUint(&line_, "updates", summary.updates);
-  AppendKeyUint(&line_, "useful_total", summary.useful_total);
-  AppendKeyDouble(&line_, "extraction_seconds", summary.extraction_seconds);
-  AppendKeyDouble(&line_, "extract_cpu_seconds",
-                  summary.extract_cpu_seconds);
+  AppendKeyUint(&line_, "updates", result.NumUpdates());
+  AppendKeyUint(&line_, "useful_total", useful_total_);
+  AppendKeyDouble(&line_, "extraction_seconds", result.extraction_seconds);
+  AppendKeyDouble(&line_, "extract_cpu_seconds", result.extract_cpu_seconds);
   AppendKeyDouble(&line_, "extract_wall_seconds",
-                  summary.extract_wall_seconds);
-  AppendKeyDouble(&line_, "ranking_cpu_seconds",
-                  summary.ranking_cpu_seconds);
+                  result.extract_wall_seconds);
+  AppendKeyDouble(&line_, "ranking_cpu_seconds", result.ranking_cpu_seconds);
   AppendKeyDouble(&line_, "detector_cpu_seconds",
-                  summary.detector_cpu_seconds);
+                  result.detector_cpu_seconds);
   line_.push_back('}');
   WriteLedgerLine();
   if (ledger_ != nullptr) {

@@ -56,8 +56,8 @@ struct IterationRecord {
   bool useful = false;
   /// True when this iteration triggered a model update (retrain + rerank).
   bool retrained = false;
-  uint64_t useful_total = 0;
-  double useful_rate = 0.0;  // useful_total / (index + 1)
+  uint64_t useful_total = 0;  // assigned by RecordIteration, like index
+  double useful_rate = 0.0;   // useful_total / (index + 1)
   /// UpdateDetector::LastStatistic() after observing this document.
   double detector_statistic = 0.0;
   /// ‖Δw‖₂ of the model across this iteration's update (0 unless
@@ -76,32 +76,8 @@ struct IterationRecord {
   uint64_t arena_bytes = 0;
 };
 
-/// Run metadata for the ledger header line (name fields point at static
-/// strings — the *KindName tables).
-struct RecorderRunInfo {
-  const char* ranker = "?";
-  const char* sampler = "?";
-  const char* update = "?";
-  const char* access = "?";
-  uint64_t seed = 0;
-  uint64_t pool_size = 0;
-  uint64_t sample_size = 0;
-  uint64_t extract_threads = 1;
-  uint64_t scoring_threads = 1;
-};
-
-/// End-of-run totals for the ledger footer line. A ledger without a footer
-/// is a crashed (truncated) run — still parseable, flagged by the
-/// validator.
-struct RecorderRunSummary {
-  uint64_t updates = 0;
-  uint64_t useful_total = 0;
-  double extraction_seconds = 0.0;
-  double extract_cpu_seconds = 0.0;
-  double extract_wall_seconds = 0.0;
-  double ranking_cpu_seconds = 0.0;
-  double detector_cpu_seconds = 0.0;
-};
+struct PipelineConfig;  // pipeline/pipeline.h
+struct PipelineResult;  // pipeline/result.h
 
 #if IE_OBSERVABILITY
 
@@ -124,16 +100,20 @@ class PipelineRecorder {
   /// False when neither sink is enabled — callers skip sampling entirely.
   bool active() const { return ledger_ != nullptr || options_.record_series; }
 
-  /// Writes the ledger header line. Call once, before any iteration.
-  void BeginRun(const RecorderRunInfo& info);
+  /// Writes the ledger header line (the run's config, and `pool_size`
+  /// distinct pool documents). Call once, before any iteration.
+  void BeginRun(const PipelineConfig& config, size_t pool_size);
 
-  /// Appends one iteration to both sinks. `record.index` is assigned here
-  /// (call order defines the iteration order); the ledger line is flushed
-  /// before returning, so it survives a crash of the very next iteration.
+  /// Appends one iteration to both sinks. `record.index`, `useful_total`
+  /// and `useful_rate` are assigned here (call order defines the iteration
+  /// order); the ledger line is flushed before returning, so it survives a
+  /// crash of the very next iteration.
   void RecordIteration(IterationRecord record);
 
-  /// Writes the ledger footer line and closes the file.
-  void EndRun(const RecorderRunSummary& summary);
+  /// Writes the ledger footer line (the run's totals) and closes the file.
+  /// A ledger without a footer is a crashed (truncated) run — still
+  /// parseable, flagged by the validator.
+  void EndRun(const PipelineResult& result);
 
   /// The retained downsampled series, ascending by index (empty unless
   /// Options::record_series). Leaves the recorder's series empty.
@@ -148,6 +128,7 @@ class PipelineRecorder {
   Options options_;
   SampledRing<IterationRecord> ring_;
   uint64_t iterations_ = 0;
+  uint64_t useful_total_ = 0;
   std::FILE* ledger_ = nullptr;
   std::string line_;  // reused per-line buffer
 };
@@ -171,9 +152,9 @@ class PipelineRecorder {
   PipelineRecorder& operator=(const PipelineRecorder&) = delete;
 
   bool active() const { return false; }
-  void BeginRun(const RecorderRunInfo&) {}
+  void BeginRun(const PipelineConfig&, size_t) {}
   void RecordIteration(IterationRecord) {}
-  void EndRun(const RecorderRunSummary&) {}
+  void EndRun(const PipelineResult&) {}
   std::vector<IterationRecord> TakeSeries() { return {}; }
   uint64_t iterations() const { return 0; }
 };

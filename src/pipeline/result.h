@@ -48,56 +48,37 @@ struct PipelineResult {
   /// Measured CPU time spent training/scoring/sorting (ranking overhead).
   double ranking_cpu_seconds = 0.0;
 
-  /// Per-run view of the unified metrics registry (common/metrics.h):
-  /// counters/histograms are this run's delta against the process-wide
-  /// registry, with the run-scoped counters below stamped exactly from the
-  /// engine/executor stats structs. Empty when
-  /// PipelineConfig::metrics_enabled is false or IE_OBSERVABILITY is 0.
+  /// This run's delta of the process-wide metrics registry
+  /// (common/metrics.h): the counters, gauges and latency histograms the
+  /// IE_METRIC_* macros recorded during the run (none when
+  /// IE_OBSERVABILITY is 0).
   MetricsSnapshot metrics;
 
 #if IE_OBSERVABILITY
   /// Flight-recorder series (DESIGN.md §15): one IterationRecord per
-  /// processed document, deterministically downsampled to
-  /// PipelineConfig::iteration_series_capacity. Empty unless
-  /// PipelineConfig::record_iterations. The member is compiled out
-  /// entirely in obs-off builds — zero size cost; tests assert its absence
-  /// with a requires-expression.
+  /// processed document, deterministically downsampled to the recorder's
+  /// series capacity. Empty unless PipelineConfig::record_iterations. The
+  /// member is compiled out entirely in obs-off builds — zero size cost;
+  /// tests assert its absence with a requires-expression.
   std::vector<IterationRecord> iterations;
 #endif  // IE_OBSERVABILITY
 
-  /// Re-rank engine telemetry (see RerankStats in pipeline/rerank_engine.h):
-  /// scoring passes over the pending pool, one per re-rank. A thin
-  /// forwarding accessor into `metrics` — kept so bench/eval schemas
-  /// predating the metrics registry read the same number.
-  size_t full_rescores() const {
-    return static_cast<size_t>(metrics.CounterOr("rerank.full_rescores"));
-  }
-
-  /// Speculative extraction executor telemetry (see
+  /// Re-rank engine telemetry (RerankStats, pipeline/rerank_engine.h):
+  /// scoring passes over the pending pool, one per re-rank.
+  size_t full_rescores = 0;
+  /// Speculative extraction executor telemetry (ExtractExecutorStats,
   /// pipeline/extract_executor.h): consumed results that were ready
   /// (hits), awaited in-flight (waits), computed inline (misses), and
   /// queued prefetches dropped on re-ranks (cancelled). A serial run is
   /// all misses. Timing-dependent — excluded from determinism comparisons.
-  size_t speculative_hits() const {
-    return static_cast<size_t>(metrics.CounterOr("executor.hits"));
-  }
-  size_t speculative_waits() const {
-    return static_cast<size_t>(metrics.CounterOr("executor.waits"));
-  }
-  size_t speculative_misses() const {
-    return static_cast<size_t>(metrics.CounterOr("executor.misses"));
-  }
-  size_t speculative_cancelled() const {
-    return static_cast<size_t>(metrics.CounterOr("executor.cancelled"));
-  }
-
+  size_t speculative_hits = 0;
+  size_t speculative_waits = 0;
+  size_t speculative_misses = 0;
+  size_t speculative_cancelled = 0;
   /// Peak size of the between-updates example buffer. Non-adaptive runs
   /// skip buffering entirely, so this stays 0 for them (regression guard
   /// against re-introducing unbounded feature-vector accumulation).
-  size_t peak_buffer_examples() const {
-    return static_cast<size_t>(
-        metrics.CounterOr("pipeline.peak_buffer_examples"));
-  }
+  size_t peak_buffer_examples = 0;
 
   /// Non-zero feature count of the final model (0 for rankers without one).
   size_t final_model_features = 0;

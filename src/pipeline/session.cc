@@ -31,7 +31,9 @@ std::unique_ptr<UpdateDetector> MakeDetector(const PipelineConfig& config,
       return std::make_unique<NeverUpdateDetector>();
     case UpdateKind::kWindF:
       return std::make_unique<WindFDetector>(
-          std::max<size_t>(1, pool_size / config.windf_updates));
+          config.windf_updates == 0
+              ? 0
+              : std::max<size_t>(1, pool_size / config.windf_updates));
     case UpdateKind::kFeatS:
       return std::make_unique<FeatSDetector>(config.feats);
     case UpdateKind::kTopK:
@@ -50,6 +52,20 @@ std::unique_ptr<Sampler> MakeSampler(const SharedContext& shared,
                                         &shared.corpus->vocab());
   }
   return std::make_unique<SrsSampler>();
+}
+
+std::vector<DocId> DistinctPool(const std::vector<DocId>& pool) {
+  std::vector<DocId> distinct;
+  distinct.reserve(pool.size());
+  std::vector<bool> seen(
+      pool.empty() ? 0
+                   : size_t{*std::max_element(pool.begin(), pool.end())} + 1);
+  for (DocId id : pool) {
+    if (seen[id]) continue;
+    seen[id] = true;
+    distinct.push_back(id);
+  }
+  return distinct;
 }
 
 }  // namespace ie

@@ -1,28 +1,22 @@
-// SessionState — the per-session mutable half of the shared/session state
-// split (DESIGN.md §16). One extraction session is the paper's loop bound
-// to one relation: its ranker (which owns the learner — ElasticNetSgd
-// weights or the bagging committee), update detector, rerank frontier,
-// initial sampler, and flight recorder. Everything in here is owned by
-// exactly one session and touched by exactly one consumer thread; every
-// read-only input lives in SharedContext (pipeline/pipeline.h), which any
-// number of sessions share untouched. The multi-tenant service stacks N
-// SessionStates over one SharedContext.
+// Per-session component factories for the extraction loops. One
+// extraction session is the paper's loop bound to one relation; its
+// mutable state (ranker, update detector, rerank frontier, flight
+// recorder) is owned by the run — ExtractionSession, private to
+// pipeline.cc — and every read-only input lives in SharedContext
+// (pipeline/pipeline.h). The factories are split out of the run so other
+// loops (the FactCrawl/QXtract baselines, a replay harness) build the
+// same components the run builds.
 #pragma once
 
 #include <memory>
+#include <vector>
 
 #include "pipeline/pipeline.h"
-#include "pipeline/recorder.h"
-#include "pipeline/rerank_engine.h"
 #include "ranking/document_ranker.h"
 #include "sampling/sampler.h"
 #include "update/update_detector.h"
 
 namespace ie {
-
-/// Per-session component factories. Split out of the run loop so a
-/// serving layer can construct (and later checkpoint/restore) session
-/// components without running a pipeline.
 
 /// The configured ranker, seeded for this session.
 std::unique_ptr<DocumentRanker> MakeRanker(const PipelineConfig& config,
@@ -39,19 +33,9 @@ std::unique_ptr<UpdateDetector> MakeDetector(const PipelineConfig& config,
 std::unique_ptr<Sampler> MakeSampler(const SharedContext& shared,
                                      SamplerKind kind);
 
-/// All mutable state of one extraction session. Members are filled in as
-/// the run brings its collaborators to life (the ranker only exists after
-/// the warmup sample is labeled, the engine after the ranker), so slots
-/// start empty rather than being constructed up front — construction
-/// order is part of the deterministic rng draw sequence.
-struct SessionState {
-  std::unique_ptr<Sampler> sampler;
-  std::unique_ptr<DocumentRanker> ranker;
-  std::unique_ptr<UpdateDetector> detector;
-  /// Priority frontier over this session's unprocessed candidates.
-  std::unique_ptr<RerankEngine> engine;
-  /// Flight recorder (DESIGN.md §15); inert unless configured.
-  std::unique_ptr<PipelineRecorder> recorder;
-};
+/// The pool's distinct ids in first-occurrence order. Every loop samples,
+/// counts, ranks and takes leftovers from this list, so a pool that names
+/// a document twice still counts and processes it once.
+std::vector<DocId> DistinctPool(const std::vector<DocId>& pool);
 
 }  // namespace ie

@@ -60,13 +60,14 @@ class NeverUpdateDetector : public UpdateDetector {
 };
 
 /// Wind-F: updates every `interval` processed documents (the paper reports
-/// 50 updates per run, i.e. interval = pool size / 50).
+/// 50 updates per run, i.e. interval = pool size / 50). Interval 0 never
+/// updates.
 class WindFDetector : public UpdateDetector {
  public:
   explicit WindFDetector(size_t interval) : interval_(interval) {}
 
   bool Observe(const SparseVector&, bool, const DocumentRanker&) override {
-    return ++count_ % interval_ == 0;
+    return interval_ > 0 && ++count_ % interval_ == 0;
   }
   std::string name() const override { return "Wind-F"; }
 

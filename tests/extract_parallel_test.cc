@@ -326,8 +326,8 @@ void ExpectSameRun(const PipelineResult& a, const PipelineResult& b) {
   EXPECT_EQ(a.pool_size, b.pool_size);
   EXPECT_EQ(a.pool_useful, b.pool_useful);
   EXPECT_DOUBLE_EQ(a.extraction_seconds, b.extraction_seconds);
-  EXPECT_EQ(a.full_rescores(), b.full_rescores());
-  EXPECT_EQ(a.peak_buffer_examples(), b.peak_buffer_examples());
+  EXPECT_EQ(a.full_rescores, b.full_rescores);
+  EXPECT_EQ(a.peak_buffer_examples, b.peak_buffer_examples);
   EXPECT_EQ(a.final_model_features, b.final_model_features);
   EXPECT_EQ(a.features_added_per_update, b.features_added_per_update);
   EXPECT_EQ(a.features_removed_per_update, b.features_removed_per_update);
@@ -358,7 +358,7 @@ TEST_P(ExtractParallelMatrixTest, ByteIdenticalAcrossThreadCounts) {
       ParallelConfig(param.ranker, param.update, param.seed);
   const PipelineResult serial =
       AdaptiveExtractionPipeline::Run(context, config);
-  EXPECT_EQ(serial.speculative_hits(), 0u);
+  EXPECT_EQ(serial.speculative_hits, 0u);
   for (size_t threads : {2u, 8u}) {
     config.extract_threads = threads;
     const PipelineResult speculative =
@@ -414,7 +414,7 @@ TEST(ExtractParallelTest, SpeculationActuallyEngages) {
   config.extract_threads = 2;
   const PipelineResult result =
       AdaptiveExtractionPipeline::Run(context, config);
-  EXPECT_GT(result.speculative_hits() + result.speculative_waits(), 0u);
+  EXPECT_GT(result.speculative_hits + result.speculative_waits, 0u);
   EXPECT_GT(result.extract_cpu_seconds, 0.0);
 }
 

@@ -354,14 +354,11 @@ TEST(PipelineRecorderTest, LedgerHasHeaderIterAndFooterLines) {
   PipelineRecorder recorder(std::move(options));
   ASSERT_TRUE(recorder.active());
 
-  RecorderRunInfo info;
-  info.ranker = "RSVM-IE";
-  recorder.BeginRun(info);
+  recorder.BeginRun(PipelineConfig{}, /*pool_size=*/10);
   for (int i = 0; i < 10; ++i) {
     IterationRecord record;
     record.doc = static_cast<uint32_t>(i);
     record.useful = i % 2 == 0;
-    record.useful_total = static_cast<uint64_t>(i / 2 + 1);
     record.executor_misses = static_cast<uint64_t>(i + 1);
     if (i == 3) {
       record.retrained = true;
@@ -371,10 +368,9 @@ TEST(PipelineRecorderTest, LedgerHasHeaderIterAndFooterLines) {
     recorder.RecordIteration(record);
   }
   EXPECT_EQ(recorder.iterations(), 10u);
-  RecorderRunSummary summary;
-  summary.updates = 1;
-  summary.useful_total = 5;
-  recorder.EndRun(summary);
+  PipelineResult result;
+  result.update_positions = {4};
+  recorder.EndRun(result);
 
   const std::string contents = ReadFile(path);
   ASSERT_FALSE(contents.empty());
@@ -385,8 +381,12 @@ TEST(PipelineRecorderTest, LedgerHasHeaderIterAndFooterLines) {
   ASSERT_EQ(lines.size(), 12u);  // header + 10 iters + footer
   EXPECT_NE(lines.front().find("\"type\":\"header\""), std::string::npos);
   EXPECT_NE(lines.front().find("\"schema\":2"), std::string::npos);
+  EXPECT_NE(lines.front().find("\"ranker\":\"RSVM-IE\""), std::string::npos);
+  EXPECT_NE(lines.front().find("\"pool_size\":10"), std::string::npos);
   EXPECT_NE(lines[1].find("\"type\":\"iter\""), std::string::npos);
   EXPECT_NE(lines[1].find("\"i\":1"), std::string::npos);
+  // The recorder tallies usefulness itself: documents 0, 2, ... are useful.
+  EXPECT_NE(lines[3].find("\"useful_total\":2"), std::string::npos);
   // dw/dw_c appear exactly on the retrained iteration.
   EXPECT_NE(lines[4].find("\"retrain\":1"), std::string::npos);
   EXPECT_NE(lines[4].find("\"dw\":"), std::string::npos);
@@ -394,6 +394,8 @@ TEST(PipelineRecorderTest, LedgerHasHeaderIterAndFooterLines) {
   EXPECT_EQ(lines[5].find("\"dw\""), std::string::npos);
   EXPECT_NE(lines.back().find("\"type\":\"end\""), std::string::npos);
   EXPECT_NE(lines.back().find("\"iterations\":10"), std::string::npos);
+  EXPECT_NE(lines.back().find("\"updates\":1"), std::string::npos);
+  EXPECT_NE(lines.back().find("\"useful_total\":5"), std::string::npos);
 
   // The in-memory series downsampled to the ring bound.
   const std::vector<IterationRecord> series = recorder.TakeSeries();
@@ -503,9 +505,9 @@ TEST(FlightRecorderObsOffTest, RecorderIsInert) {
   options.record_series = true;
   PipelineRecorder recorder(std::move(options));
   EXPECT_FALSE(recorder.active());
-  recorder.BeginRun(RecorderRunInfo{});
+  recorder.BeginRun(PipelineConfig{}, 0);
   recorder.RecordIteration(IterationRecord{});
-  recorder.EndRun(RecorderRunSummary{});
+  recorder.EndRun(PipelineResult{});
   EXPECT_EQ(recorder.iterations(), 0u);
   EXPECT_TRUE(recorder.TakeSeries().empty());
 }

@@ -149,19 +149,6 @@ TEST(MetricsRegistryTest, SnapshotIsSortedAndDeterministic) {
   EXPECT_EQ(s1.FindHistogram("absent"), nullptr);
 }
 
-TEST(MetricsSnapshotTest, SetCounterKeepsOrdering) {
-  MetricsSnapshot snapshot;
-  snapshot.SetCounter("b", 2);
-  snapshot.SetCounter("a", 1);
-  snapshot.SetCounter("c", 3);
-  snapshot.SetCounter("b", 20);  // overwrite
-  ASSERT_EQ(snapshot.counters.size(), 3u);
-  EXPECT_EQ(snapshot.counters[0].first, "a");
-  EXPECT_EQ(snapshot.counters[1].first, "b");
-  EXPECT_EQ(snapshot.counters[1].second, 20u);
-  EXPECT_EQ(snapshot.counters[2].first, "c");
-}
-
 TEST(MetricsSnapshotTest, DeltaSubtractsCountersAndHistograms) {
   MetricsRegistry registry;
   registry.GetCounter("c").Add(10);
@@ -332,18 +319,16 @@ TEST(PipelineObservabilityTest, RunPopulatesMetricsAndTrace) {
   const PipelineResult result =
       AdaptiveExtractionPipeline::Run(context, config);
 
-  // The stamped run-scoped counters always exist (any IE_OBSERVABILITY).
-  EXPECT_EQ(result.metrics.CounterOr("pipeline.documents_processed"),
-            result.processing_order.size());
-  EXPECT_EQ(result.speculative_misses(), result.processing_order.size());
-  EXPECT_GT(result.full_rescores(), 0u);
+  // The run counters are plain fields (any IE_OBSERVABILITY).
+  EXPECT_EQ(result.speculative_misses, result.processing_order.size());
+  EXPECT_GT(result.full_rescores, 0u);
 #if IE_OBSERVABILITY
   EXPECT_GT(result.metrics.CounterOr("learn.pegasos_steps"), 0u);
   EXPECT_GT(result.metrics.CounterOr("detector.checks"), 0u);
   ASSERT_NE(result.metrics.FindHistogram("pipeline.rank_seconds"), nullptr);
   EXPECT_EQ(result.metrics.FindHistogram("pipeline.rank_seconds")
                 ->TotalCount(),
-            result.full_rescores());
+            result.full_rescores);
   const std::string json = ReadFile(path);
   ASSERT_FALSE(json.empty());
   for (const char* span : {"pipeline.run", "pipeline.sample",
@@ -357,20 +342,6 @@ TEST(PipelineObservabilityTest, RunPopulatesMetricsAndTrace) {
   std::remove(path.c_str());
 }
 
-TEST(PipelineObservabilityTest, MetricsDisabledStillStampsRunCounters) {
-  const SharedContext context = test::MakeSharedContext(RelationId::kPersonOrganization);
-  PipelineConfig config = PipelineConfig::Defaults(
-      RankerKind::kRSVMIE, SamplerKind::kSRS, UpdateKind::kNone, /*seed=*/7);
-  config.sample_size = 60;
-  config.metrics_enabled = false;
-  const PipelineResult result =
-      AdaptiveExtractionPipeline::Run(context, config);
-  EXPECT_EQ(result.speculative_misses(), result.processing_order.size());
-  EXPECT_GT(result.full_rescores(), 0u);
-  // No registry delta: only the stamped run-scoped counters, no histograms.
-  EXPECT_TRUE(result.metrics.histograms.empty());
-}
-
 TEST(PipelineObservabilityTest, MetricsAreRunScoped) {
   const SharedContext context = test::MakeSharedContext(RelationId::kPersonOrganization);
   PipelineConfig config = PipelineConfig::Defaults(
@@ -380,14 +351,71 @@ TEST(PipelineObservabilityTest, MetricsAreRunScoped) {
   const PipelineResult b = AdaptiveExtractionPipeline::Run(context, config);
   // Deltas, not process totals: the second run reports its own work, which
   // for an identical config equals the first run's (deterministic loop).
-  EXPECT_EQ(a.metrics.CounterOr("pipeline.documents_processed"),
-            b.metrics.CounterOr("pipeline.documents_processed"));
-  EXPECT_EQ(a.full_rescores(), b.full_rescores());
+  EXPECT_EQ(a.full_rescores, b.full_rescores);
 #if IE_OBSERVABILITY
+  EXPECT_EQ(a.metrics.CounterOr("executor.misses"),
+            b.metrics.CounterOr("executor.misses"));
   EXPECT_EQ(a.metrics.CounterOr("learn.pegasos_steps"),
             b.metrics.CounterOr("learn.pegasos_steps"));
 #endif
 }
+
+#if IE_OBSERVABILITY
+
+/// The unsigned value of `"key":` in one ledger line (0 when absent).
+uint64_t LedgerUint(const std::string& line, const std::string& key) {
+  const std::string needle = "\"" + key + "\":";
+  const size_t pos = line.find(needle);
+  return pos == std::string::npos
+             ? 0
+             : std::stoull(line.substr(pos + needle.size()));
+}
+
+// Every sink reports the same run counters: the result fields, the last
+// ledger iteration's cumulative totals, and the registry delta that
+// perfbench reads by name.
+TEST(PipelineObservabilityTest, RunCountersAgreeAcrossSinks) {
+  const SharedContext context =
+      test::MakeSharedContext(RelationId::kPersonOrganization);
+  PipelineConfig config = PipelineConfig::Defaults(
+      RankerKind::kRSVMIE, SamplerKind::kSRS, UpdateKind::kModC, /*seed=*/7);
+  config.sample_size = 60;
+  config.extract_threads = 2;
+  const std::string path = TempPath("ledger.jsonl");
+  config.ledger_path = path;
+  const PipelineResult result =
+      AdaptiveExtractionPipeline::Run(context, config);
+
+  std::istringstream ledger(ReadFile(path));
+  std::string last_iter;
+  for (std::string line; std::getline(ledger, line);) {
+    if (line.find("\"type\":\"iter\"") != std::string::npos) last_iter = line;
+  }
+  ASSERT_FALSE(last_iter.empty());
+  const struct {
+    const char* ledger_key;
+    const char* metric;
+    size_t field;
+  } sinks[] = {
+      {"hits", "executor.hits", result.speculative_hits},
+      {"waits", "executor.waits", result.speculative_waits},
+      {"misses", "executor.misses", result.speculative_misses},
+      {"cancelled", "executor.cancelled", result.speculative_cancelled},
+      {"full_rescores", "rerank.full_rescores", result.full_rescores},
+  };
+  for (const auto& sink : sinks) {
+    SCOPED_TRACE(sink.metric);
+    EXPECT_EQ(LedgerUint(last_iter, sink.ledger_key), sink.field);
+    EXPECT_EQ(result.metrics.CounterOr(sink.metric), sink.field);
+  }
+  EXPECT_EQ(result.speculative_hits + result.speculative_waits +
+                result.speculative_misses,
+            result.processing_order.size());
+  EXPECT_GT(result.full_rescores, 1u);
+  std::remove(path.c_str());
+}
+
+#endif  // IE_OBSERVABILITY
 
 // ---- Concurrency stress (re-spun under tsan by run_sanitized_tests.sh) --
 

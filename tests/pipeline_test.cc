@@ -6,6 +6,7 @@
 
 #include "eval/experiment.h"
 #include "pipeline/factcrawl_pipeline.h"
+#include "pipeline/qxtract_pipeline.h"
 #include "test_util.h"
 
 namespace ie {
@@ -196,6 +197,73 @@ TEST(PipelineTest, OverheadAccountingNonNegative) {
   EXPECT_GT(result.TotalSeconds(), result.extraction_seconds);
 }
 
+// windf_updates = 0 means Wind-F never fires (the interval computation
+// must not divide by it), and the run still processes the whole pool.
+TEST(PipelineTest, WindFZeroUpdatesNeverFires) {
+  const SharedContext context =
+      test::MakeSharedContext(RelationId::kPersonCharge);
+  PipelineConfig config =
+      BaseConfig(RankerKind::kRSVMIE, UpdateKind::kWindF, 5);
+  config.windf_updates = 0;
+  const PipelineResult result =
+      AdaptiveExtractionPipeline::Run(context, config);
+  CheckRunInvariants(result, context);
+  EXPECT_EQ(result.NumUpdates(), 0u);
+}
+
+// A pool that names documents twice is its distinct documents to every
+// loop: each is counted once in pool_size and the recall denominator, and
+// processed (and charged) once.
+TEST(PipelineTest, DuplicatedPoolIdsCountAndProcessOnce) {
+  SharedContext context = test::MakeSharedContext(RelationId::kPersonCharge);
+  const std::vector<DocId>& distinct = *context.pool;
+  // Repeat the first 10 useful and the first 5 useless documents.
+  std::vector<DocId> pool = distinct;
+  size_t useful = 0, useless = 0;
+  for (DocId id : distinct) {
+    if (context.outcomes->useful(id) ? useful++ < 10 : useless++ < 5) {
+      pool.push_back(id);
+    }
+  }
+  ASSERT_EQ(pool.size(), distinct.size() + 15);
+  context.pool = &pool;
+
+  const std::multiset<DocId> expected(distinct.begin(), distinct.end());
+  auto check = [&](const PipelineResult& result) {
+    EXPECT_EQ(result.pool_size, distinct.size());
+    EXPECT_EQ(result.pool_useful, context.outcomes->CountUseful(distinct));
+    EXPECT_EQ(std::multiset<DocId>(result.processing_order.begin(),
+                                   result.processing_order.end()),
+              expected);
+    EXPECT_NEAR(result.extraction_seconds,
+                context.relation->extraction_cost_seconds *
+                    static_cast<double>(distinct.size()),
+                1e-6);
+  };
+  for (const AccessMode access :
+       {AccessMode::kFullAccess, AccessMode::kSearchInterface}) {
+    SCOPED_TRACE(AccessModeName(access));
+    PipelineConfig config =
+        BaseConfig(RankerKind::kRSVMIE, UpdateKind::kModC, 5);
+    config.access = access;
+    check(AdaptiveExtractionPipeline::Run(context, config));
+  }
+  {
+    SCOPED_TRACE("FactCrawl");
+    FactCrawlConfig config;
+    config.sample_size = 120;
+    config.seed = 5;
+    check(FactCrawlPipeline::Run(context, config));
+  }
+  {
+    SCOPED_TRACE("QXtract");
+    QXtractConfig config;
+    config.sample_size = 120;
+    config.seed = 5;
+    check(QXtractPipeline::Run(context, config));
+  }
+}
+
 // PipelineConfig::Defaults must give the two learned rankers distinct
 // Mod-C trigger angles (the paper calibrates 30 deg for BAgg-IE vs 5 deg
 // for RSVM-IE; a refactor once collapsed both arms of the conditional to
@@ -220,7 +288,7 @@ TEST(RerankBufferTest, NonAdaptiveRunKeepsNoExampleBuffer) {
       test::MakeSharedContext(RelationId::kPersonCharge);
   const PipelineResult result = AdaptiveExtractionPipeline::Run(
       context, BaseConfig(RankerKind::kRSVMIE, UpdateKind::kNone, 11));
-  EXPECT_EQ(result.peak_buffer_examples(), 0u);
+  EXPECT_EQ(result.peak_buffer_examples, 0u);
   EXPECT_EQ(result.NumUpdates(), 0u);
 }
 
@@ -234,8 +302,8 @@ TEST(RerankBufferTest, AdaptiveRunBuffersBetweenUpdates) {
   EXPECT_GT(result.NumUpdates(), 0u);
   // The buffer drains at every update, so its peak is bounded by the
   // largest between-updates interval, not the pool size.
-  EXPECT_GT(result.peak_buffer_examples(), 0u);
-  EXPECT_LT(result.peak_buffer_examples(), context.pool->size() / 2);
+  EXPECT_GT(result.peak_buffer_examples, 0u);
+  EXPECT_LT(result.peak_buffer_examples, context.pool->size() / 2);
 }
 
 // ---- FactCrawl pipelines ---------------------------------------------------

@@ -61,6 +61,16 @@ TEST(WindFTest, TriggersAtExactInterval) {
   EXPECT_EQ(triggers, 10);
 }
 
+// Interval 0 (PipelineConfig::windf_updates = 0) means "never fires"; the
+// per-document modulo must not divide by it.
+TEST(WindFTest, ZeroIntervalNeverTriggers) {
+  WindFDetector detector(0);
+  RsvmIeRanker ranker;
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_FALSE(detector.Observe(Vec({{0, 1.0f}}), true, ranker));
+  }
+}
+
 // ---- Top-K ------------------------------------------------------------
 
 TEST(TopKTest, ShiftTriggersMoreThanSteadyStream) {

@@ -179,6 +179,13 @@ if ratio > 1.03:
     sys.exit("FAIL: recorded run >3%% slower than unrecorded (%.3f)" % ratio)
 EOF
 
+step "perfbench self-test (python3 perfbench/run.py --quick)"
+# Builds the repository benchmark (perfbench/, in its own Release tree
+# under .bench_build/), so an API change it compiles against fails here,
+# then runs every workload once on a small corpus in both trace modes and
+# checks that tampered runs are reported as failed.
+python3 perfbench/run.py --quick
+
 if [ "$MODE" = "quick" ]; then
   echo; echo "CI quick: OK"; exit 0
 fi
@@ -215,8 +222,8 @@ fi
 step "observability compiled out (IE_ENABLE_OBSERVABILITY=OFF)"
 # IE_TRACE_SCOPE / IE_METRIC_* must expand to no-ops: the whole tree
 # builds under -Werror with the instrumentation stripped and the full
-# suite stays green (per-run counter stamping keeps PipelineResult
-# accessors meaningful even without macro instrumentation).
+# suite stays green (the run counters are plain PipelineResult fields set
+# from the engine/executor stats, so they need no macro instrumentation).
 cmake --preset obs-off >/dev/null
 cmake --build build-obs-off -j "$JOBS"
 ctest --preset obs-off -j "$JOBS"

@@ -878,8 +878,8 @@ class SharedImmutableRule(Rule):
             return
         if re.search(r"(?<!\))\s*\bmutable\b", stmt):
             yield ("mutable member in IE_SHARED_IMMUTABLE type '%s': "
-                   "sessions share it const — move the state to "
-                   "SessionState or waive with `// ARCH: shared-immutable "
+                   "sessions share it const — move the state to the "
+                   "session (ExtractionSession) or waive with `// ARCH: shared-immutable "
                    "(<reason>)`" % type_name)
             return
         if "(" in stmt:
@@ -891,7 +891,7 @@ class SharedImmutableRule(Rule):
             if not re.search(r"\bconst\b", stmt.rsplit(")", 1)[-1]):
                 yield ("non-const member function in IE_SHARED_IMMUTABLE "
                        "type '%s': shared state must be read-only — "
-                       "const-qualify it or move it to SessionState"
+                       "const-qualify it or move it to the session"
                        % type_name)
             return
         if re.match(r"(?:static\s+)?(?:constexpr|const)\b", stmt):
@@ -901,7 +901,7 @@ class SharedImmutableRule(Rule):
         member = idents[-1] if idents else "?"
         yield ("member '%s' of IE_SHARED_IMMUTABLE type '%s' is not "
                "const: shared context must be deeply const (hold a "
-               "`const T*`/`const T&` view, or move it to SessionState)"
+               "`const T*`/`const T&` view, or move it to the session)"
                % (member, type_name))
 
 
