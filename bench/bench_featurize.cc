@@ -1,12 +1,12 @@
 // Perf trajectory for the per-document featurizer (DESIGN.md §14): the
-// production arena + flat-hash Featurizer against a faithful in-bench copy
-// of the pre-arena implementation (unordered_map count and bigram tables,
-// heap-vector entry staging), single-threaded, best-of-reps wall time.
+// production arena Featurizer against a faithful in-bench copy of the
+// pre-arena implementation (unordered_map count table, heap-vector entry
+// staging), single-threaded, best-of-reps wall time.
 //
 // Emits JSON for CI trend tracking (tools/bench_trend.py) with one
 // acceptance gate:
-//   featurize speedup >= 1.5x  (arena + flat-hash featurizer vs the
-//                               unordered_map reference)
+//   featurize speedup >= 1.5x  (arena featurizer vs the unordered_map
+//                               reference)
 // and a mandatory bitwise-identity check: the optimized featurizer must
 // reproduce the reference feature for feature, bit for bit.
 //
@@ -31,30 +31,18 @@ using namespace ie::bench;
 
 namespace {
 
-// The pre-SoA Featurizer hot loop: unordered_map count accumulation,
-// unordered_map bigram-id lookups (default identity hash on uint64_t — the
-// clustering bug the flat hash's splitmix64 mixer fixes), heap-vector entry
-// staging, FromUnsorted.
-SparseVector RefFeaturize(
-    const Document& doc,
-    const std::unordered_map<uint64_t, uint32_t>& bigram_map, bool log_tf) {
+// The pre-arena Featurizer hot loop: unordered_map count accumulation,
+// heap-vector entry staging, FromUnsorted.
+SparseVector RefFeaturize(const Document& doc) {
   std::unordered_map<uint32_t, float> counts;
   for (const Sentence& sentence : doc.sentences) {
-    for (size_t i = 0; i < sentence.tokens.size(); ++i) {
-      counts[sentence.tokens[i]] += 1.0f;
-      if (i + 1 < sentence.tokens.size()) {
-        const uint64_t key =
-            (static_cast<uint64_t>(sentence.tokens[i]) << 32) |
-            static_cast<uint64_t>(sentence.tokens[i + 1]);
-        counts[bigram_map.at(key)] += 1.0f;
-      }
-    }
+    for (TokenId token : sentence.tokens) counts[token] += 1.0f;
   }
   std::vector<SparseVector::Entry> entries;
   entries.reserve(counts.size());
   // DETERMINISM: order-insensitive (FromUnsorted sorts entries by id).
   for (const auto& [id, tf] : counts) {
-    entries.push_back({id, log_tf ? 1.0f + std::log(tf) : tf});
+    entries.push_back({id, 1.0f + std::log(tf)});
   }
   SparseVector v = SparseVector::FromUnsorted(std::move(entries));
   v.Normalize();
@@ -82,33 +70,10 @@ double BestOfRepsSeconds(int reps, Fn&& fn) {
 }
 
 FeaturizeResult RunFeaturizeTrajectory(Harness& harness, int reps) {
-  Corpus& corpus = harness.world().corpus;
+  const Corpus& corpus = harness.world().corpus;
   const std::vector<DocId>& pool = harness.test_pool();
   const size_t num_docs = std::min<size_t>(2000, pool.size());
-
-  // A bigram featurizer so the trajectory covers the flat-hash bigram
-  // cache, not just the count table. Warm serially (interns every bigram),
-  // then snapshot the id map for the reference path — both timed loops do
-  // pure lookups, the steady state after FeaturizePool's warm pass.
-  FeaturizerOptions options;
-  options.use_bigrams = true;
-  Featurizer featurizer(&corpus.vocab(), options);
-  std::unordered_map<uint64_t, uint32_t> bigram_map;
-  for (size_t i = 0; i < num_docs; ++i) {
-    const Document& doc = corpus.doc(pool[i]);
-    featurizer.WarmBigrams(doc);
-    for (const Sentence& sentence : doc.sentences) {
-      for (size_t t = 0; t + 1 < sentence.tokens.size(); ++t) {
-        const uint64_t key =
-            (static_cast<uint64_t>(sentence.tokens[t]) << 32) |
-            static_cast<uint64_t>(sentence.tokens[t + 1]);
-        bigram_map.emplace(
-            key,
-            featurizer.BigramFeatureId(sentence.tokens[t],
-                                       sentence.tokens[t + 1]));
-      }
-    }
-  }
+  const Featurizer& featurizer = harness.featurizer();
 
   // Bitwise-equivalence check (untimed): the arena path must reproduce the
   // unordered_map path feature for feature, bit for bit.
@@ -116,8 +81,7 @@ FeaturizeResult RunFeaturizeTrajectory(Harness& harness, int reps) {
   for (size_t i = 0; i < num_docs && identical; ++i) {
     const Document& doc = corpus.doc(pool[i]);
     const SparseVector a = featurizer.Featurize(doc);
-    const SparseVector b =
-        RefFeaturize(doc, bigram_map, featurizer.options().log_tf);
+    const SparseVector b = RefFeaturize(doc);
     if (a.size() != b.size()) {
       identical = false;
       break;
@@ -139,9 +103,7 @@ FeaturizeResult RunFeaturizeTrajectory(Harness& harness, int reps) {
   const double ref_seconds = BestOfRepsSeconds(reps, [&] {
     size_t total = 0;
     for (size_t i = 0; i < num_docs; ++i) {
-      total += RefFeaturize(corpus.doc(pool[i]), bigram_map,
-                            featurizer.options().log_tf)
-                   .size();
+      total += RefFeaturize(corpus.doc(pool[i])).size();
     }
     benchmark::DoNotOptimize(total);
   });

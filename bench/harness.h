@@ -24,9 +24,6 @@ class Harness {
       : world_(BuildWorld(relations, num_docs)),
         featurizer_(&world_.corpus.vocab()) {
     WallTimer timer;
-    // Note: ComputeIdf + Featurizer::SetIdf are available, but idf-weighted
-    // features overfit the small initial samples (rare terms dominate), so
-    // the experiments use plain log-TF features; see the ablation bench.
     word_features_ = FeaturizePool(world_.corpus, featurizer_,
                                    SetupThreads());
     index_ = BuildPoolIndex(world_.corpus, world_.corpus.splits().test);

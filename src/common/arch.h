@@ -17,7 +17,7 @@
 //   * no `mutable` members;
 //   * every member function declared on the type is const-qualified.
 //
-// Mutable interiors of pointee types (e.g. Featurizer's synchronized
-// bigram cache) are governed separately by the `const-escape` rule and
-// its per-site `// ARCH: const-escape (<reason>)` waivers.
+// Mutable interiors of pointee types are governed separately by the
+// `const-escape` rule and its per-site `// ARCH: const-escape (<reason>)`
+// waivers.
 #define IE_SHARED_IMMUTABLE

@@ -2,9 +2,9 @@
 //
 // Both tables use linear probing over a power-of-two capacity with a
 // splitmix64-mixed hash, and neither supports erase — the interning
-// workloads (Vocabulary term ids, Featurizer bigram ids, per-document
-// count accumulation) only ever insert — so there are no tombstones and
-// growth is a straight re-insert of the live slots.
+// workloads (Vocabulary term ids, per-document count accumulation) only
+// ever insert — so there are no tombstones and growth is a straight
+// re-insert of the live slots.
 //
 // Determinism: slot order depends on the hash function and insertion
 // history, exactly like std::unordered_map bucket order. Iteration is
@@ -24,7 +24,7 @@
 namespace ie {
 
 /// splitmix64 finalizer: a cheap, high-quality 64-bit mixer. Integer keys
-/// (token ids, packed bigram pairs) go through this before masking —
+/// (token ids, feature ids) go through this before masking —
 /// std::hash<uint64_t> is the identity on libstdc++, which clusters
 /// open-addressed probes catastrophically.
 inline uint64_t Mix64(uint64_t x) {

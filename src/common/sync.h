@@ -50,7 +50,7 @@ class CAPABILITY("mutex") Mutex {
   std::mutex mu_;
 };
 
-/// Reader/writer mutex (the Featurizer bigram cache's read-mostly path).
+/// Reader/writer mutex for read-mostly state.
 class CAPABILITY("shared_mutex") SharedMutex {
  public:
   SharedMutex() = default;

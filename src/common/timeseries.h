@@ -1,8 +1,8 @@
-// TimeSeries — a bounded, thread-safe recorder for "value over iteration"
-// telemetry (the flight recorder's in-memory learning curves, DESIGN.md
-// §15). Appends are O(1) amortized; memory is a hard bound chosen at
+// SampledRing — a bounded recorder for "value over iteration" telemetry
+// (the flight recorder's in-memory learning curves, DESIGN.md §15).
+// Appends are O(1) amortized; memory is a hard bound chosen at
 // construction. When the ring fills, resolution is halved instead of
-// evicting the oldest samples: the series keeps every sample whose index
+// evicting the oldest samples: the ring keeps every sample whose index
 // is a multiple of the current stride, and on overflow the stride doubles
 // and every now-off-stride sample is compacted away. The retained set is
 // therefore a pure function of (capacity, total appends) — deterministic
@@ -13,23 +13,14 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
-
-#include "common/sync.h"
 
 namespace ie {
 
-/// One retained sample: the 0-based append index and the recorded value.
-struct TimeSeriesSample {
-  uint64_t index = 0;
-  double value = 0.0;
-};
-
-/// Deterministic stride-doubling ring over arbitrary record types — the
-/// policy core shared by TimeSeries and the pipeline flight recorder
-/// (pipeline/recorder.h), which rings whole iteration records. Not
-/// thread-safe; single-writer callers embed it directly, concurrent
-/// callers go through TimeSeries.
+/// Deterministic stride-doubling ring over record types with an `index`
+/// member; the pipeline flight recorder (pipeline/recorder.h) rings whole
+/// iteration records. Not thread-safe: one writer.
 template <typename T>
 class SampledRing {
  public:
@@ -78,38 +69,6 @@ class SampledRing {
   std::vector<T> samples_;
   uint64_t next_index_ = 0;
   uint64_t stride_ = 1;
-};
-
-/// Thread-safe named-value series: a SampledRing<TimeSeriesSample> behind
-/// a capability-annotated mutex. Appends assign indices under the lock, so
-/// the retained *structure* (which indices survive, the stride schedule)
-/// is deterministic for a given append count even with concurrent writers;
-/// with a single writer the whole series is deterministic.
-class TimeSeries {
- public:
-  static constexpr size_t kDefaultCapacity = 512;
-
-  explicit TimeSeries(size_t capacity = kDefaultCapacity);
-
-  TimeSeries(const TimeSeries&) = delete;
-  TimeSeries& operator=(const TimeSeries&) = delete;
-
-  /// Records `value` at the next index; returns that index.
-  uint64_t Append(double value) EXCLUDES(mu_);
-
-  /// Copy of the retained samples, ascending by index.
-  std::vector<TimeSeriesSample> Snapshot() const EXCLUDES(mu_);
-
-  uint64_t total_appended() const EXCLUDES(mu_);
-
-  /// Current downsampling stride (1 until the first compaction).
-  uint64_t stride() const EXCLUDES(mu_);
-
-  size_t capacity() const { return ring_.capacity(); }
-
- private:
-  mutable Mutex mu_;
-  SampledRing<TimeSeriesSample> ring_ GUARDED_BY(mu_);
 };
 
 }  // namespace ie

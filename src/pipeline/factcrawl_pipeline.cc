@@ -99,10 +99,12 @@ PipelineResult FactCrawlPipeline::Run(const SharedContext& context,
       factcrawl.ObserveProcessed(id, useful);
       result.ranking_cpu_seconds += timer.ElapsedSeconds();
     }
-    if (cursor % config.rerank_interval == 0 && cursor < remaining.size()) {
+    if (config.rerank_interval > 0 && cursor % config.rerank_interval == 0 &&
+        cursor < remaining.size()) {
       ++reranks;
       CpuTimer timer;
-      if (reranks % config.refresh_every_reranks == 0) {
+      if (config.refresh_every_reranks > 0 &&
+          reranks % config.refresh_every_reranks == 0) {
         factcrawl.RefreshQueries(labeled, rng.NextUint64());
       }
       factcrawl.RecomputeScores();

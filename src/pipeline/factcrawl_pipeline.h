@@ -18,9 +18,10 @@ struct FactCrawlConfig {
   FactCrawlOptions factcrawl = {};
   /// A-FC: re-rank cadence in processed documents. The paper re-ranks after
   /// every document; a small interval keeps bench runs tractable while
-  /// preserving the behaviour (overhead is measured either way).
+  /// preserving the behaviour (overhead is measured either way). 0 never
+  /// re-ranks.
   size_t rerank_interval = 100;
-  /// A-FC: query refresh happens on every k-th re-rank.
+  /// A-FC: query refresh happens on every k-th re-rank; 0 never refreshes.
   size_t refresh_every_reranks = 5;
   /// Cap on labeled documents kept for query refreshes.
   size_t max_labeled_kept = 4000;

@@ -95,58 +95,11 @@ PipelineConfig PipelineConfig::Defaults(RankerKind ranker,
 std::vector<SparseVector> FeaturizePool(const Corpus& corpus,
                                         const Featurizer& featurizer,
                                         size_t threads) {
-  // Bigram feature ids must not depend on the parallel execution order:
-  // warm the cache serially in document order (the same order the serial
-  // pass would have interned them) so the parallel pass only reads it.
-  if (featurizer.options().use_bigrams) {
-    for (DocId id = 0; id < corpus.size(); ++id) {
-      featurizer.WarmBigrams(corpus.doc(id));
-    }
-  }
   std::vector<SparseVector> features(corpus.size());
   ParallelFor(corpus.size(), threads, [&](size_t id) {
     features[id] = featurizer.Featurize(corpus.doc(static_cast<DocId>(id)));
   });
   return features;
-}
-
-std::vector<float> ComputeIdf(const Corpus& corpus, size_t threads) {
-  const size_t vocab_size = corpus.vocab().size();
-  const size_t docs = corpus.size();
-  // Per-block document-frequency counts, merged in fixed block order.
-  // Counts are integers, so the merged table — and hence every idf float —
-  // is exactly what the serial pass produces.
-  const size_t blocks = threads <= 1 ? 1 : threads;
-  const size_t block_size = (docs + blocks - 1) / blocks;
-  std::vector<std::vector<uint32_t>> partial(blocks);
-  ParallelFor(blocks, threads, [&](size_t b) {
-    std::vector<uint32_t>& df = partial[b];
-    df.assign(vocab_size, 0);
-    std::vector<uint32_t> seen_at(vocab_size, 0xffffffffu);
-    const size_t begin = b * block_size;
-    const size_t end = std::min(docs, begin + block_size);
-    for (size_t id = begin; id < end; ++id) {
-      for (const Sentence& sentence :
-           corpus.doc(static_cast<DocId>(id)).sentences) {
-        for (TokenId token : sentence.tokens) {
-          if (token < df.size() && seen_at[token] != id) {
-            seen_at[token] = static_cast<uint32_t>(id);
-            ++df[token];
-          }
-        }
-      }
-    }
-  });
-  std::vector<uint32_t> df(vocab_size, 0);
-  for (const std::vector<uint32_t>& block_df : partial) {
-    for (size_t i = 0; i < vocab_size; ++i) df[i] += block_df[i];
-  }
-  std::vector<float> idf(df.size());
-  const double n = static_cast<double>(corpus.size());
-  ParallelFor(df.size(), threads, [&](size_t i) {
-    idf[i] = static_cast<float>(std::log(1.0 + n / (df[i] + 1.0)));
-  });
-  return idf;
 }
 
 CompactIndex BuildPoolIndex(const Corpus& corpus,

@@ -112,11 +112,9 @@ struct IE_SHARED_IMMUTABLE SharedContext {
   const std::vector<DocId>* pool = nullptr;  // e.g. the test split
   const ExtractionOutcomes* outcomes = nullptr;
   const RelationSpec* relation = nullptr;
-  /// Const facade over the featurizer: the featurization entry points
-  /// (Featurize, WarmBigrams, AttributeFeatureId, BigramFeatureId) are
-  /// const with a lock-guarded interning interior — the lone waived
-  /// const-escape behind this struct (see Featurizer::bigram_ids_).
-  /// Configure the featurizer (SetIdf) before sharing it.
+  /// The featurizer has no mutable member. Its one write goes to the
+  /// vocabulary: AttributeFeatureId interns a new attribute feature, which
+  /// the run does for the whole pool, in pool order, before extraction.
   const Featurizer* featurizer = nullptr;
   /// Word-feature vectors indexed by DocId (see FeaturizePool).
   const std::vector<SparseVector>* word_features = nullptr;
@@ -136,17 +134,11 @@ struct IE_SHARED_IMMUTABLE SharedContext {
 /// Precomputes word features for every document of the corpus. With
 /// `threads` > 1 documents are featurized in parallel with results
 /// identical to the serial pass: each document owns its output slot, its
-/// entry accumulation order is per-document, and bigram ids are assigned
-/// by a serial in-order warm pass before the parallel one.
+/// entry accumulation order is per-document, and word features intern
+/// nothing.
 std::vector<SparseVector> FeaturizePool(const Corpus& corpus,
                                         const Featurizer& featurizer,
                                         size_t threads = 1);
-
-/// Smoothed idf table over the corpus: ln(1 + N / (df + 1)) per token id.
-/// With `threads` > 1 the document-frequency pass runs over contiguous
-/// document blocks merged in fixed block order — integer counts, so the
-/// result is exactly the serial one.
-std::vector<float> ComputeIdf(const Corpus& corpus, size_t threads = 1);
 
 /// Builds the search index over the pool documents: the one place that
 /// decides which backend serves retrieval. Returns a finalized

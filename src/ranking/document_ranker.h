@@ -87,29 +87,22 @@ class RandomRanker : public DocumentRanker {
 };
 
 /// Oracle ordering: all useful documents first (upper reference line).
-/// Scores are looked up from precomputed usefulness, keyed externally.
+/// Features alone cannot express usefulness, so Score() is a constant 0:
+/// the pipeline scores this ranker by looking usefulness up in the outcome
+/// cache, through RerankEngine's `score_override`.
 class PerfectRanker : public DocumentRanker {
  public:
-  /// `useful_score` is queried by the pipeline through ScoreDoc; the
-  /// generic Score() cannot know usefulness from features alone, so the
-  /// pipeline special-cases this ranker via set_current_usefulness.
   PerfectRanker() = default;
 
   void TrainInitial(const std::vector<LabeledExample>&) override {}
   void Observe(const SparseVector&, bool) override {}
   void SnapshotForScoring() override {}
-  double Score(const SparseVector&) const override { return current_; }
+  double Score(const SparseVector&) const override { return 0.0; }
   WeightVector ModelWeights() const override { return {}; }
   std::unique_ptr<DocumentRanker> Clone() const override {
     return std::make_unique<PerfectRanker>(*this);
   }
   std::string name() const override { return "perfect"; }
-
-  /// The pipeline sets this to 1/0 right before scoring each document.
-  void set_current_usefulness(double value) { current_ = value; }
-
- private:
-  double current_ = 0.0;
 };
 
 }  // namespace ie

@@ -5,15 +5,12 @@
 namespace ie {
 
 void RsvmIeRanker::TrainInitial(const std::vector<LabeledExample>& sample) {
-  // Load the sample into the reservoir pools without per-observation
-  // training, then take the configured number of pairwise steps.
+  // Observe the sample in order: each observation enters its reservoir
+  // pool and, once both pools are non-empty, takes the usual
+  // steps_per_observation pairwise steps. Then take the configured number
+  // of extra pairwise steps.
   for (const LabeledExample& ex : sample) {
-    // Temporarily zero the per-observation step count by training manually.
-    if (ex.label > 0) {
-      svm_.Observe(ex.features, true);
-    } else {
-      svm_.Observe(ex.features, false);
-    }
+    svm_.Observe(ex.features, ex.label > 0);
   }
   svm_.TrainPairs(options_.initial_pair_steps);
   SnapshotForScoring();

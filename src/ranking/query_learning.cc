@@ -24,7 +24,7 @@ const char* QueryMethodName(QueryMethod method) {
 bool IsQueryableTerm(const std::string& term) {
   if (term.empty()) return false;
   if (term.find(':') != std::string::npos) return false;  // attr: features
-  if (term.find('_') != std::string::npos) return false;  // bigram features
+  if (term.find('_') != std::string::npos) return false;  // multi-word terms
   return true;
 }
 

@@ -30,7 +30,8 @@ std::vector<std::string> LearnQueries(
     QueryMethod method, size_t num_terms, uint64_t seed = 51);
 
 /// True for feature ids that correspond to plain word terms usable as
-/// keyword queries (filters the "attr:" featurizer namespace and bigrams).
+/// keyword queries (filters the "attr:" featurizer namespace and
+/// multi-word terms).
 bool IsQueryableTerm(const std::string& term);
 
 }  // namespace ie

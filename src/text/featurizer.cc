@@ -4,14 +4,11 @@
 #include <cmath>
 
 #include "common/arena.h"
+#include "common/flat_hash.h"
 
 namespace ie {
 
 namespace {
-
-inline uint64_t BigramKey(TokenId a, TokenId b) {
-  return (static_cast<uint64_t>(a) << 32) | static_cast<uint64_t>(b);
-}
 
 // Per-thread featurization scratch: every transient of the per-document
 // hot loop (the open-addressed count table and the entry staging array) is
@@ -62,29 +59,6 @@ struct CountTable {
 
 }  // namespace
 
-uint32_t Featurizer::BigramFeatureId(TokenId a, TokenId b) const {
-  const uint64_t key = BigramKey(a, b);
-  {
-    ReaderLock lock(bigram_mu_);
-    if (const uint32_t* id = bigram_ids_.Find(key)) return *id;
-  }
-  WriterLock lock(bigram_mu_);
-  if (const uint32_t* id = bigram_ids_.Find(key)) return *id;
-  const uint32_t id =
-      vocab_->Intern(vocab_->Term(a) + "_" + vocab_->Term(b));
-  bigram_ids_.Emplace(key, id);
-  return id;
-}
-
-void Featurizer::WarmBigrams(const Document& doc) const {
-  if (!options_.use_bigrams) return;
-  for (const Sentence& sentence : doc.sentences) {
-    for (size_t i = 0; i + 1 < sentence.tokens.size(); ++i) {
-      BigramFeatureId(sentence.tokens[i], sentence.tokens[i + 1]);
-    }
-  }
-}
-
 SparseVector Featurizer::FeaturizeImpl(
     const Document& doc,
     const std::vector<std::string>* attribute_values) const {
@@ -95,17 +69,10 @@ SparseVector Featurizer::FeaturizeImpl(
   for (const Sentence& sentence : doc.sentences) {
     total_tokens += sentence.tokens.size();
   }
-  const size_t max_distinct =
-      total_tokens * (options_.use_bigrams ? 2u : 1u) + 1;
+  const size_t max_distinct = total_tokens + 1;
   CountTable table(arena, max_distinct);
   for (const Sentence& sentence : doc.sentences) {
-    for (size_t i = 0; i < sentence.tokens.size(); ++i) {
-      table.Bump(sentence.tokens[i]);
-      if (options_.use_bigrams && i + 1 < sentence.tokens.size()) {
-        table.Bump(
-            BigramFeatureId(sentence.tokens[i], sentence.tokens[i + 1]));
-      }
-    }
+    for (TokenId token : sentence.tokens) table.Bump(token);
   }
 
   const size_t max_entries =
@@ -119,29 +86,16 @@ SparseVector Featurizer::FeaturizeImpl(
   for (size_t i = 0; i <= table.mask; ++i) {
     if (table.keys[i] == 0) continue;
     const float tf = table.counts[i];
-    entries[n++] = {table.keys[i] - 1,
-                    options_.log_tf ? 1.0f + std::log(tf) : tf};
+    entries[n++] = {table.keys[i] - 1, 1.0f + std::log(tf)};
   }
   if (attribute_values != nullptr) {
     for (const std::string& value : *attribute_values) {
       entries[n++] = {AttributeFeatureId(value), 1.0f};
     }
   }
-  if (!idf_.empty()) {
-    for (size_t i = 0; i < n; ++i) {
-      entries[i].second *=
-          entries[i].first < idf_.size() ? idf_[entries[i].first]
-                                         : default_idf_;
-    }
-  }
   SparseVector v = SparseVector::FromEntrySpan(entries, n);
-  if (options_.l2_normalize) v.Normalize();
+  v.Normalize();
   return v;
-}
-
-void Featurizer::SetIdf(std::vector<float> idf, float default_idf) {
-  idf_ = std::move(idf);
-  default_idf_ = default_idf;
 }
 
 SparseVector Featurizer::Featurize(const Document& doc) const {

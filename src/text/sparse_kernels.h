@@ -54,22 +54,6 @@ inline double GatherDot(const double* w, size_t dim, const uint32_t* ids,
   return s;
 }
 
-/// w[ids[i]] += factor * vals[i] (ids must all be < dim; SparseVector ids
-/// are unique, so the unrolled stores never alias).
-inline void Axpy(double* w, double factor, const uint32_t* ids,
-                 const float* vals, size_t n) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    w[ids[i + 0]] += factor * static_cast<double>(vals[i + 0]);
-    w[ids[i + 1]] += factor * static_cast<double>(vals[i + 1]);
-    w[ids[i + 2]] += factor * static_cast<double>(vals[i + 2]);
-    w[ids[i + 3]] += factor * static_cast<double>(vals[i + 3]);
-  }
-  for (; i < n; ++i) {
-    w[ids[i]] += factor * static_cast<double>(vals[i]);
-  }
-}
-
 /// Sorted-merge dot of two sparse vectors; matched products accumulate in
 /// ascending id order.
 inline double SparseSparseDot(const uint32_t* a_ids, const float* a_vals,

@@ -70,19 +70,6 @@ double Dot(const SparseVector& a, const SparseVector& b) {
                                   b.values(), b.size());
 }
 
-double CosineSimilarity(const SparseVector& a, const SparseVector& b) {
-  const double na = a.L2Norm();
-  const double nb = b.L2Norm();
-  if (na == 0.0 || nb == 0.0) return 0.0;
-  return Dot(a, b) / (na * nb);
-}
-
-void WeightVector::AddScaled(const SparseVector& x, double factor) {
-  if (x.empty()) return;
-  EnsureSize(x.DimensionBound());
-  kernels::Axpy(w_.data(), factor, x.ids(), x.values(), x.size());
-}
-
 void WeightVector::Scale(double factor) {
   for (double& w : w_) w *= factor;
 }
@@ -112,19 +99,6 @@ size_t WeightVector::NonZeroCount(double eps) const {
   return n;
 }
 
-void WeightVector::SoftThreshold(double amount) {
-  if (amount <= 0.0) return;
-  for (double& w : w_) {
-    if (w > amount) {
-      w -= amount;
-    } else if (w < -amount) {
-      w += amount;
-    } else {
-      w = 0.0;
-    }
-  }
-}
-
 double WeightVector::Cosine(const WeightVector& a, const WeightVector& b) {
   const size_t n = std::min(a.w_.size(), b.w_.size());
   double dot = 0.0;
@@ -133,17 +107,6 @@ double WeightVector::Cosine(const WeightVector& a, const WeightVector& b) {
   const double nb = std::sqrt(b.L2NormSquared());
   if (na == 0.0 || nb == 0.0) return 0.0;
   return dot / (na * nb);
-}
-
-SparseVector WeightVector::ToSparse(double eps) const {
-  std::vector<SparseVector::Entry> entries;
-  for (size_t i = 0; i < w_.size(); ++i) {
-    if (std::fabs(w_[i]) > eps) {
-      entries.emplace_back(static_cast<uint32_t>(i),
-                           static_cast<float>(w_[i]));
-    }
-  }
-  return SparseVector::FromUnsorted(std::move(entries));
 }
 
 }  // namespace ie

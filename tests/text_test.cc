@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "text/document.h"
 #include "text/featurizer.h"
 #include "text/tokenizer.h"
@@ -125,38 +127,17 @@ class FeaturizerTest : public ::testing::Test {
   Vocabulary vocab_;
 };
 
+// The one feature format: word weight 1 + ln(tf), ℓ2-normalized.
 TEST_F(FeaturizerTest, UnigramsNormalized) {
   Featurizer featurizer(&vocab_);
-  const Document doc = MakeDoc("storm storm surge.");
-  const SparseVector v = featurizer.Featurize(doc);
-  EXPECT_EQ(v.size(), 2u);
-  EXPECT_NEAR(v.L2Norm(), 1.0, 1e-6);
-  // log-tf: the repeated word gets a higher (but sublinear) weight.
-  EXPECT_GT(v.Get(vocab_.Lookup("storm")), v.Get(vocab_.Lookup("surge")));
-  EXPECT_LT(v.Get(vocab_.Lookup("storm")),
-            2.0f * v.Get(vocab_.Lookup("surge")));
-}
-
-TEST_F(FeaturizerTest, RawTfOption) {
-  Featurizer featurizer(&vocab_, {.log_tf = false, .l2_normalize = false});
   const SparseVector v = featurizer.Featurize(MakeDoc("storm storm surge."));
-  EXPECT_FLOAT_EQ(v.Get(vocab_.Lookup("storm")), 2.0f);
-}
-
-TEST_F(FeaturizerTest, BigramsInterned) {
-  Featurizer featurizer(&vocab_,
-                        {.use_bigrams = true, .l2_normalize = false});
-  const SparseVector v = featurizer.Featurize(MakeDoc("storm surge."));
-  const uint32_t bigram = vocab_.Lookup("storm_surge");
-  ASSERT_NE(bigram, Vocabulary::kInvalidId);
-  EXPECT_GT(v.Get(bigram), 0.0f);
-}
-
-TEST_F(FeaturizerTest, BigramsDoNotCrossSentences) {
-  Featurizer featurizer(&vocab_,
-                        {.use_bigrams = true, .l2_normalize = false});
-  featurizer.Featurize(MakeDoc("storm. surge."));
-  EXPECT_EQ(vocab_.Lookup("storm_surge"), Vocabulary::kInvalidId);
+  EXPECT_EQ(v.size(), 2u);
+  const double storm = 1.0 + std::log(2.0);
+  const double norm = std::sqrt(storm * storm + 1.0);
+  EXPECT_FLOAT_EQ(v.Get(vocab_.Lookup("storm")),
+                  static_cast<float>(storm / norm));
+  EXPECT_FLOAT_EQ(v.Get(vocab_.Lookup("surge")),
+                  static_cast<float>(1.0 / norm));
 }
 
 TEST_F(FeaturizerTest, AttributeFeatures) {
@@ -165,8 +146,11 @@ TEST_F(FeaturizerTest, AttributeFeatures) {
   const SparseVector v = featurizer.Featurize(doc, {"tsunami", "hawaii"});
   EXPECT_GT(v.Get(vocab_.Lookup("attr:tsunami")), 0.0f);
   EXPECT_GT(v.Get(vocab_.Lookup("attr:hawaii")), 0.0f);
-  // Word features and attribute features coexist.
+  // Word features and attribute features coexist, and an attribute
+  // feature weighs what a word seen once weighs.
   EXPECT_GT(v.Get(vocab_.Lookup("tsunami")), 0.0f);
+  EXPECT_EQ(v.Get(vocab_.Lookup("attr:tsunami")),
+            v.Get(vocab_.Lookup("tsunami")));
 }
 
 TEST_F(FeaturizerTest, AttributeFeatureIdStable) {
@@ -175,31 +159,6 @@ TEST_F(FeaturizerTest, AttributeFeatureIdStable) {
             featurizer.AttributeFeatureId("x"));
   EXPECT_NE(featurizer.AttributeFeatureId("x"),
             featurizer.AttributeFeatureId("y"));
-}
-
-TEST_F(FeaturizerTest, IdfReweighting) {
-  Featurizer featurizer(&vocab_, {.l2_normalize = false});
-  const Document doc = MakeDoc("common rare.");
-  const uint32_t common = vocab_.Lookup("common");
-  const uint32_t rare = vocab_.Lookup("rare");
-  std::vector<float> idf(vocab_.size(), 1.0f);
-  idf[common] = 0.5f;
-  idf[rare] = 4.0f;
-  featurizer.SetIdf(std::move(idf));
-  ASSERT_TRUE(featurizer.has_idf());
-  const SparseVector v = featurizer.Featurize(doc);
-  EXPECT_FLOAT_EQ(v.Get(common), 0.5f);
-  EXPECT_FLOAT_EQ(v.Get(rare), 4.0f);
-}
-
-TEST_F(FeaturizerTest, IdfDefaultForLateFeatures) {
-  Featurizer featurizer(&vocab_, {.l2_normalize = false});
-  vocab_.Intern("early");
-  featurizer.SetIdf({3.0f}, /*default_idf=*/2.0f);
-  // "late" is interned after the idf table was installed: default applies.
-  const SparseVector v = featurizer.Featurize(MakeDoc("early late."));
-  EXPECT_FLOAT_EQ(v.Get(vocab_.Lookup("early")), 3.0f);
-  EXPECT_FLOAT_EQ(v.Get(vocab_.Lookup("late")), 2.0f);
 }
 
 }  // namespace

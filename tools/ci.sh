@@ -72,9 +72,10 @@ ctest --test-dir build-default -R 'DeterminismGoldenTest' \
     --output-on-failure -j "$JOBS"
 
 step "bench_featurize perf trajectory (arena featurizer)"
-# Hand-timed production-vs-reference comparison (DESIGN.md §14): re-proves
-# bitwise-identical features and enforces the >=1.5x featurize gate, at
-# smoke scale.
+# Hand-timed production-vs-reference comparison (DESIGN.md §14) in the
+# pipeline's one feature format (1 + ln tf unigrams, l2-normalized):
+# re-proves bitwise-identical features and enforces the >=1.5x featurize
+# gate, at smoke scale.
 IE_BENCH_DOCS=4000 ./build-default/bench/bench_featurize \
     --out=build-default/BENCH_featurize.json --reps=3
 
