@@ -18,13 +18,13 @@
 // tools/check_trace.py) and the ratio lands in the output JSON as
 // "trace_overhead_ratio".
 //
-// With --ledger, an analogous flight-recorder smoke runs: best-of-3
-// serial walls with the recorder off vs on (JSONL ledger + in-memory
-// series). The recorded runs write the ledger to the given path (CI
-// validates it with tools/report.py --validate and cross-checks it
-// against the trace) and the ratio lands as "recorder_overhead_ratio"
-// (CI gates it at <= 1.03). Runs are re-checked byte-identical either
-// way — the recorder is a passive observer.
+// With --ledger, an analogous flight-recorder smoke runs: interleaved
+// serial runs with the recorder (the JSONL ledger) off vs on. The
+// recorded runs write the ledger to the given path (CI validates it with
+// tools/report.py --validate and cross-checks it against the trace) and
+// the ratio lands as "recorder_overhead_ratio" (CI gates it at <= 1.03).
+// Runs are re-checked byte-identical either way — the recorder is a
+// passive observer.
 //
 // With --metrics-out, the serial run's metrics snapshot is rendered as
 // Prometheus text exposition to the given path (validated by
@@ -206,10 +206,10 @@ int main(int argc, char** argv) {
   }
 
   // Flight-recorder overhead smoke: 8 interleaved off/on pairs of serial
-  // CPU seconds, recorder off vs on (both sinks: JSONL ledger, flushed
-  // per iteration, plus the in-memory series). Serial runs on the calling
-  // thread so CLOCK_THREAD_CPUTIME_ID captures the whole pipeline
-  // including the ledger's write syscalls; CPU time instead of wall
+  // CPU seconds, recorder off vs on (the JSONL ledger, flushed per
+  // iteration). Serial runs on the calling thread so
+  // CLOCK_THREAD_CPUTIME_ID captures the whole pipeline including the
+  // ledger's write syscalls; CPU time instead of wall
   // because a 3% budget is far below wall-clock scheduler noise on small
   // CI machines. Each rep measures an adjacent off/on pair and the gate
   // takes the minimum of the per-pair ratios: pairing cancels slow
@@ -225,7 +225,6 @@ int main(int argc, char** argv) {
     config.extract_threads = 1;
     const auto one_cpu = [&](bool record) {
       config.ledger_path = record ? ledger_path : std::string();
-      config.record_iterations = record;
       CpuTimer timer;
       const PipelineResult result =
           AdaptiveExtractionPipeline::Run(context, config);
@@ -243,7 +242,6 @@ int main(int argc, char** argv) {
       if (recorded == 0.0 || on < recorded) recorded = on;
     }
     config.ledger_path.clear();
-    config.record_iterations = false;
     if (!ratios.empty()) {
       recorder_overhead_ratio = *std::min_element(ratios.begin(), ratios.end());
     }

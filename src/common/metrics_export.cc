@@ -1,18 +1,13 @@
-// detlint: export-path — Prometheus text exposition for MetricsSnapshot /
-// MetricsRegistry. Machine-scraped output: every floating value goes
-// through AppendFormattedDouble (locale-independent, round-trip exact;
-// DESIGN.md §12), validated end-to-end by `tools/report.py
-// --validate-prom` in CI.
+// detlint: export-path — Prometheus text exposition for MetricsSnapshot.
+// Machine-scraped output: every floating value goes through
+// AppendFormattedDouble (locale-independent, round-trip exact; DESIGN.md
+// §12), validated end-to-end by `tools/report.py --validate-prom` in CI.
 //
 // Exposition shape (https://prometheus.io/docs/instrumenting/exposition_formats/):
 //   # TYPE ie_rerank_full_rescores counter
 //   ie_rerank_full_rescores 12
-//   # TYPE ie_pipeline_rank_seconds histogram
-//   ie_pipeline_rank_seconds_bucket{le="0.001"} 3     (cumulative)
-//   ie_pipeline_rank_seconds_bucket{le="+Inf"} 9
-//   ie_pipeline_rank_seconds_sum 0.42                 (mean · count)
-//   ie_pipeline_rank_seconds_count 9
-//   # TYPE ie_pipeline_rank_seconds_p50 gauge         (from Quantile())
+//   # TYPE ie_detector_modc_angle_degrees gauge
+//   ie_detector_modc_angle_degrees 1.5
 #include <cinttypes>
 #include <cstdio>
 #include <string>
@@ -63,13 +58,6 @@ void AppendDoubleSample(std::string* out, const std::string& name,
   *out += '\n';
 }
 
-void AppendQuantileGauge(std::string* out, const std::string& base,
-                         const char* suffix, double value) {
-  const std::string name = base + suffix;
-  AppendTypeLine(out, name, "gauge");
-  AppendDoubleSample(out, name, value);
-}
-
 }  // namespace
 
 void MetricsSnapshot::AppendPrometheus(std::string* out) const {
@@ -83,46 +71,12 @@ void MetricsSnapshot::AppendPrometheus(std::string* out) const {
     AppendTypeLine(out, pname, "gauge");
     AppendDoubleSample(out, pname, value);
   }
-  for (const HistogramSnapshot& h : histograms) {
-    const std::string pname = PrometheusName(h.name);
-    AppendTypeLine(out, pname, "histogram");
-    uint64_t cumulative = 0;
-    for (size_t b = 0; b < h.counts.size(); ++b) {
-      cumulative += h.counts[b];
-      // Zero-delta buckets below the top are elided (the default latency
-      // ladder is 22 buckets, mostly empty); cumulative counts keep the
-      // kept ones exact, and the mandatory +Inf bucket closes the series.
-      if (b + 1 < h.counts.size() && h.counts[b] == 0) continue;
-      *out += pname;
-      *out += "_bucket{le=\"";
-      if (b < h.bounds.size()) {
-        AppendFormattedDouble(out, h.bounds[b]);
-      } else {
-        *out += "+Inf";
-      }
-      *out += "\"}";
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), " %" PRIu64 "\n", cumulative);
-      *out += buf;
-    }
-    AppendDoubleSample(
-        out, pname + "_sum",
-        h.summary.mean() * static_cast<double>(h.summary.count()));
-    AppendUintSample(out, pname + "_count", h.summary.count());
-    AppendQuantileGauge(out, pname, "_p50", h.P50());
-    AppendQuantileGauge(out, pname, "_p90", h.P90());
-    AppendQuantileGauge(out, pname, "_p99", h.P99());
-  }
 }
 
 std::string MetricsSnapshot::ToPrometheus() const {
   std::string out;
   AppendPrometheus(&out);
   return out;
-}
-
-std::string MetricsRegistry::RenderPrometheus() const {
-  return Snapshot().ToPrometheus();
 }
 
 }  // namespace ie

@@ -1,6 +1,4 @@
-// Small statistics helpers shared by the evaluation harness, benches, and
-// the metrics layer (common/metrics.h uses RunningStats as the histogram
-// summary backbone: per-thread shards merge into one summary on snapshot).
+// Small statistics helpers shared by the evaluation harness and benches.
 #pragma once
 
 #include <algorithm>
@@ -11,9 +9,7 @@
 
 namespace ie {
 
-/// Online mean/variance accumulator (Welford) with min/max tracking and
-/// parallel merge (Chan et al.'s pairwise update), so per-thread
-/// accumulators can be combined without keeping raw samples.
+/// Online mean/variance accumulator (Welford) with min/max tracking.
 class RunningStats {
  public:
   void Add(double x) {
@@ -25,66 +21,8 @@ class RunningStats {
     max_ = std::max(max_, x);
   }
 
-  /// Combines another accumulator into this one; the result is as if every
-  /// sample of `other` had been Add()ed here (up to floating-point
-  /// reassociation in mean/m2; min/max and count are exact).
-  ///
-  /// Empty-side contract (exercised by tests/flight_recorder_test.cc):
-  /// merging an empty `other` is an exact no-op — this side's extrema are
-  /// never widened by the empty side's sentinels — and merging into an
-  /// empty *this adopts `other`'s moments and extrema exactly, bit for
-  /// bit, rather than funnelling them through the pairwise update.
-  void Merge(const RunningStats& other) {
-    if (other.n_ == 0) return;
-    if (n_ == 0) {
-      // Adopt every field explicitly: the pairwise algebra below would
-      // reproduce the moments, but min_/max_ must come from `other`
-      // directly (not from min/max against this side's ±inf sentinels,
-      // which a FromMoments round-trip is not guaranteed to preserve).
-      n_ = other.n_;
-      mean_ = other.mean_;
-      m2_ = other.m2_;
-      min_ = other.min_;
-      max_ = other.max_;
-      return;
-    }
-    const double na = static_cast<double>(n_);
-    const double nb = static_cast<double>(other.n_);
-    const double delta = other.mean_ - mean_;
-    const double total = na + nb;
-    mean_ += delta * nb / total;
-    m2_ += other.m2_ + delta * delta * na * nb / total;
-    n_ += other.n_;
-    min_ = std::min(min_, other.min_);
-    max_ = std::max(max_, other.max_);
-  }
-
-  /// Rebuilds an accumulator from raw moments (the metrics layer stores
-  /// shard moments in atomics and reconstitutes them on snapshot). With
-  /// n == 0 the min/max arguments are ignored entirely — the accumulator
-  /// keeps its empty-side sentinels so a later Merge stays exact. With
-  /// n > 0 the extrema are order-normalized: a histogram shard read
-  /// mid-update can transiently present min > max (its fields are
-  /// independent relaxed atomics), and propagating that inversion would
-  /// poison every downstream Merge's extrema.
-  static RunningStats FromMoments(size_t n, double mean, double m2,
-                                  double min, double max) {
-    RunningStats stats;
-    stats.n_ = n;
-    if (n > 0) {
-      stats.mean_ = mean;
-      stats.m2_ = std::max(m2, 0.0);
-      stats.min_ = std::min(min, max);
-      stats.max_ = std::max(min, max);
-    }
-    return stats;
-  }
-
   size_t count() const { return n_; }
   double mean() const { return mean_; }
-  /// Sum of squared deviations from the mean (Welford's M2; variance
-  /// numerator). Exposed so snapshot deltas can invert Merge().
-  double m2() const { return m2_; }
   /// Smallest/largest sample seen; 0 when empty (stable JSON output).
   double min() const { return n_ > 0 ? min_ : 0.0; }
   double max() const { return n_ > 0 ? max_ : 0.0; }

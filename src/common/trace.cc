@@ -54,15 +54,6 @@ void TraceBuffer::EndSpan(const char* name) {
   Append(name, 'E', 0.0);
 }
 
-void TraceBuffer::Instant(const char* name) {
-  const size_t size = size_.load(std::memory_order_relaxed);
-  if (size + open_spans_ + 1 > events_.size()) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    return;
-  }
-  Append(name, 'I', 0.0);
-}
-
 void TraceBuffer::CounterSample(const char* name, double value) {
   const size_t size = size_.load(std::memory_order_relaxed);
   if (size + open_spans_ + 1 > events_.size()) {

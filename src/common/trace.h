@@ -1,8 +1,8 @@
 // Low-overhead event tracing (DESIGN.md §10). Each thread records named
-// begin/end spans, instant events, and counter samples into its own
-// preallocated ring buffer (single-writer, release-published, so recording
-// is a clock read plus a couple of relaxed stores — no locks, no
-// allocation). Tracer::StopAndExport() merges all buffers into a Chrome
+// begin/end spans and counter samples into its own preallocated ring
+// buffer (single-writer, release-published, so recording is a clock read
+// plus a couple of relaxed stores — no locks, no allocation).
+// Tracer::StopAndExport() merges all buffers into a Chrome
 // `chrome://tracing` / Perfetto-compatible JSON file.
 //
 // Span balance is guaranteed by construction: BeginSpan() reserves space
@@ -12,8 +12,7 @@
 // at export time, so emitted traces always pass tools/check_trace.py.
 //
 // The IE_TRACE_* macros below are the only intended call sites; they check
-// a single atomic flag when tracing is inactive and compile to nothing
-// when IE_OBSERVABILITY is 0.
+// a single atomic flag when tracing is inactive.
 #pragma once
 
 #include <atomic>
@@ -22,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "common/metrics.h"  // IE_OBSERVABILITY
 #include "common/status.h"
 #include "common/sync.h"
 
@@ -30,7 +28,7 @@ namespace ie {
 
 struct TraceEvent {
   const char* name = nullptr;  // static-lifetime string (macro literal)
-  char phase = 'I';            // 'B' begin, 'E' end, 'I' instant, 'C' counter
+  char phase = 'B';            // 'B' begin, 'E' end, 'C' counter
   uint64_t ts_ns = 0;          // nanoseconds since Tracer::Start
   double value = 0.0;          // payload for 'C' events
 };
@@ -46,7 +44,6 @@ class TraceBuffer {
   /// EndSpan for unrecorded spans (TraceSpan handles this).
   bool BeginSpan(const char* name);
   void EndSpan(const char* name);
-  void Instant(const char* name);
   void CounterSample(const char* name, double value);
 
   uint32_t tid() const { return tid_; }
@@ -122,8 +119,6 @@ Status ExportChromeTrace(
     const std::vector<std::unique_ptr<TraceBuffer>>& buffers,
     size_t dropped_events, const std::string& path);
 
-#if IE_OBSERVABILITY
-
 /// RAII begin/end span; records nothing when tracing is inactive or the
 /// buffer is full (never leaves an unbalanced 'B').
 class TraceSpan {
@@ -150,13 +145,6 @@ class TraceSpan {
 
 namespace trace_internal {
 
-inline void RecordInstant(const char* name) {
-  Tracer& tracer = Tracer::Global();
-  if (!tracer.active()) return;
-  TraceBuffer* buffer = tracer.ThreadBuffer();
-  if (buffer != nullptr) buffer->Instant(name);
-}
-
 inline void RecordCounter(const char* name, double value) {
   Tracer& tracer = Tracer::Global();
   if (!tracer.active()) return;
@@ -174,27 +162,9 @@ inline void RecordCounter(const char* name, double value) {
 #define IE_TRACE_SCOPE(name) \
   ::ie::TraceSpan IE_TRACE_CONCAT(ie_trace_span_, __LINE__)(name)
 
-#define IE_TRACE_INSTANT(name) ::ie::trace_internal::RecordInstant(name)
-
 /// Time series sample ('C' phase): renders as a counter track in
 /// Perfetto, making queue depths and detector staleness plottable.
 #define IE_TRACE_COUNTER(name, value) \
   ::ie::trace_internal::RecordCounter(name, static_cast<double>(value))
-
-#else  // !IE_OBSERVABILITY
-
-/// No-op stand-in so direct RAII span uses compile in stripped builds.
-class TraceSpan {
- public:
-  explicit TraceSpan(const char* /*name*/) {}
-  TraceSpan(const TraceSpan&) = delete;
-  TraceSpan& operator=(const TraceSpan&) = delete;
-};
-
-#define IE_TRACE_SCOPE(name)
-#define IE_TRACE_INSTANT(name) do {} while (0)
-#define IE_TRACE_COUNTER(name, value) do {} while (0)
-
-#endif  // IE_OBSERVABILITY
 
 }  // namespace ie

@@ -2,7 +2,6 @@
 // "JSON Object Format" ({"traceEvents": [...]}) understood by
 // chrome://tracing and Perfetto's legacy importer:
 //   B/E  duration begin/end        {"name","ph","ts","pid","tid"}
-//   I    instant (thread-scoped)   + "s":"t"
 //   C    counter sample            + "args":{"value": v}
 // Timestamps are microseconds with sub-µs precision kept as decimals.
 // detlint: export-path — all floating values go through AppendJsonNumber
@@ -48,9 +47,7 @@ void AppendEvent(std::string* out, const TraceEvent& ev, uint32_t tid,
   out->append(buf);
   std::snprintf(buf, sizeof(buf), ", \"pid\": 1, \"tid\": %u", tid);
   out->append(buf);
-  if (ev.phase == 'I') {
-    out->append(", \"s\": \"t\"");
-  } else if (ev.phase == 'C') {
+  if (ev.phase == 'C') {
     out->append(", \"args\": {\"value\": ");
     AppendJsonNumber(out, ev.value);
     out->append("}");

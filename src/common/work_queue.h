@@ -1,9 +1,8 @@
-// Small threading primitives for the speculative extraction executor
-// (pipeline/extract_executor.*), alongside ParallelFor in parallel.h:
-// a closable MPMC work queue and a countdown latch. Both are mutex +
-// condition-variable based — the executor's unit of work (one document's
-// extraction) is orders of magnitude heavier than a lock handoff, so
-// lock-free machinery would buy nothing here.
+// The speculative extraction executor's work queue
+// (pipeline/extract_executor.*), alongside ParallelFor in parallel.h: a
+// closable MPMC queue, mutex + condition-variable based — the executor's
+// unit of work (one document's extraction) is orders of magnitude heavier
+// than a lock handoff, so lock-free machinery would buy nothing here.
 //
 // Lock discipline is stated with the capability annotations from
 // common/sync.h and proved at compile time under the `thread-safety`
@@ -13,13 +12,10 @@
 // be called from a context already holding the queue's own lock.
 #pragma once
 
-#include <chrono>
 #include <cstddef>
-#include <cstdint>
 #include <deque>
 #include <utility>
 
-#include "common/metrics.h"
 #include "common/sync.h"
 
 namespace ie {
@@ -28,9 +24,6 @@ namespace ie {
 /// semantics: Pop blocks until an item arrives or the queue is closed and
 /// drained. Push after Close rejects the item (returns false) — shutdown
 /// races are benign, but the producer can observe the rejection.
-///
-/// With set_latency_histogram() the queue records each item's
-/// enqueue-to-dequeue latency (seconds); without it no clocks are read.
 template <typename T>
 class WorkQueue {
  public:
@@ -40,8 +33,7 @@ class WorkQueue {
     {
       MutexLock lock(mu_);
       if (closed_) return false;
-      items_.push_back(
-          Slot{std::move(item), latency_hist_ != nullptr ? NowNs() : 0});
+      items_.push_back(std::move(item));
     }
     cv_.NotifyOne();
     return true;
@@ -50,18 +42,11 @@ class WorkQueue {
   /// Blocks for the next item. Returns false when the queue is closed and
   /// empty (the consumer should exit).
   bool Pop(T* out) EXCLUDES(mu_) {
-    uint64_t enqueue_ns = 0;
-    {
-      MutexLock lock(mu_);
-      while (!closed_ && items_.empty()) cv_.Wait(mu_);
-      if (items_.empty()) return false;
-      *out = std::move(items_.front().item);
-      enqueue_ns = items_.front().enqueue_ns;
-      items_.pop_front();
-    }
-    if (latency_hist_ != nullptr && enqueue_ns != 0) {
-      latency_hist_->Observe(static_cast<double>(NowNs() - enqueue_ns) * 1e-9);
-    }
+    MutexLock lock(mu_);
+    while (!closed_ && items_.empty()) cv_.Wait(mu_);
+    if (items_.empty()) return false;
+    *out = std::move(items_.front());
+    items_.pop_front();
     return true;
   }
 
@@ -72,7 +57,7 @@ class WorkQueue {
     MutexLock lock(mu_);
     size_t removed = 0;
     for (auto it = items_.begin(); it != items_.end();) {
-      if (pred(it->item)) {
+      if (pred(*it)) {
         it = items_.erase(it);
         ++removed;
       } else {
@@ -95,57 +80,11 @@ class WorkQueue {
     return items_.size();
   }
 
-  /// Arms enqueue-to-dequeue latency recording into `hist` (seconds).
-  /// `hist` must outlive the queue; call before producers/consumers start
-  /// (the pointer itself is not synchronized, only the instrument is).
-  void set_latency_histogram(Histogram* hist) { latency_hist_ = hist; }
-
  private:
-  struct Slot {
-    T item;
-    uint64_t enqueue_ns;
-  };
-
-  static uint64_t NowNs() {
-    return static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now().time_since_epoch())
-            .count());
-  }
-
   mutable Mutex mu_;
   CondVar cv_;
-  std::deque<Slot> items_ GUARDED_BY(mu_);
+  std::deque<T> items_ GUARDED_BY(mu_);
   bool closed_ GUARDED_BY(mu_) = false;
-  Histogram* latency_hist_ = nullptr;  // set before threads start; unguarded
-};
-
-/// Single-use countdown latch (C++17 stand-in for std::latch): Wait blocks
-/// until CountDown has been called `count` times. Further CountDowns are
-/// benign no-ops and never re-arm the latch; once released, every Wait —
-/// including repeated Waits from the same thread — returns immediately.
-class Latch {
- public:
-  explicit Latch(size_t count) : count_(count) {}
-
-  void CountDown() EXCLUDES(mu_) {
-    bool released = false;
-    {
-      MutexLock lock(mu_);
-      if (count_ > 0 && --count_ == 0) released = true;
-    }
-    if (released) cv_.NotifyAll();
-  }
-
-  void Wait() EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    while (count_ > 0) cv_.Wait(mu_);
-  }
-
- private:
-  Mutex mu_;
-  CondVar cv_;
-  size_t count_ GUARDED_BY(mu_);
 };
 
 }  // namespace ie

@@ -14,10 +14,6 @@ ExtractExecutor::ExtractExecutor(WorkFn work, ExtractExecutorOptions options)
     : work_(std::move(work)), options_(options) {
   IE_CHECK(work_ != nullptr);
   if (options_.prefetch_window == 0) options_.prefetch_window = 1;
-#if IE_OBSERVABILITY
-  queue_.set_latency_histogram(&MetricsRegistry::Global().GetHistogram(
-      "executor.queue_latency_seconds"));
-#endif
   if (options_.threads > 1) {
     workers_.reserve(options_.threads);
     for (size_t t = 0; t < options_.threads; ++t) {
@@ -53,7 +49,6 @@ void ExtractExecutor::WorkerLoop() {
       error = std::current_exception();
     }
     const double cpu = timer.ElapsedSeconds();
-    IE_METRIC_HIST_OBSERVE("executor.task_seconds", cpu);
     {
       MutexLock lock(mu_);
       auto it = cache_.find(doc);
@@ -120,7 +115,6 @@ LabeledExample ExtractExecutor::Take(DocId doc) {
   CpuTimer timer;
   LabeledExample result = work_(doc);
   const double cpu = timer.ElapsedSeconds();
-  IE_METRIC_HIST_OBSERVE("executor.task_seconds", cpu);
   {
     MutexLock lock(mu_);
     stats_.inline_cpu_seconds += cpu;

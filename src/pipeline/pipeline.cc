@@ -105,7 +105,7 @@ std::vector<SparseVector> FeaturizePool(const Corpus& corpus,
 CompactIndex BuildPoolIndex(const Corpus& corpus,
                             const std::vector<DocId>& pool) {
   CompactIndex index;
-  for (DocId id : pool) {
+  for (DocId id : DistinctPool(pool)) {
     IE_CHECK(index.Add(corpus.doc(id)).ok());
   }
   index.Finalize();
@@ -180,8 +180,7 @@ class ExtractionSession {
         window_(executor_.speculative()
                     ? std::max<size_t>(1, config.prefetch_window)
                     : 1),
-        recorder_({.ledger_path = config.ledger_path,
-                   .record_series = config.record_iterations}) {
+        recorder_(config.ledger_path) {
     result_.pool_size = pool_.size();
     result_.pool_useful = context.outcomes->CountUseful(pool_);
     // Attribute-feature ids are interned on first use; with speculative
@@ -216,9 +215,6 @@ class ExtractionSession {
     result_.speculative_cancelled = stats.cancelled;
     result_.full_rescores = engine_->stats().full_rescores;
     recorder_.EndRun(result_);
-#if IE_OBSERVABILITY
-    result_.iterations = recorder_.TakeSeries();
-#endif
     result_.final_model_features = ranker_->NonZeroFeatureCount();
     // Final model snapshot, id-sorted (ForEachNonZero walks the dense
     // weight array in id order): the determinism golden test hashes this
@@ -430,11 +426,9 @@ class ExtractionSession {
     CpuTimer cpu_timer;
     WallTimer wall_timer;
     engine_->Rerank();
-    const double seconds = config_.scoring_threads > 1
-                               ? wall_timer.ElapsedSeconds()
-                               : cpu_timer.ElapsedSeconds();
-    result_.ranking_cpu_seconds += seconds;
-    IE_METRIC_HIST_OBSERVE("pipeline.rank_seconds", seconds);
+    result_.ranking_cpu_seconds += config_.scoring_threads > 1
+                                       ? wall_timer.ElapsedSeconds()
+                                       : cpu_timer.ElapsedSeconds();
   }
 
   /// Candidates found before the engine exists are staged; later ones

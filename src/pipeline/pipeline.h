@@ -76,21 +76,14 @@ struct PipelineConfig {
   /// When non-empty, the run records begin/end spans + counter tracks into
   /// the global Tracer and writes a Chrome-trace/Perfetto JSON here
   /// (validate with tools/check_trace.py). Skipped with a warning if
-  /// another trace session is already active. No-op when IE_OBSERVABILITY
-  /// is compiled out.
+  /// another trace session is already active.
   std::string trace_path;
 
   /// Flight recorder (DESIGN.md §15; pipeline/recorder.h). When non-empty,
   /// every processed document appends one JSONL line to this path, flushed
   /// per line — a crashed run's ledger stays parseable up to the crash.
-  /// Validate/render/diff with tools/report.py. No-op when
-  /// IE_OBSERVABILITY is compiled out.
+  /// Validate/render/diff with tools/report.py.
   std::string ledger_path;
-  /// Retain the per-iteration flight-recorder series in
-  /// PipelineResult::iterations (bounded, deterministic downsampling; see
-  /// common/timeseries.h). No-op — and the result member does not exist —
-  /// when IE_OBSERVABILITY is compiled out.
-  bool record_iterations = false;
 
   /// Builds a config with per-ranker detector defaults. Mod-C α keeps the
   /// paper's ordering (BAgg-IE above RSVM-IE; paper: 30° vs 5°) at
@@ -141,8 +134,9 @@ std::vector<SparseVector> FeaturizePool(const Corpus& corpus,
                                         size_t threads = 1);
 
 /// Builds the search index over the pool documents: the one place that
-/// decides which backend serves retrieval. Returns a finalized
-/// CompactIndex, ready to search.
+/// decides which backend serves retrieval. A document the pool names more
+/// than once is indexed once (DistinctPool, like Run()). Returns a
+/// finalized CompactIndex, ready to search.
 CompactIndex BuildPoolIndex(const Corpus& corpus,
                             const std::vector<DocId>& pool);
 

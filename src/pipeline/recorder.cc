@@ -8,10 +8,9 @@
 //   {"type":"end",...run totals...}                   absent if crashed
 #include "pipeline/recorder.h"
 
-#if IE_OBSERVABILITY
-
 #include <algorithm>
 #include <charconv>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/string_util.h"
@@ -66,13 +65,13 @@ void AppendKeyDouble(std::string* out, const char* key, double value) {
 
 }  // namespace
 
-PipelineRecorder::PipelineRecorder(Options options)
-    : options_(std::move(options)), ring_(options_.series_capacity) {
-  if (options_.ledger_path.empty()) return;
-  ledger_ = std::fopen(options_.ledger_path.c_str(), "wb");
+PipelineRecorder::PipelineRecorder(std::string ledger_path)
+    : ledger_path_(std::move(ledger_path)) {
+  if (ledger_path_.empty()) return;
+  ledger_ = std::fopen(ledger_path_.c_str(), "wb");
   if (ledger_ == nullptr) {
-    IE_LOG(kWarn) << "flight recorder: cannot open ledger '"
-                  << options_.ledger_path << "'; ledger disabled";
+    IE_LOG(kWarn) << "flight recorder: cannot open ledger '" << ledger_path_
+                  << "'; ledger disabled";
   }
 }
 
@@ -90,8 +89,8 @@ void PipelineRecorder::WriteLedgerLine() {
       std::fwrite(line_.data(), 1, line_.size(), ledger_) == line_.size() &&
       std::fflush(ledger_) == 0;
   if (!ok) {
-    IE_LOG(kWarn) << "flight recorder: write to ledger '"
-                  << options_.ledger_path << "' failed; ledger disabled";
+    IE_LOG(kWarn) << "flight recorder: write to ledger '" << ledger_path_
+                  << "' failed; ledger disabled";
     std::fclose(ledger_);
     ledger_ = nullptr;
   }
@@ -121,41 +120,34 @@ void PipelineRecorder::RecordIteration(IterationRecord record) {
   record.useful_total = useful_total_;
   record.useful_rate = static_cast<double>(useful_total_) /
                        static_cast<double>(record.index + 1);
-  if (ledger_ != nullptr) {
-    line_ = "{\"type\":\"iter\"";
-    AppendKeyUint(&line_, "i", record.index + 1);
-    AppendKeyUint(&line_, "doc", record.doc);
-    AppendKeyString(&line_, "phase", IterationPhaseName(record.phase));
-    AppendKeyUint(&line_, "useful", record.useful ? 1 : 0);
-    AppendKeyUint(&line_, "useful_total", record.useful_total);
-    AppendKeyDouble(&line_, "useful_rate", record.useful_rate);
-    AppendKeyDouble(&line_, "stat", record.detector_statistic);
-    AppendKeyUint(&line_, "retrain", record.retrained ? 1 : 0);
-    if (record.retrained) {
-      AppendKeyDouble(&line_, "dw", record.weight_delta_norm);
-      line_ += ",\"dw_c\":[";
-      for (size_t c = 0; c < record.component_delta_norms.size(); ++c) {
-        if (c > 0) line_.push_back(',');
-        AppendJsonNumber(&line_, record.component_delta_norms[c]);
-      }
-      line_.push_back(']');
+  if (ledger_ == nullptr) return;
+  line_ = "{\"type\":\"iter\"";
+  AppendKeyUint(&line_, "i", record.index + 1);
+  AppendKeyUint(&line_, "doc", record.doc);
+  AppendKeyString(&line_, "phase", IterationPhaseName(record.phase));
+  AppendKeyUint(&line_, "useful", record.useful ? 1 : 0);
+  AppendKeyUint(&line_, "useful_total", record.useful_total);
+  AppendKeyDouble(&line_, "useful_rate", record.useful_rate);
+  AppendKeyDouble(&line_, "stat", record.detector_statistic);
+  AppendKeyUint(&line_, "retrain", record.retrained ? 1 : 0);
+  if (record.retrained) {
+    AppendKeyDouble(&line_, "dw", record.weight_delta_norm);
+    line_ += ",\"dw_c\":[";
+    for (size_t c = 0; c < record.component_delta_norms.size(); ++c) {
+      if (c > 0) line_.push_back(',');
+      AppendJsonNumber(&line_, record.component_delta_norms[c]);
     }
-    AppendKeyUint(&line_, "full_rescores", record.full_rescores);
-    AppendKeyUint(&line_, "hits", record.executor_hits);
-    AppendKeyUint(&line_, "waits", record.executor_waits);
-    AppendKeyUint(&line_, "misses", record.executor_misses);
-    AppendKeyUint(&line_, "cancelled", record.executor_cancelled);
-    AppendKeyUint(&line_, "queue", record.queue_depth);
-    AppendKeyUint(&line_, "arena", record.arena_bytes);
-    line_.push_back('}');
-    WriteLedgerLine();
+    line_.push_back(']');
   }
-  if (options_.record_series) {
-    ring_.Append([&record](uint64_t index) {
-      record.index = index;
-      return std::move(record);
-    });
-  }
+  AppendKeyUint(&line_, "full_rescores", record.full_rescores);
+  AppendKeyUint(&line_, "hits", record.executor_hits);
+  AppendKeyUint(&line_, "waits", record.executor_waits);
+  AppendKeyUint(&line_, "misses", record.executor_misses);
+  AppendKeyUint(&line_, "cancelled", record.executor_cancelled);
+  AppendKeyUint(&line_, "queue", record.queue_depth);
+  AppendKeyUint(&line_, "arena", record.arena_bytes);
+  line_.push_back('}');
+  WriteLedgerLine();
 }
 
 void PipelineRecorder::EndRun(const PipelineResult& result) {
@@ -180,5 +172,3 @@ void PipelineRecorder::EndRun(const PipelineResult& result) {
 }
 
 }  // namespace ie
-
-#endif  // IE_OBSERVABILITY

@@ -4,27 +4,16 @@
 // detector's drift statistic and retrain decision, exact per-component
 // ‖Δw‖ at updates, the re-rank engine's scoring-pass count, executor
 // hit/wait/miss/cancel totals, speculative queue depth, and process arena
-// bytes — and the recorder fans it out to two sinks:
-//
-//   1. a crash-safe JSONL run ledger (one line per iteration, flushed per
-//      line, so a partial file is parseable up to the crash point; schema
-//      in DESIGN.md §15, validated by tools/report.py --validate), and
-//   2. a bounded in-memory series (SampledRing, common/timeseries.h)
-//      surfaced as PipelineResult::iterations for in-process consumers.
-//
-// In IE_OBSERVABILITY=0 builds the recorder is an inert stub and the
-// PipelineResult member does not exist — zero size and zero work, like the
-// rest of the observability layer.
+// bytes — and the recorder writes it to a crash-safe JSONL run ledger
+// (one line per iteration, flushed per line, so a partial file is
+// parseable up to the crash point; schema in DESIGN.md §15, validated by
+// tools/report.py --validate).
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
 #include <string>
-#include <utility>
 #include <vector>
-
-#include "common/metrics.h"  // IE_OBSERVABILITY
-#include "common/timeseries.h"
 
 namespace ie {
 
@@ -46,7 +35,7 @@ inline const char* IterationPhaseName(IterationPhase phase) {
 
 /// One iteration's telemetry. Counter-like fields are cumulative over the
 /// run (monotone non-decreasing across records — the ledger validator
-/// checks this), so a downsampled series still reconstructs totals.
+/// checks this).
 struct IterationRecord {
   /// 0-based iteration index == position in PipelineResult's
   /// processing_order (the ledger's "i" field is this plus 1).
@@ -79,33 +68,25 @@ struct IterationRecord {
 struct PipelineConfig;  // pipeline/pipeline.h
 struct PipelineResult;  // pipeline/result.h
 
-#if IE_OBSERVABILITY
-
 class PipelineRecorder {
  public:
-  struct Options {
-    /// JSONL ledger destination; empty disables the ledger sink.
-    std::string ledger_path;
-    /// Retain the in-memory downsampled series (TakeSeries()).
-    bool record_series = false;
-    size_t series_capacity = 512;
-  };
-
-  explicit PipelineRecorder(Options options);
+  /// `ledger_path` is the JSONL ledger destination; empty disables the
+  /// recorder.
+  explicit PipelineRecorder(std::string ledger_path);
   ~PipelineRecorder();
 
   PipelineRecorder(const PipelineRecorder&) = delete;
   PipelineRecorder& operator=(const PipelineRecorder&) = delete;
 
-  /// False when neither sink is enabled — callers skip sampling entirely.
-  bool active() const { return ledger_ != nullptr || options_.record_series; }
+  /// False when the ledger is not open — callers skip sampling entirely.
+  bool active() const { return ledger_ != nullptr; }
 
   /// Writes the ledger header line (the run's config, and `pool_size`
   /// distinct pool documents). Call once, before any iteration.
   void BeginRun(const PipelineConfig& config, size_t pool_size);
 
-  /// Appends one iteration to both sinks. `record.index`, `useful_total`
-  /// and `useful_rate` are assigned here (call order defines the iteration
+  /// Appends one iteration. `record.index`, `useful_total` and
+  /// `useful_rate` are assigned here (call order defines the iteration
   /// order); the ledger line is flushed before returning, so it survives a
   /// crash of the very next iteration.
   void RecordIteration(IterationRecord record);
@@ -115,50 +96,17 @@ class PipelineRecorder {
   /// parseable, flagged by the validator.
   void EndRun(const PipelineResult& result);
 
-  /// The retained downsampled series, ascending by index (empty unless
-  /// Options::record_series). Leaves the recorder's series empty.
-  std::vector<IterationRecord> TakeSeries() { return ring_.TakeSamples(); }
-
   /// Iterations recorded so far.
   uint64_t iterations() const { return iterations_; }
 
  private:
   void WriteLedgerLine();  // writes + flushes line_, with failure latching
 
-  Options options_;
-  SampledRing<IterationRecord> ring_;
+  const std::string ledger_path_;
   uint64_t iterations_ = 0;
   uint64_t useful_total_ = 0;
   std::FILE* ledger_ = nullptr;
   std::string line_;  // reused per-line buffer
 };
-
-#else  // !IE_OBSERVABILITY
-
-/// Inert flight recorder: every member compiles to nothing, mirroring the
-/// IE_METRIC_*/IE_TRACE_* macros. PipelineResult has no `iterations`
-/// member in this configuration (see pipeline/result.h).
-class PipelineRecorder {
- public:
-  struct Options {
-    std::string ledger_path;
-    bool record_series = false;
-    size_t series_capacity = 512;
-  };
-
-  explicit PipelineRecorder(Options) {}
-
-  PipelineRecorder(const PipelineRecorder&) = delete;
-  PipelineRecorder& operator=(const PipelineRecorder&) = delete;
-
-  bool active() const { return false; }
-  void BeginRun(const PipelineConfig&, size_t) {}
-  void RecordIteration(IterationRecord) {}
-  void EndRun(const PipelineResult&) {}
-  std::vector<IterationRecord> TakeSeries() { return {}; }
-  uint64_t iterations() const { return 0; }
-};
-
-#endif  // IE_OBSERVABILITY
 
 }  // namespace ie

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "common/metrics.h"
-#include "pipeline/recorder.h"
 #include "text/document.h"
 
 namespace ie {
@@ -49,19 +48,9 @@ struct PipelineResult {
   double ranking_cpu_seconds = 0.0;
 
   /// This run's delta of the process-wide metrics registry
-  /// (common/metrics.h): the counters, gauges and latency histograms the
-  /// IE_METRIC_* macros recorded during the run (none when
-  /// IE_OBSERVABILITY is 0).
+  /// (common/metrics.h): the counters and gauges the IE_METRIC_* macros
+  /// recorded during the run.
   MetricsSnapshot metrics;
-
-#if IE_OBSERVABILITY
-  /// Flight-recorder series (DESIGN.md §15): one IterationRecord per
-  /// processed document, deterministically downsampled to the recorder's
-  /// series capacity. Empty unless PipelineConfig::record_iterations. The
-  /// member is compiled out entirely in obs-off builds — zero size cost;
-  /// tests assert its absence with a requires-expression.
-  std::vector<IterationRecord> iterations;
-#endif  // IE_OBSERVABILITY
 
   /// Re-rank engine telemetry (RerankStats, pipeline/rerank_engine.h):
   /// scoring passes over the pending pool, one per re-rank.

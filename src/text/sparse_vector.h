@@ -98,11 +98,6 @@ class SparseVector {
   double L2Norm() const;
   double L1Norm() const;
 
-  /// Largest feature id + 1; 0 when empty.
-  uint32_t DimensionBound() const {
-    return ids_.empty() ? 0 : ids_.back() + 1;
-  }
-
   /// Scales all values in place.
   void Scale(float factor);
 

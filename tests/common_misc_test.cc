@@ -91,51 +91,6 @@ TEST(RunningStatsTest, TracksMinAndMax) {
   EXPECT_DOUBLE_EQ(stats.max(), 9.0);
 }
 
-TEST(RunningStatsTest, MergeMatchesSequentialAdd) {
-  const std::vector<double> xs = {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0};
-  RunningStats all;
-  for (double x : xs) all.Add(x);
-  RunningStats a, b;
-  for (size_t i = 0; i < xs.size(); ++i) (i < 3 ? a : b).Add(xs[i]);
-  a.Merge(b);
-  EXPECT_EQ(a.count(), all.count());
-  EXPECT_NEAR(a.mean(), all.mean(), 1e-12);
-  EXPECT_NEAR(a.variance(), all.variance(), 1e-12);
-  EXPECT_DOUBLE_EQ(a.min(), all.min());
-  EXPECT_DOUBLE_EQ(a.max(), all.max());
-}
-
-TEST(RunningStatsTest, MergeWithEmptySides) {
-  RunningStats empty, filled;
-  filled.Add(1.0);
-  filled.Add(3.0);
-  RunningStats lhs = filled;
-  lhs.Merge(empty);  // no-op
-  EXPECT_EQ(lhs.count(), 2u);
-  EXPECT_DOUBLE_EQ(lhs.mean(), 2.0);
-  RunningStats rhs = empty;
-  rhs.Merge(filled);  // adopt
-  EXPECT_EQ(rhs.count(), 2u);
-  EXPECT_DOUBLE_EQ(rhs.mean(), 2.0);
-  EXPECT_DOUBLE_EQ(rhs.min(), 1.0);
-  EXPECT_DOUBLE_EQ(rhs.max(), 3.0);
-}
-
-TEST(RunningStatsTest, FromMomentsRoundTrips) {
-  RunningStats stats;
-  for (double x : {1.0, 2.0, 6.0}) stats.Add(x);
-  const RunningStats rebuilt = RunningStats::FromMoments(
-      stats.count(), stats.mean(), stats.m2(), stats.min(), stats.max());
-  EXPECT_EQ(rebuilt.count(), stats.count());
-  EXPECT_DOUBLE_EQ(rebuilt.mean(), stats.mean());
-  EXPECT_DOUBLE_EQ(rebuilt.variance(), stats.variance());
-  EXPECT_DOUBLE_EQ(rebuilt.min(), stats.min());
-  EXPECT_DOUBLE_EQ(rebuilt.max(), stats.max());
-  // Negative m2 (float drift in shard merges) clamps to zero variance.
-  EXPECT_DOUBLE_EQ(
-      RunningStats::FromMoments(3, 1.0, -1e-18, 0.0, 2.0).variance(), 0.0);
-}
-
 TEST(MeanStdDevTest, VectorHelpers) {
   EXPECT_DOUBLE_EQ(Mean({1.0, 2.0, 3.0}), 2.0);
   EXPECT_DOUBLE_EQ(Mean({}), 0.0);

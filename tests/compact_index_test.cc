@@ -292,6 +292,26 @@ TEST_F(CompactIndexTest, SharedCorpusPoolEquivalenceAndCompression) {
   EXPECT_LT(compact.PostingsBytes(), inverted.PostingsBytes());
 }
 
+// A pool that names a document more than once indexes it once, as Run()
+// processes it once; CompactIndex::Add rejects a second Add of one id.
+TEST(BuildPoolIndexTest, DuplicatedPoolIdsIndexTheDistinctPool) {
+  const Corpus& corpus = test::SharedCorpus();
+  const std::vector<DocId>& distinct = corpus.splits().test;
+  std::vector<DocId> pool = distinct;
+  pool.insert(pool.end(), distinct.begin(), distinct.begin() + 10);
+  pool.insert(pool.begin(), distinct.back());
+  const CompactIndex expected = BuildPoolIndex(corpus, distinct);
+  const CompactIndex actual = BuildPoolIndex(corpus, pool);
+  EXPECT_EQ(actual.NumDocs(), distinct.size());
+  EXPECT_EQ(actual.NumPostings(), expected.NumPostings());
+  for (const char* query : {"courtroom trial fraud prosecutor", "volcano",
+                            "storm damage", "charged with fraud"}) {
+    ExpectSameHits(expected.SearchText(query, corpus.vocab(), 50),
+                   actual.SearchText(query, corpus.vocab(), 50),
+                   std::string("duplicated pool query '") + query + "'");
+  }
+}
+
 // --- pipeline-level equivalence: the PR 6 golden-hash matrix -------------
 //
 // Runs the full adaptive pipeline over the golden matrix cells with the

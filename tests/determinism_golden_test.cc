@@ -16,14 +16,22 @@
 //      format changes). The pins assume one floating environment; on a
 //      toolchain with a different libm set IE_GOLDEN_SKIP_PIN=1 to keep
 //      layer 1 while skipping layer 2, and re-pin deliberately.
+//
+// The baselines (FC, A-FC, QXtract) have no thread axis: their layer 1 is
+// a repeat of the same run, and layer 2 pins them over both samplers.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <string>
+#include <vector>
 
 #include "common/string_util.h"
+#include "pipeline/factcrawl_pipeline.h"
 #include "pipeline/pipeline.h"
+#include "pipeline/qxtract_pipeline.h"
 #include "test_util.h"
 
 namespace ie {
@@ -93,6 +101,27 @@ std::string RunDigest(const SharedContext& context,
   return d.Hex();
 }
 
+/// Layer 2: the digest must equal its pin unless IE_GOLDEN_SKIP_PIN is set.
+void ExpectPinned(const std::string& digest, const char* pinned) {
+  if (std::getenv("IE_GOLDEN_SKIP_PIN") != nullptr) {
+    GTEST_LOG_(INFO) << "IE_GOLDEN_SKIP_PIN set; computed digest " << digest;
+    return;
+  }
+  EXPECT_EQ(digest, pinned)
+      << "golden digest drifted — if the change is intentional, re-pin "
+         "with the digest above (see DESIGN.md §12)";
+}
+
+/// Number of `"type":"iter"` lines in the ledger at `path`.
+size_t LedgerIterLines(const std::string& path) {
+  std::ifstream in(path);
+  size_t n = 0;
+  for (std::string line; std::getline(in, line);) {
+    n += line.find("\"type\":\"iter\"") != std::string::npos ? 1 : 0;
+  }
+  return n;
+}
+
 struct GoldenCase {
   RankerKind ranker;
   uint64_t seed;
@@ -110,14 +139,18 @@ TEST_P(DeterminismGoldenTest, ByteStableAcrossThreadsAndPinned) {
       param.ranker, SamplerKind::kSRS, UpdateKind::kModC, param.seed);
   config.sample_size = 120;
   // The flight recorder is a passive observer: running with it on must
-  // reproduce the pinned digests bit for bit (inert no-op in obs-off).
-  config.record_iterations = true;
+  // reproduce the pinned digests bit for bit.
+  config.ledger_path = ::testing::TempDir() + "golden_" +
+                       RankerKindName(param.ranker) + "_" +
+                       std::to_string(param.seed) + ".jsonl";
 
   std::string first;
   for (size_t threads : {1u, 2u, 8u}) {
     config.extract_threads = threads;
     const PipelineResult result =
         AdaptiveExtractionPipeline::Run(context, config);
+    EXPECT_EQ(LedgerIterLines(config.ledger_path),
+              result.processing_order.size());
     ASSERT_FALSE(result.final_weights.empty());
     // final_weights must arrive id-sorted: the facade guarantee.
     for (size_t i = 1; i < result.final_weights.size(); ++i) {
@@ -132,14 +165,8 @@ TEST_P(DeterminismGoldenTest, ByteStableAcrossThreadsAndPinned) {
           << "digest diverged at extract_threads=" << threads;
     }
   }
-
-  if (std::getenv("IE_GOLDEN_SKIP_PIN") != nullptr) {
-    GTEST_LOG_(INFO) << "IE_GOLDEN_SKIP_PIN set; computed digest " << first;
-    return;
-  }
-  EXPECT_EQ(first, param.pinned)
-      << "golden digest drifted — if the change is intentional, re-pin "
-         "with the digest above (see DESIGN.md §12)";
+  std::remove(config.ledger_path.c_str());
+  ExpectPinned(first, param.pinned);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -149,6 +176,98 @@ INSTANTIATE_TEST_SUITE_P(
         GoldenCase{RankerKind::kRSVMIE, 7, "117e9de66fedc05a"},
         GoldenCase{RankerKind::kBAggIE, 1, "e49e16915087925a"},
         GoldenCase{RankerKind::kBAggIE, 7, "7e3674ddc89acdb3"}));
+
+enum class Baseline { kFC, kAFC, kQXtract };
+
+const char* BaselineName(Baseline baseline) {
+  switch (baseline) {
+    case Baseline::kFC:
+      return "FC";
+    case Baseline::kAFC:
+      return "AFC";
+    case Baseline::kQXtract:
+      return "QXtract";
+  }
+  return "?";
+}
+
+struct BaselineCase {
+  Baseline baseline;
+  SamplerKind sampler;
+  uint64_t seed;
+  /// Expected digest; pinned from the reference toolchain.
+  const char* pinned;
+};
+
+PipelineResult RunBaseline(const SharedContext& context,
+                           const BaselineCase& param) {
+  if (param.baseline == Baseline::kQXtract) {
+    QXtractConfig config;
+    config.sampler = param.sampler;
+    config.sample_size = 120;
+    config.seed = param.seed;
+    return QXtractPipeline::Run(context, config);
+  }
+  FactCrawlConfig config;
+  config.adaptive = param.baseline == Baseline::kAFC;
+  config.sampler = param.sampler;
+  config.sample_size = 120;
+  config.seed = param.seed;
+  return FactCrawlPipeline::Run(context, config);
+}
+
+class BaselineGoldenTest : public ::testing::TestWithParam<BaselineCase> {};
+
+TEST_P(BaselineGoldenTest, RepeatableAndPinned) {
+  const BaselineCase param = GetParam();
+  SharedContext context = test::MakeSharedContext(RelationId::kPersonCharge);
+  const std::vector<std::string> queries = {"courtroom", "trial", "fraud",
+                                            "prosecutor"};
+  context.cqs_queries = &queries;
+
+  const PipelineResult result = RunBaseline(context, param);
+  ASSERT_EQ(result.processing_order.size(), result.pool_size);
+  EXPECT_TRUE(result.final_weights.empty());  // no learned model
+  // Only A-FC re-ranks, so only its pins cover update positions.
+  EXPECT_EQ(result.NumUpdates() > 0, param.baseline == Baseline::kAFC);
+  const std::string digest = RunDigest(context, result);
+  EXPECT_EQ(RunDigest(context, RunBaseline(context, param)), digest)
+      << "a repeated run diverged";
+  ExpectPinned(digest, param.pinned);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BaselinesSamplersAndSeeds, BaselineGoldenTest,
+    ::testing::Values(
+        BaselineCase{Baseline::kFC, SamplerKind::kSRS, 1,
+                     "c0df88f2ca2cd3ad"},
+        BaselineCase{Baseline::kFC, SamplerKind::kSRS, 7,
+                     "48c0e50c1dbe57be"},
+        BaselineCase{Baseline::kFC, SamplerKind::kCQS, 1,
+                     "57e894a8decb884f"},
+        BaselineCase{Baseline::kFC, SamplerKind::kCQS, 7,
+                     "ce394d118798b53a"},
+        BaselineCase{Baseline::kAFC, SamplerKind::kSRS, 1,
+                     "d47f4a903bf61102"},
+        BaselineCase{Baseline::kAFC, SamplerKind::kSRS, 7,
+                     "354c161be2b892ef"},
+        BaselineCase{Baseline::kAFC, SamplerKind::kCQS, 1,
+                     "20630e325143c2e5"},
+        BaselineCase{Baseline::kAFC, SamplerKind::kCQS, 7,
+                     "28d010a733b94079"},
+        BaselineCase{Baseline::kQXtract, SamplerKind::kSRS, 1,
+                     "3c9465b25ff732e2"},
+        BaselineCase{Baseline::kQXtract, SamplerKind::kSRS, 7,
+                     "d99f2332bd9dce50"},
+        BaselineCase{Baseline::kQXtract, SamplerKind::kCQS, 1,
+                     "6b9743e370965a94"},
+        BaselineCase{Baseline::kQXtract, SamplerKind::kCQS, 7,
+                     "463342d9842a3720"}),
+    [](const ::testing::TestParamInfo<BaselineCase>& info) {
+      return std::string(BaselineName(info.param.baseline)) + "_" +
+             SamplerKindName(info.param.sampler) + "_seed" +
+             std::to_string(info.param.seed);
+    });
 
 }  // namespace
 }  // namespace ie

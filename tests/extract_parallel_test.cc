@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <latch>
 #include <set>
 #include <thread>
 #include <vector>
@@ -134,66 +135,6 @@ TEST(WorkQueueTest, ConcurrentPushVsCloseNeverLosesAcceptedItems) {
   }
 }
 
-// ---- Latch -----------------------------------------------------------------
-
-TEST(LatchTest, WaitReleasesAfterAllCountDowns) {
-  Latch latch(4);
-  std::vector<std::thread> threads;
-  for (int i = 0; i < 4; ++i) {
-    threads.emplace_back([&latch] { latch.CountDown(); });
-  }
-  latch.Wait();  // must not deadlock
-  for (std::thread& t : threads) t.join();
-}
-
-TEST(LatchTest, ZeroCountDoesNotBlock) {
-  Latch latch(0);
-  latch.Wait();
-}
-
-TEST(LatchTest, ExtraCountDownsAreBenign) {
-  Latch latch(1);
-  latch.CountDown();
-  latch.CountDown();
-  latch.Wait();
-}
-
-TEST(LatchTest, ReleasedLatchNeverRearms) {
-  // A Latch is single-use: once the count hits zero it stays released, and
-  // CountDown past zero must not re-arm it or deadlock a later Wait.
-  Latch latch(2);
-  latch.CountDown();
-  latch.CountDown();
-  latch.Wait();
-  latch.CountDown();  // past zero
-  latch.Wait();       // must return immediately, not block
-}
-
-TEST(LatchTest, RepeatedWaitReturnsImmediately) {
-  Latch latch(1);
-  latch.CountDown();
-  for (int i = 0; i < 3; ++i) latch.Wait();
-}
-
-TEST(LatchTest, ConcurrentWaitersAllRelease) {
-  constexpr int kRounds = 25;
-  constexpr int kWaiters = 4;
-  for (int round = 0; round < kRounds; ++round) {
-    Latch latch(kWaiters);
-    std::atomic<int> released{0};
-    std::vector<std::thread> waiters;
-    for (int i = 0; i < kWaiters; ++i) {
-      waiters.emplace_back([&latch, &released] {
-        latch.CountDown();  // waiters double as counters: max contention
-        latch.Wait();
-        released.fetch_add(1);
-      });
-    }
-    for (std::thread& t : waiters) t.join();  // must not hang
-    EXPECT_EQ(released.load(), kWaiters);
-  }
-}
-
 // ---- ExtractExecutor -------------------------------------------------------
 
 LabeledExample MakeExample(DocId doc) {
@@ -253,7 +194,7 @@ TEST(ExtractExecutorTest, TakeWithoutPrefetchIsAMiss) {
 TEST(ExtractExecutorTest, CancelQueuedDropsPendingWork) {
   // One worker blocked on the first document keeps later prefetches queued
   // so CancelQueued has something deterministic to drop.
-  Latch release(1);
+  std::latch release(1);
   std::atomic<size_t> executed{0};
   ExtractExecutorOptions options;
   options.threads = 2;  // both workers end up blocked on gated docs
@@ -261,7 +202,7 @@ TEST(ExtractExecutorTest, CancelQueuedDropsPendingWork) {
   ExtractExecutor executor(
       [&](DocId doc) {
         executed.fetch_add(1);
-        if (doc < 2) release.Wait();
+        if (doc < 2) release.wait();
         return MakeExample(doc);
       },
       options);
@@ -271,7 +212,7 @@ TEST(ExtractExecutorTest, CancelQueuedDropsPendingWork) {
   for (DocId doc = 2; doc < 8; ++doc) executor.Prefetch(doc);
   EXPECT_EQ(executor.CancelQueued(), 6u);
   EXPECT_EQ(executor.stats().cancelled, 6u);
-  release.CountDown();
+  release.count_down();
   // Cancelled docs are recomputed inline; gated docs are awaited or ready.
   for (DocId doc = 0; doc < 8; ++doc) ExpectExample(executor.Take(doc), doc);
 }

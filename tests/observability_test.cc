@@ -64,60 +64,6 @@ TEST(MetricsInstrumentTest, GaugeKeepsLastValue) {
   EXPECT_DOUBLE_EQ(gauge.value(), -1.25);
 }
 
-// ---- Histogram ---------------------------------------------------------
-
-TEST(HistogramTest, BucketPlacementAndSummary) {
-  Histogram hist({1.0, 10.0, 100.0});
-  for (double v : {0.5, 1.0, 5.0, 50.0, 500.0}) hist.Observe(v);
-  const HistogramSnapshot snapshot = hist.Snapshot();
-  // counts[i] covers values <= bounds[i]; last slot is overflow.
-  ASSERT_EQ(snapshot.counts.size(), 4u);
-  EXPECT_EQ(snapshot.counts[0], 2u);  // 0.5, 1.0 (inclusive upper bound)
-  EXPECT_EQ(snapshot.counts[1], 1u);  // 5.0
-  EXPECT_EQ(snapshot.counts[2], 1u);  // 50.0
-  EXPECT_EQ(snapshot.counts[3], 1u);  // 500.0 overflow
-  EXPECT_EQ(snapshot.TotalCount(), 5u);
-  EXPECT_DOUBLE_EQ(snapshot.summary.min(), 0.5);
-  EXPECT_DOUBLE_EQ(snapshot.summary.max(), 500.0);
-  EXPECT_NEAR(snapshot.summary.mean(), 111.3, 1e-9);
-}
-
-TEST(HistogramTest, MergesThreadShardsExactly) {
-  Histogram hist({1.0, 2.0, 3.0});
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 1000;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&hist, t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        // 0.5, 1.5, 2.5, 3.5 -> one value per bucket (last one overflow).
-        hist.Observe(static_cast<double>(t % 4) + 0.5);
-      }
-    });
-  }
-  for (std::thread& thread : threads) thread.join();
-  const HistogramSnapshot snapshot = hist.Snapshot();
-  EXPECT_EQ(snapshot.TotalCount(),
-            static_cast<uint64_t>(kThreads * kPerThread));
-  for (size_t b = 0; b < snapshot.counts.size(); ++b) {
-    EXPECT_EQ(snapshot.counts[b], static_cast<uint64_t>(kPerThread))
-        << "bucket " << b;
-  }
-  EXPECT_DOUBLE_EQ(snapshot.summary.min(), 0.5);
-  EXPECT_DOUBLE_EQ(snapshot.summary.max(), 3.5);
-  EXPECT_NEAR(snapshot.summary.mean(), 2.0, 1e-9);
-}
-
-TEST(HistogramTest, DefaultBoundsAreLatencyScale) {
-  Histogram hist({});
-  EXPECT_EQ(hist.bounds(), DefaultLatencyBounds());
-  EXPECT_GT(hist.bounds().size(), 15u);
-  for (size_t i = 1; i < hist.bounds().size(); ++i) {
-    EXPECT_LT(hist.bounds()[i - 1], hist.bounds()[i]);
-  }
-}
-
 // ---- Registry + snapshot ----------------------------------------------
 
 TEST(MetricsRegistryTest, SameNameSameInstrument) {
@@ -133,7 +79,6 @@ TEST(MetricsRegistryTest, SnapshotIsSortedAndDeterministic) {
   registry.GetCounter("z.last").Add(3);
   registry.GetCounter("a.first").Add(1);
   registry.GetGauge("m.middle").Set(0.5);
-  registry.GetHistogram("h.x", {1.0}).Observe(0.5);
   const MetricsSnapshot s1 = registry.Snapshot();
   const MetricsSnapshot s2 = registry.Snapshot();
   ASSERT_EQ(s1.counters.size(), 2u);
@@ -144,52 +89,33 @@ TEST(MetricsRegistryTest, SnapshotIsSortedAndDeterministic) {
   EXPECT_EQ(s1.CounterOr("z.last"), 3u);
   EXPECT_EQ(s1.CounterOr("missing", 7u), 7u);
   EXPECT_DOUBLE_EQ(s1.GaugeOr("m.middle"), 0.5);
-  ASSERT_NE(s1.FindHistogram("h.x"), nullptr);
-  EXPECT_EQ(s1.FindHistogram("h.x")->TotalCount(), 1u);
-  EXPECT_EQ(s1.FindHistogram("absent"), nullptr);
 }
 
-TEST(MetricsSnapshotTest, DeltaSubtractsCountersAndHistograms) {
+TEST(MetricsSnapshotTest, DeltaSubtractsCountersKeepsEndGauges) {
   MetricsRegistry registry;
   registry.GetCounter("c").Add(10);
-  Histogram& hist = registry.GetHistogram("h", {1.0, 2.0});
-  hist.Observe(0.5);
-  hist.Observe(1.5);
+  registry.GetGauge("g").Set(1.0);
   const MetricsSnapshot start = registry.Snapshot();
 
   registry.GetCounter("c").Add(5);
   registry.GetCounter("new").Add(2);  // absent at start: passes through
-  hist.Observe(0.25);
-  hist.Observe(5.0);
+  registry.GetGauge("g").Set(4.0);
   const MetricsSnapshot delta = registry.Snapshot().DeltaSince(start);
 
   EXPECT_EQ(delta.CounterOr("c"), 5u);
   EXPECT_EQ(delta.CounterOr("new"), 2u);
-  const HistogramSnapshot* h = delta.FindHistogram("h");
-  ASSERT_NE(h, nullptr);
-  EXPECT_EQ(h->TotalCount(), 2u);
-  ASSERT_EQ(h->counts.size(), 3u);
-  EXPECT_EQ(h->counts[0], 1u);  // 0.25
-  EXPECT_EQ(h->counts[1], 0u);
-  EXPECT_EQ(h->counts[2], 1u);  // 5.0 overflow
-  // Window summary inverted from the merge algebra: samples {0.25, 5.0}.
-  EXPECT_NEAR(h->summary.mean(), 2.625, 1e-9);
-  EXPECT_NEAR(h->summary.variance(), 11.28125, 1e-6);
+  EXPECT_DOUBLE_EQ(delta.GaugeOr("g"), 4.0);  // last value, not a difference
 }
 
 TEST(MetricsSnapshotTest, JsonContainsAllSections) {
   MetricsRegistry registry;
   registry.GetCounter("runs").Add(1);
   registry.GetGauge("angle").Set(2.5);
-  registry.GetHistogram("lat", {1.0}).Observe(0.5);
   const std::string json = registry.Snapshot().ToJson();
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
   EXPECT_NE(json.find("\"runs\": 1"), std::string::npos);
   EXPECT_NE(json.find("\"gauges\""), std::string::npos);
   EXPECT_NE(json.find("\"angle\": 2.5"), std::string::npos);
-  EXPECT_NE(json.find("\"histograms\""), std::string::npos);
-  EXPECT_NE(json.find("\"buckets\": [{\"le\": 1, \"count\": 1}]"),
-            std::string::npos);
   // Balanced braces (cheap well-formedness guard; tools/check_trace.py
   // does full JSON parsing for traces).
   EXPECT_EQ(CountOccurrences(json, "{"), CountOccurrences(json, "}"));
@@ -203,18 +129,9 @@ TEST(MetricsMacroTest, MacrosRecordIntoGlobalRegistry) {
   IE_METRIC_COUNT("test.macro_counter");
   IE_METRIC_COUNT_N("test.macro_counter", 4);
   IE_METRIC_GAUGE_SET("test.macro_gauge", 1.5);
-  IE_METRIC_HIST_OBSERVE("test.macro_hist", 0.001);
   const MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
-#if IE_OBSERVABILITY
   EXPECT_EQ(snapshot.CounterOr("test.macro_counter"), before + 5);
   EXPECT_DOUBLE_EQ(snapshot.GaugeOr("test.macro_gauge"), 1.5);
-  ASSERT_NE(snapshot.FindHistogram("test.macro_hist"), nullptr);
-  EXPECT_GE(snapshot.FindHistogram("test.macro_hist")->TotalCount(), 1u);
-#else
-  // Compiled out: the macros must leave the registry untouched.
-  EXPECT_EQ(snapshot.CounterOr("test.macro_counter"), before);
-  EXPECT_EQ(snapshot.FindHistogram("test.macro_hist"), nullptr);
-#endif
 }
 
 // ---- Tracer ------------------------------------------------------------
@@ -231,29 +148,23 @@ TEST_F(TracerTest, ExportsBalancedSpans) {
   {
     IE_TRACE_SCOPE("outer");
     IE_TRACE_SCOPE("inner");
-    IE_TRACE_INSTANT("tick");
     IE_TRACE_COUNTER("depth", 3);
   }
   ASSERT_TRUE(Tracer::Global().StopAndExport(path).ok());
   const std::string json = ReadFile(path);
   ASSERT_FALSE(json.empty());
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-#if IE_OBSERVABILITY
   EXPECT_EQ(CountOccurrences(json, "\"ph\": \"B\""),
             CountOccurrences(json, "\"ph\": \"E\""));
   EXPECT_EQ(CountOccurrences(json, "\"name\": \"outer\""), 2u);  // B + E
-  EXPECT_EQ(CountOccurrences(json, "\"ph\": \"I\""), 1u);
   EXPECT_NE(json.find("\"args\": {\"value\": 3}"), std::string::npos);
-#endif
   std::remove(path.c_str());
 }
-
-#if IE_OBSERVABILITY
 
 TEST_F(TracerTest, InactiveTracerRecordsNothing) {
   ASSERT_FALSE(Tracer::Global().active());
   IE_TRACE_SCOPE("ignored");
-  IE_TRACE_INSTANT("ignored");
+  IE_TRACE_COUNTER("ignored", 1);
   const std::string path = TempPath("trace.json");
   ASSERT_TRUE(Tracer::Global().Start());
   ASSERT_TRUE(Tracer::Global().StopAndExport(path).ok());
@@ -295,7 +206,7 @@ TEST_F(TracerTest, OpenSpansAreClosedByExport) {
 
 TEST_F(TracerTest, TimestampsAreMonotonicPerBuffer) {
   ASSERT_TRUE(Tracer::Global().Start());
-  for (int i = 0; i < 50; ++i) IE_TRACE_INSTANT("tick");
+  for (int i = 0; i < 50; ++i) IE_TRACE_COUNTER("tick", i);
   TraceBuffer* buffer = Tracer::Global().ThreadBuffer();
   ASSERT_NE(buffer, nullptr);
   Tracer::Global().Stop();
@@ -304,8 +215,6 @@ TEST_F(TracerTest, TimestampsAreMonotonicPerBuffer) {
     EXPECT_GE(buffer->event(i).ts_ns, buffer->event(i - 1).ts_ns);
   }
 }
-
-#endif  // IE_OBSERVABILITY
 
 // ---- Pipeline integration ----------------------------------------------
 
@@ -319,16 +228,10 @@ TEST(PipelineObservabilityTest, RunPopulatesMetricsAndTrace) {
   const PipelineResult result =
       AdaptiveExtractionPipeline::Run(context, config);
 
-  // The run counters are plain fields (any IE_OBSERVABILITY).
   EXPECT_EQ(result.speculative_misses, result.processing_order.size());
   EXPECT_GT(result.full_rescores, 0u);
-#if IE_OBSERVABILITY
   EXPECT_GT(result.metrics.CounterOr("learn.pegasos_steps"), 0u);
   EXPECT_GT(result.metrics.CounterOr("detector.checks"), 0u);
-  ASSERT_NE(result.metrics.FindHistogram("pipeline.rank_seconds"), nullptr);
-  EXPECT_EQ(result.metrics.FindHistogram("pipeline.rank_seconds")
-                ->TotalCount(),
-            result.full_rescores);
   const std::string json = ReadFile(path);
   ASSERT_FALSE(json.empty());
   for (const char* span : {"pipeline.run", "pipeline.sample",
@@ -338,7 +241,11 @@ TEST(PipelineObservabilityTest, RunPopulatesMetricsAndTrace) {
   }
   EXPECT_EQ(CountOccurrences(json, "\"ph\": \"B\""),
             CountOccurrences(json, "\"ph\": \"E\""));
-#endif
+  // One re-rank span per scoring pass over the pending pool.
+  EXPECT_NE(json.find("\"dropped_events\": 0"), std::string::npos);
+  EXPECT_EQ(
+      CountOccurrences(json, "\"name\": \"pipeline.rank\", \"ph\": \"B\""),
+      result.full_rescores);
   std::remove(path.c_str());
 }
 
@@ -352,15 +259,11 @@ TEST(PipelineObservabilityTest, MetricsAreRunScoped) {
   // Deltas, not process totals: the second run reports its own work, which
   // for an identical config equals the first run's (deterministic loop).
   EXPECT_EQ(a.full_rescores, b.full_rescores);
-#if IE_OBSERVABILITY
   EXPECT_EQ(a.metrics.CounterOr("executor.misses"),
             b.metrics.CounterOr("executor.misses"));
   EXPECT_EQ(a.metrics.CounterOr("learn.pegasos_steps"),
             b.metrics.CounterOr("learn.pegasos_steps"));
-#endif
 }
-
-#if IE_OBSERVABILITY
 
 /// The unsigned value of `"key":` in one ledger line (0 when absent).
 uint64_t LedgerUint(const std::string& line, const std::string& key) {
@@ -415,8 +318,6 @@ TEST(PipelineObservabilityTest, RunCountersAgreeAcrossSinks) {
   std::remove(path.c_str());
 }
 
-#endif  // IE_OBSERVABILITY
-
 // ---- Concurrency stress (re-spun under tsan by run_sanitized_tests.sh) --
 
 TEST(ObservabilityStress, RegistryAndTracerFromWorkQueueWorkers) {
@@ -424,10 +325,6 @@ TEST(ObservabilityStress, RegistryAndTracerFromWorkQueueWorkers) {
   ASSERT_TRUE(Tracer::Global().Start());
   MetricsRegistry& registry = MetricsRegistry::Global();
   WorkQueue<int> queue;
-#if IE_OBSERVABILITY
-  queue.set_latency_histogram(
-      &registry.GetHistogram("stress.queue_latency_seconds"));
-#endif
   const uint64_t counter_before =
       registry.Snapshot().CounterOr("stress.items");
 
@@ -443,15 +340,14 @@ TEST(ObservabilityStress, RegistryAndTracerFromWorkQueueWorkers) {
         IE_TRACE_SCOPE("stress.item");
         IE_METRIC_COUNT("stress.items");
         IE_METRIC_GAUGE_SET("stress.last_item", item);
-        IE_METRIC_HIST_OBSERVE("stress.item_value", item);
         IE_TRACE_COUNTER("stress.queue_depth", queue.size());
         consumed.fetch_add(1, std::memory_order_relaxed);
       }
     });
   }
   std::thread snapshotter([&] {
-    // Concurrent snapshots while shards are being written: values may lag
-    // but reads must be race-free (the TSan gate pins this).
+    // Concurrent snapshots while workers record: values may lag but reads
+    // must be race-free (the TSan gate pins this).
     for (int i = 0; i < 50; ++i) {
       const MetricsSnapshot snapshot = registry.Snapshot();
       (void)snapshot.CounterOr("stress.items");
@@ -463,17 +359,8 @@ TEST(ObservabilityStress, RegistryAndTracerFromWorkQueueWorkers) {
   snapshotter.join();
 
   EXPECT_EQ(consumed.load(), kItems);
-  const MetricsSnapshot snapshot = registry.Snapshot();
-#if IE_OBSERVABILITY
-  EXPECT_EQ(snapshot.CounterOr("stress.items"),
+  EXPECT_EQ(registry.Snapshot().CounterOr("stress.items"),
             counter_before + static_cast<uint64_t>(kItems));
-  const HistogramSnapshot* lat =
-      snapshot.FindHistogram("stress.queue_latency_seconds");
-  ASSERT_NE(lat, nullptr);
-  EXPECT_GE(lat->TotalCount(), static_cast<uint64_t>(kItems));
-#else
-  EXPECT_EQ(snapshot.CounterOr("stress.items"), counter_before);
-#endif
   ASSERT_TRUE(Tracer::Global().StopAndExport(path).ok());
   const std::string json = ReadFile(path);
   EXPECT_EQ(CountOccurrences(json, "\"ph\": \"B\""),

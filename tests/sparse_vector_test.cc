@@ -45,11 +45,6 @@ TEST(SparseVectorTest, Norms) {
   EXPECT_DOUBLE_EQ(v.L1Norm(), 7.0);
 }
 
-TEST(SparseVectorTest, DimensionBound) {
-  EXPECT_EQ(SparseVector().DimensionBound(), 0u);
-  EXPECT_EQ(Make({{7, 1.0f}}).DimensionBound(), 8u);
-}
-
 TEST(SparseVectorTest, ScaleAndNormalize) {
   SparseVector v = Make({{0, 3.0f}, {1, 4.0f}});
   v.Scale(2.0f);

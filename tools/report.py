@@ -19,7 +19,7 @@ Modes (exactly one):
                           latency totals (ASCII, stdout)
   --diff A B              side-by-side comparison of two runs
   --validate-prom FILE    check a Prometheus text exposition written by
-                          MetricsRegistry::RenderPrometheus /
+                          MetricsSnapshot::ToPrometheus /
                           bench --metrics-out
 
 Exit status: 0 OK, 1 findings, 2 usage/internal error.
@@ -317,7 +317,7 @@ def diff(path_a, path_b):
 
 
 def validate_prom(path):
-    """Checks a Prometheus text exposition (RenderPrometheus output).
+    """Checks a Prometheus text exposition (MetricsSnapshot::ToPrometheus).
 
     Rules: every sample's metric family has a preceding # TYPE line (no
     duplicates); values parse as floats; histogram bucket counts are

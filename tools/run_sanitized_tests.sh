@@ -35,7 +35,7 @@ for preset in "${PRESETS[@]}"; do
     # scheduling-dependent, so one ctest pass under-samples them.
     echo "=== [$preset] extract executor stress (x5) ==="
     "build-$preset/tests/extract_parallel_test" \
-        --gtest_filter='ExtractExecutorStress.*:WorkQueueTest.Concurrent*:LatchTest.Concurrent*' \
+        --gtest_filter='ExtractExecutorStress.*:WorkQueueTest.Concurrent*' \
         --gtest_repeat=5 --gtest_brief=1
     # Metrics registry + tracer hammered from WorkQueue workers while a
     # snapshotter reads concurrently (see tests/observability_test.cc).
