@@ -1,6 +1,6 @@
 // Microbenchmarks (google-benchmark) for the ranking-side hot paths: the
 // per-document online updates of RSVM-IE / BAgg-IE, bulk scoring (the
-// re-rank inner loop), dense-weight materialization (Mod-C / Top-K), and
+// re-rank inner loop), dense-weight materialization (Mod-C), and
 // featurization. These are the operations whose cost the paper's "low
 // overhead" claim rests on.
 #include <benchmark/benchmark.h>

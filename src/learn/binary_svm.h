@@ -43,6 +43,8 @@ class OnlineBinarySvm {
   size_t steps() const { return sgd_.steps(); }
   double bias() const { return bias_; }
   WeightVector DenseWeights() const { return sgd_.DenseWeights(); }
+  /// The underlying learner (read-only), e.g. for an OrderKeyIndex.
+  const ElasticNetSgd& learner() const { return sgd_; }
 
   /// Commits pending regularization in place (see ElasticNetSgd::CommitAll).
   void CommitWeights() { sgd_.CommitAll(); }

@@ -51,6 +51,11 @@ double ElasticNetSgd::CurrentWeight(uint32_t id) const {
   return 0.0;
 }
 
+double ElasticNetSgd::OrderKey(uint32_t id) const {
+  if (id >= values_.size()) return -HUGE_VAL;
+  return std::log(std::fabs(values_[id])) - cum_log_decay_[last_step_[id]];
+}
+
 void ElasticNetSgd::Refresh(uint32_t id) {
   EnsureFeature(id);
   values_[id] = CurrentWeight(id);

@@ -59,6 +59,17 @@ class ElasticNetSgd {
   /// Number of SGD steps taken so far.
   size_t steps() const { return steps_; }
 
+  /// Current value of feature id, with its pending lazy regularization
+  /// applied (0 past the stored dimension). Does not mutate state.
+  double CurrentWeight(uint32_t id) const;
+
+  /// Order key of feature id: ln|v| − D[u], with v its committed value, u
+  /// its last-touch step and D the cumulative log-decay. Without ℓ1
+  /// (L1Eff() == 0), |CurrentWeight(id)| = |v|·exp(D[steps()] − D[u]), so
+  /// the keys of untouched features rank their weights up to rounding, and
+  /// a key changes only when its feature is touched. -inf for a zero value.
+  double OrderKey(uint32_t id) const;
+
   /// Materializes all pending lazy regularization and returns a dense
   /// snapshot of the weights. O(dimension).
   WeightVector DenseWeights() const;
@@ -74,6 +85,9 @@ class ElasticNetSgd {
 
   const ElasticNetOptions& options() const { return options_; }
 
+  /// Effective ℓ1 strength λAll·(1 − λL2); 0 for a pure-ℓ2 learner.
+  double L1Eff() const;
+
   /// Copyable: Mod-C clones the model to train a shadow copy.
   ElasticNetSgd(const ElasticNetSgd&) = default;
   ElasticNetSgd& operator=(const ElasticNetSgd&) = default;
@@ -81,13 +95,10 @@ class ElasticNetSgd {
  private:
   /// Effective ℓ2 strength (floored to keep η finite for λL2 = 0).
   double L2Eff() const;
-  double L1Eff() const;
   double Eta(size_t t) const;
 
   /// Commits pending decay + ℓ1 for feature id up to the current step.
   void Refresh(uint32_t id);
-  /// Current (virtual) value of feature id without mutating state.
-  double CurrentWeight(uint32_t id) const;
   void EnsureFeature(uint32_t id);
   /// Starts step t = steps_+1: extends the cumulative decay/penalty tables.
   void BeginStep();

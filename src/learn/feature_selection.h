@@ -1,12 +1,16 @@
 // Helpers for inspecting learned models: top-K influential features (used
-// by the Top-K update detector and by search-interface query refresh) and
-// the generalized Spearman's Footrule distance between weighted feature
+// by search-interface query refresh), the order-key index that serves the
+// same list incrementally to the Top-K update detector, and the
+// generalized Spearman's Footrule distance between weighted feature
 // rankings (Kumar & Vassilvitskii, WWW'10), which Top-K thresholds on.
 #pragma once
 
 #include <cstdint>
+#include <set>
+#include <utility>
 #include <vector>
 
+#include "learn/elastic_net_sgd.h"
 #include "text/sparse_vector.h"
 
 namespace ie {
@@ -20,6 +24,27 @@ struct WeightedFeature {
 /// K features with the largest |weight| in `w`, sorted by descending
 /// weight (ties by id). Fewer than K are returned when w is sparser.
 std::vector<WeightedFeature> TopKFeatures(const WeightVector& w, size_t k);
+
+/// TopKFeatures(sgd.DenseWeights(), k) without materializing the weights,
+/// for a pure-ℓ2 learner (L1Eff() == 0; DESIGN.md §17). Features are kept
+/// ordered by ElasticNetSgd::OrderKey, which changes only when a feature
+/// is touched, so a step costs O(nnz log dim) and a query O(K log K).
+class OrderKeyIndex {
+ public:
+  /// Re-keys the features of x. Call after every step that applied a
+  /// gradient to x (OnlineBinarySvm::Update returned true); no other
+  /// step changes a key.
+  void Rekey(const ElasticNetSgd& sgd, const SparseVector& x);
+
+  /// Equals TopKFeatures(sgd.DenseWeights(), k) bit for bit, provided
+  /// every gradient step on sgd was followed by Rekey.
+  std::vector<WeightedFeature> TopK(const ElasticNetSgd& sgd,
+                                    size_t k) const;
+
+ private:
+  std::set<std::pair<double, uint32_t>> order_;  // (key, id), ascending
+  std::vector<double> keys_;  // key per id; -inf = not in order_
+};
 
 /// Generalized (element-weighted) Spearman's Footrule between two weighted
 /// feature rankings:

@@ -8,6 +8,21 @@
 
 namespace ie {
 
+namespace {
+
+// The Top-K side classifier. It is pure ℓ2 (λL2 share 1, so L1Eff() is 0)
+// because the OrderKeyIndex that serves its top-K list is exact only
+// without ℓ1; that is why it is a constant and not an option.
+constexpr ElasticNetOptions kSideClassifier = {.lambda_all = 0.01,
+                                               .lambda_l2_share = 1.0,
+                                               .step_offset = 2.0,
+                                               .step_clamp = 2000};
+
+}  // namespace
+
+TopKDetector::TopKDetector(TopKOptions options)
+    : options_(options), side_(kSideClassifier) {}
+
 void TopKDetector::OnModelUpdated(
     const DocumentRanker& ranker,
     const std::vector<LabeledExample>& absorbed) {
@@ -15,19 +30,18 @@ void TopKDetector::OnModelUpdated(
   // The side classifier keeps learning across updates; absorbed documents
   // were already fed through Observe. Snapshot the reference feature set.
   (void)absorbed;
-  reference_topk_ = TopKFeatures(side_.DenseWeights(), options_.k);
-  since_check_ = 0;
+  reference_topk_ = index_.TopK(side_.learner(), options_.k);
 }
 
 bool TopKDetector::Observe(const SparseVector& features, bool useful,
                            const DocumentRanker& ranker) {
   (void)ranker;
-  side_.Update(features, useful ? 1 : -1);
-  if (++since_check_ < options_.check_interval) return false;
-  since_check_ = 0;
+  if (side_.Update(features, useful ? 1 : -1)) {
+    index_.Rekey(side_.learner(), features);
+  }
   IE_METRIC_COUNT("detector.checks");
   const std::vector<WeightedFeature> current =
-      TopKFeatures(side_.DenseWeights(), options_.k);
+      index_.TopK(side_.learner(), options_.k);
   last_distance_ = GeneralizedFootrule(reference_topk_, current);
   IE_METRIC_GAUGE_SET("detector.topk.footrule", last_distance_);
   IE_TRACE_COUNTER("detector.topk.footrule", last_distance_);

@@ -82,22 +82,16 @@ struct TopKOptions {
   /// ε = 0.0025, i.e. 0.5; our footrule is normalized per-list, so the
   /// threshold is calibrated on the same scale — see bench_fig8).
   double tau = 0.10;
-  /// Distance checks are O(model dimension); check every N documents
-  /// (1 = the paper's per-document behaviour, used by the Table 3 bench).
-  size_t check_interval = 1;
-  ElasticNetOptions side_classifier = {.lambda_all = 0.01,
-                                       .lambda_l2_share = 1.0,
-                                       .step_offset = 2.0,
-                                       .step_clamp = 2000};
 };
 
 /// Top-K: maintains its own online linear SVM on the same features as the
-/// ranker; compares the current top-K features against the top-K at the
-/// last model update with the generalized Spearman's footrule.
+/// ranker; after every document compares the current top-K features
+/// against the top-K at the last model update with the generalized
+/// Spearman's footrule. The lists come off an OrderKeyIndex over the side
+/// classifier, so a check costs O(K log K), not O(model dimension).
 class TopKDetector : public UpdateDetector {
  public:
-  explicit TopKDetector(TopKOptions options = {})
-      : options_(options), side_(options.side_classifier) {}
+  explicit TopKDetector(TopKOptions options = {});
 
   void OnModelUpdated(const DocumentRanker& ranker,
                       const std::vector<LabeledExample>& absorbed) override;
@@ -112,8 +106,8 @@ class TopKDetector : public UpdateDetector {
  private:
   TopKOptions options_;
   OnlineBinarySvm side_;
+  OrderKeyIndex index_;  // over side_'s weights
   std::vector<WeightedFeature> reference_topk_;
-  size_t since_check_ = 0;
   double last_distance_ = 0.0;
 };
 

@@ -1,0 +1,364 @@
+// Lockstep bit-identity tests for the incremental Top-K and Feat-S
+// statistics (DESIGN.md §17): the product and the dense oracles of
+// tests/detector_oracle.h consume one stream, and every statistic must
+// agree to the bit. Like the golden pins, this suite is a bit-identity
+// contract; the CI golden step runs it.
+#include "detector_oracle.h"
+
+#include <gtest/gtest.h>
+
+#include <cfloat>
+#include <cmath>
+#include <cstring>
+#include <ostream>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
+#include "ranking/learned_rankers.h"
+#include "test_util.h"
+
+namespace ie {
+namespace {
+
+bool BitEqual(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+SparseVector Vec(std::vector<SparseVector::Entry> entries) {
+  return SparseVector::FromUnsorted(std::move(entries));
+}
+
+void ExpectSameList(const std::vector<WeightedFeature>& got,
+                    const std::vector<WeightedFeature>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    ASSERT_EQ(got[i].id, want[i].id) << "slot " << i;
+    ASSERT_TRUE(BitEqual(got[i].weight, want[i].weight)) << "slot " << i;
+  }
+}
+
+/// The fixture's pool for one relation as the pipeline feeds detectors:
+/// word features with the extractor's usefulness verdicts.
+std::vector<LabeledExample> PoolStream(RelationId relation) {
+  const SharedContext context = test::MakeSharedContext(relation);
+  std::vector<LabeledExample> stream;
+  for (DocId doc : *context.pool) {
+    stream.push_back({(*context.word_features)[doc],
+                      context.outcomes->useful(doc) ? 1 : -1});
+  }
+  return stream;
+}
+
+constexpr int kPasses = 3;
+
+// ---- Top-K ------------------------------------------------------------
+
+// Three passes over one relation's pool with Top-K options `options`. At
+// every document the product's footrule equals the dense detector's bit
+// for bit, the triggers agree, and an OrderKeyIndex over a second side
+// classifier lists exactly TopKFeatures(DenseWeights(), K). Both
+// re-reference at every trigger; as in the pipeline, the first reference
+// is taken before any Observe. Returns the number of triggers.
+size_t RunTopKLockstep(RelationId relation, TopKOptions options) {
+  const std::vector<LabeledExample> stream = PoolStream(relation);
+  const RsvmIeRanker ranker;
+  TopKDetector product(options);
+  test::DenseTopKDetector oracle(options);
+  OnlineBinarySvm side(test::kDenseSideClassifier);
+  OrderKeyIndex index;
+  product.OnModelUpdated(ranker, {});
+  oracle.OnModelUpdated();
+  size_t checks = 0;
+  size_t triggers = 0;
+  for (int pass = 0; pass < kPasses; ++pass) {
+    for (const LabeledExample& ex : stream) {
+      const bool fired = product.Observe(ex.features, ex.label > 0, ranker);
+      EXPECT_EQ(fired, oracle.Observe(ex.features, ex.label > 0))
+          << "check " << checks;
+      EXPECT_TRUE(BitEqual(product.last_distance(), oracle.last_distance()))
+          << "check " << checks << ": " << product.last_distance() << " vs "
+          << oracle.last_distance();
+      if (side.Update(ex.features, ex.label)) {
+        index.Rekey(side.learner(), ex.features);
+      }
+      ExpectSameList(index.TopK(side.learner(), options.k),
+                     oracle.current());
+      if (::testing::Test::HasFailure()) return triggers;
+      ++checks;
+      if (fired) {
+        ++triggers;
+        product.OnModelUpdated(ranker, {});
+        oracle.OnModelUpdated();
+      }
+    }
+  }
+  EXPECT_EQ(checks, kPasses * stream.size());
+  return triggers;
+}
+
+// The default options over the PH and PC pools. PH fires on this stream,
+// PC does not.
+TEST(DetectorOracleTest, TopKLockstepOnFixturePools) {
+  for (RelationId relation :
+       {RelationId::kPersonCharge, RelationId::kPersonCareer}) {
+    SCOPED_TRACE(GetRelation(relation).name);
+    const size_t triggers = RunTopKLockstep(relation, TopKOptions{});
+    if (relation == RelationId::kPersonCharge) {
+      EXPECT_GT(triggers, 0u);
+    }
+  }
+}
+
+// Features that always co-occur with equal values carry bit-equal weights
+// and keys. With K cutting through such a group, ascending id decides who
+// gets the slot, exactly as TopKFeatures does. K runs from 0 past the
+// non-zero count.
+TEST(DetectorOracleTest, TopKTiesAtTheKthSlotBreakByAscendingId) {
+  OnlineBinarySvm side(test::kDenseSideClassifier);
+  OrderKeyIndex index;
+  Rng rng(17);
+  const std::vector<uint32_t> group = {41, 7, 23, 58};  // always together
+  for (int step = 0; step < 400; ++step) {
+    std::vector<SparseVector::Entry> entries;
+    for (uint32_t id : group) entries.emplace_back(id, 0.5f);
+    entries.emplace_back(static_cast<uint32_t>(100 + rng.NextBounded(6)),
+                         0.25f + 0.5f * static_cast<float>(rng.NextDouble()));
+    const SparseVector x = Vec(std::move(entries));
+    if (side.Update(x, rng.NextBool(0.5) ? 1 : -1)) {
+      index.Rekey(side.learner(), x);
+    }
+    const WeightVector dense = side.DenseWeights();
+    for (size_t k = 0; k <= 12; ++k) {
+      ExpectSameList(index.TopK(side.learner(), k), TopKFeatures(dense, k));
+    }
+  }
+  // The group is tied: its members appear in ascending id order.
+  const std::vector<WeightedFeature> all = index.TopK(side.learner(), 100);
+  std::vector<uint32_t> group_order;
+  for (const WeightedFeature& f : all) {
+    if (f.id < 100) group_order.push_back(f.id);
+  }
+  EXPECT_EQ(group_order, (std::vector<uint32_t>{7, 23, 41, 58}));
+}
+
+// A pure-ℓ2 learner whose weights shrink by 3x per step (η = 4/3).
+constexpr ElasticNetOptions kFastDecay = {.lambda_all = 0.5,
+                                          .lambda_l2_share = 1.0,
+                                          .step_offset = 1.5,
+                                          .step_clamp = 0};
+
+// Untouched weights fall through the subnormal range to exactly 0 while
+// fresh ones are normal. The index must drop the zeros and keep the
+// subnormals in order.
+TEST(DetectorOracleTest, TopKUnderflowingWeights) {
+  ElasticNetSgd sgd(kFastDecay);
+  OrderKeyIndex index;
+  Rng rng(29);
+  size_t saw_subnormal = 0;
+  size_t saw_underflow = 0;
+  for (int step = 0; step < 1500; ++step) {
+    // Rare touches: most features go untouched for hundreds of steps.
+    if (rng.NextBool(0.05)) {
+      const auto a = static_cast<uint32_t>(rng.NextBounded(40));
+      const auto b = static_cast<uint32_t>(40 + rng.NextBounded(40));
+      const SparseVector x =
+          Vec({{a, static_cast<float>(rng.NextDouble())}, {b, 1.0f}});
+      sgd.ForcedStep(x, rng.NextBool(0.5) ? 1.0 : -1.0);
+      index.Rekey(sgd, x);
+    } else {
+      sgd.ForcedStep(SparseVector(), 0.0);
+    }
+    const WeightVector dense = sgd.DenseWeights();
+    for (uint32_t id = 0; id < 80; ++id) {
+      const double w = std::fabs(sgd.CurrentWeight(id));
+      saw_subnormal += w > 0.0 && w < DBL_MIN ? 1 : 0;
+      saw_underflow += w == 0.0 && sgd.OrderKey(id) != -HUGE_VAL ? 1 : 0;
+    }
+    for (size_t k : {1u, 3u, 10u, 200u}) {
+      ExpectSameList(index.TopK(sgd, k), TopKFeatures(dense, k));
+    }
+  }
+  EXPECT_GT(saw_subnormal, 0u);
+  EXPECT_GT(saw_underflow, 0u);
+}
+
+// Two weights whose keys differ by ~1e-6, decayed deep into the subnormal
+// range, round to the same value, and ascending id must then decide. A
+// subnormal candidate therefore turns the walk's early stop off.
+TEST(DetectorOracleTest, TopKSubnormalWeightsTieByAscendingId) {
+  ElasticNetSgd sgd(kFastDecay);
+  OrderKeyIndex index;
+  const SparseVector x = Vec({{3, 0.75f * (1.0f - 1e-6f)}, {5, 0.75f}});
+  sgd.ForcedStep(x, 1.0);
+  index.Rekey(sgd, x);
+  size_t tied = 0;
+  while (sgd.CurrentWeight(5) != 0.0) {
+    const WeightVector dense = sgd.DenseWeights();
+    tied += sgd.CurrentWeight(3) == sgd.CurrentWeight(5) ? 1 : 0;
+    for (size_t k : {1u, 2u}) {
+      ExpectSameList(index.TopK(sgd, k), TopKFeatures(dense, k));
+    }
+    sgd.ForcedStep(SparseVector(), 0.0);
+  }
+  EXPECT_GT(tied, 0u);
+}
+
+// Random lists with repeated ids, tied and zero weights, and empty sides:
+// the flat footrule equals the hash-map one bit for bit.
+TEST(DetectorOracleTest, FootruleMatchesHashMapOracle) {
+  Rng rng(5);
+  auto random_list = [&rng](size_t n) {
+    std::vector<WeightedFeature> list;
+    for (size_t i = 0; i < n; ++i) {
+      const double weight = rng.NextBool(0.2)   ? 0.5
+                            : rng.NextBool(0.1) ? 0.0
+                                                : rng.NextDouble();
+      list.push_back({static_cast<uint32_t>(rng.NextBounded(30)), weight});
+    }
+    return list;
+  };
+  for (int trial = 0; trial < 2000; ++trial) {
+    const auto a = random_list(rng.NextBounded(25));
+    const auto b = random_list(rng.NextBounded(25));
+    ASSERT_TRUE(BitEqual(GeneralizedFootrule(a, b), test::DenseFootrule(a, b)))
+        << "trial " << trial;
+  }
+  const std::vector<WeightedFeature> dup = {{3, 1.0}, {3, 5.0}, {1, 2.0}};
+  const std::vector<WeightedFeature> zeros = {{3, 0.0}, {4, 0.0}};
+  for (const auto& [a, b] :
+       std::vector<std::pair<std::vector<WeightedFeature>,
+                             std::vector<WeightedFeature>>>{
+           {dup, {}}, {{}, dup}, {dup, dup}, {zeros, dup}, {{}, {}}}) {
+    EXPECT_TRUE(BitEqual(GeneralizedFootrule(a, b), test::DenseFootrule(a, b)));
+  }
+}
+
+// ---- Feat-S -----------------------------------------------------------
+
+// Three passes over one relation's pool with one-class SVM options
+// `options`. At every document Decision equals the merge-dot oracle's bit
+// for bit, and IsInlier agrees with the oracle's decision at margins
+// around it, including the decision itself. Returns the number of
+// decisions taken with the support-vector budget full.
+size_t RunFeatSLockstep(RelationId relation, OneClassSvmOptions options) {
+  const std::vector<LabeledExample> stream = PoolStream(relation);
+  OneClassSvm product(options);
+  test::MergeDotOneClassSvm oracle(options);
+  size_t full_budget_decisions = 0;
+  for (int pass = 0; pass < kPasses; ++pass) {
+    for (const LabeledExample& ex : stream) {
+      const double want = oracle.Decision(ex.features);
+      const double got = product.Decision(ex.features);
+      EXPECT_TRUE(BitEqual(got, want)) << got << " vs " << want;
+      for (double margin :
+           {want, std::nextafter(want, -HUGE_VAL),
+            std::nextafter(want, HUGE_VAL), 0.5 * want, 2.0 * want, 0.0,
+            FeatSOptions{}.margin_quantile, 1.0, -1.0}) {
+        EXPECT_EQ(product.IsInlier(ex.features, margin), want >= margin)
+            << "margin " << margin;
+      }
+      if (oracle.NumSupportVectors() == options.budget) {
+        ++full_budget_decisions;
+      }
+      product.Observe(ex.features);
+      oracle.Observe(ex.features);
+      EXPECT_EQ(product.NumSupportVectors(), oracle.NumSupportVectors());
+      if (::testing::Test::HasFailure()) return full_budget_decisions;
+    }
+  }
+  return full_budget_decisions;
+}
+
+// The Feat-S SVM options over the PH and PC pools.
+TEST(DetectorOracleTest, FeatSLockstepOnFixturePools) {
+  const OneClassSvmOptions options = FeatSOptions{}.svm;
+  for (RelationId relation :
+       {RelationId::kPersonCharge, RelationId::kPersonCareer}) {
+    SCOPED_TRACE(GetRelation(relation).name);
+    EXPECT_GE(RunFeatSLockstep(relation, options),
+              PoolStream(relation).size());
+  }
+}
+
+// ---- Option sweeps ----------------------------------------------------
+
+const char* RelationCode(RelationId relation) {
+  return relation == RelationId::kPersonCharge ? "PH" : "PC";
+}
+
+// The order-key walk's stop depends on K, and τ sets how often the
+// reference list is re-read, so the Top-K lockstep runs again at K from a
+// single slot to 2.5 times the default, with a τ that fires more often at
+// the middle K.
+struct TopKCase {
+  RelationId relation;
+  size_t k;
+  double tau;
+};
+
+void PrintTo(const TopKCase& c, std::ostream* os) {
+  *os << RelationCode(c.relation) << " k=" << c.k << " tau=" << c.tau;
+}
+
+class TopKDetectorOracleTest : public ::testing::TestWithParam<TopKCase> {};
+
+TEST_P(TopKDetectorOracleTest, MatchesDenseOracle) {
+  const TopKCase& param = GetParam();
+  RunTopKLockstep(param.relation, {.k = param.k, .tau = param.tau});
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RelationsAndK, TopKDetectorOracleTest,
+    ::testing::Values(TopKCase{RelationId::kPersonCharge, 1, 0.10},
+                      TopKCase{RelationId::kPersonCharge, 10, 0.05},
+                      TopKCase{RelationId::kPersonCharge, 50, 0.02},
+                      TopKCase{RelationId::kPersonCharge, 500, 0.10},
+                      TopKCase{RelationId::kPersonCareer, 1, 0.10},
+                      TopKCase{RelationId::kPersonCareer, 10, 0.05},
+                      TopKCase{RelationId::kPersonCareer, 50, 0.02},
+                      TopKCase{RelationId::kPersonCareer, 500, 0.10}),
+    [](const ::testing::TestParamInfo<TopKCase>& info) {
+      return std::string(RelationCode(info.param.relation)) + "_k" +
+             std::to_string(info.param.k);
+    });
+
+// The support-vector budget sets when eviction starts, and γ how many
+// kernels underflow, so the Feat-S lockstep runs again with a budget of one
+// support vector up to a few dozen and with a wide and a narrow kernel.
+struct FeatSCase {
+  RelationId relation;
+  size_t budget;
+  double gamma;
+};
+
+void PrintTo(const FeatSCase& c, std::ostream* os) {
+  *os << RelationCode(c.relation) << " budget=" << c.budget
+      << " gamma=" << c.gamma;
+}
+
+class FeatSDetectorOracleTest : public ::testing::TestWithParam<FeatSCase> {};
+
+TEST_P(FeatSDetectorOracleTest, MatchesMergeDotOracle) {
+  const FeatSCase& param = GetParam();
+  OneClassSvmOptions options = FeatSOptions{}.svm;
+  options.budget = param.budget;
+  options.gamma = param.gamma;
+  EXPECT_GT(RunFeatSLockstep(param.relation, options), 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RelationsAndBudgets, FeatSDetectorOracleTest,
+    ::testing::Values(FeatSCase{RelationId::kPersonCharge, 1, 0.01},
+                      FeatSCase{RelationId::kPersonCharge, 8, 0.01},
+                      FeatSCase{RelationId::kPersonCharge, 32, 1.0},
+                      FeatSCase{RelationId::kPersonCareer, 1, 0.01},
+                      FeatSCase{RelationId::kPersonCareer, 8, 0.01},
+                      FeatSCase{RelationId::kPersonCareer, 32, 1.0}),
+    [](const ::testing::TestParamInfo<FeatSCase>& info) {
+      return std::string(RelationCode(info.param.relation)) + "_budget" +
+             std::to_string(info.param.budget);
+    });
+
+}  // namespace
+}  // namespace ie

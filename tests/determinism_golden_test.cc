@@ -7,9 +7,9 @@
 //
 // Two layers of protection:
 //   1. Cross-thread byte-stability (strict, always on): for a fixed
-//      (ranker, seed) the digest must be identical at extract_threads
-//      1, 2, and 8. Any divergence means speculation or a hash-order
-//      dependence leaked into results.
+//      (ranker, detector, seed) the digest must be identical at
+//      extract_threads 1, 2, and 8. Any divergence means speculation or a
+//      hash-order dependence leaked into results.
 //   2. Pinned golden digests: the digest must equal the recorded
 //      constant, catching silent behavior drift from refactors that
 //      "look" equivalent (map-iteration reorderings, float reassociation,
@@ -17,8 +17,11 @@
 //      toolchain with a different libm set IE_GOLDEN_SKIP_PIN=1 to keep
 //      layer 1 while skipping layer 2, and re-pin deliberately.
 //
-// The baselines (FC, A-FC, QXtract) have no thread axis: their layer 1 is
-// a repeat of the same run, and layer 2 pins them over both samplers.
+// The adaptive matrix pins Mod-C, Top-K and Feat-S on PH; the Top-K and
+// Feat-S cases must fire at least one update, so their pins cover the
+// detector's statistic. The baselines (FC, A-FC, QXtract) have no thread
+// axis: their layer 1 is a repeat of the same run, and layer 2 pins them
+// over both samplers.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -124,6 +127,7 @@ size_t LedgerIterLines(const std::string& path) {
 
 struct GoldenCase {
   RankerKind ranker;
+  UpdateKind update;
   uint64_t seed;
   /// Expected digest; pinned from the reference toolchain.
   const char* pinned;
@@ -136,12 +140,13 @@ TEST_P(DeterminismGoldenTest, ByteStableAcrossThreadsAndPinned) {
   const SharedContext context =
       test::MakeSharedContext(RelationId::kPersonCharge);
   PipelineConfig config = PipelineConfig::Defaults(
-      param.ranker, SamplerKind::kSRS, UpdateKind::kModC, param.seed);
+      param.ranker, SamplerKind::kSRS, param.update, param.seed);
   config.sample_size = 120;
   // The flight recorder is a passive observer: running with it on must
   // reproduce the pinned digests bit for bit.
   config.ledger_path = ::testing::TempDir() + "golden_" +
                        RankerKindName(param.ranker) + "_" +
+                       UpdateKindName(param.update) + "_" +
                        std::to_string(param.seed) + ".jsonl";
 
   std::string first;
@@ -152,6 +157,10 @@ TEST_P(DeterminismGoldenTest, ByteStableAcrossThreadsAndPinned) {
     EXPECT_EQ(LedgerIterLines(config.ledger_path),
               result.processing_order.size());
     ASSERT_FALSE(result.final_weights.empty());
+    // A pin over a run that never updates would not cover the detector.
+    if (param.update != UpdateKind::kModC) {
+      EXPECT_GT(result.NumUpdates(), 0u);
+    }
     // final_weights must arrive id-sorted: the facade guarantee.
     for (size_t i = 1; i < result.final_weights.size(); ++i) {
       ASSERT_LT(result.final_weights[i - 1].first,
@@ -172,10 +181,30 @@ TEST_P(DeterminismGoldenTest, ByteStableAcrossThreadsAndPinned) {
 INSTANTIATE_TEST_SUITE_P(
     RankersAndSeeds, DeterminismGoldenTest,
     ::testing::Values(
-        GoldenCase{RankerKind::kRSVMIE, 1, "54f792feff0fe676"},
-        GoldenCase{RankerKind::kRSVMIE, 7, "117e9de66fedc05a"},
-        GoldenCase{RankerKind::kBAggIE, 1, "e49e16915087925a"},
-        GoldenCase{RankerKind::kBAggIE, 7, "7e3674ddc89acdb3"}));
+        GoldenCase{RankerKind::kRSVMIE, UpdateKind::kModC, 1,
+                   "54f792feff0fe676"},
+        GoldenCase{RankerKind::kRSVMIE, UpdateKind::kModC, 7,
+                   "117e9de66fedc05a"},
+        GoldenCase{RankerKind::kBAggIE, UpdateKind::kModC, 1,
+                   "e49e16915087925a"},
+        GoldenCase{RankerKind::kBAggIE, UpdateKind::kModC, 7,
+                   "7e3674ddc89acdb3"},
+        GoldenCase{RankerKind::kRSVMIE, UpdateKind::kTopK, 1,
+                   "3d5f2ab59c9f1b14"},
+        GoldenCase{RankerKind::kRSVMIE, UpdateKind::kTopK, 7,
+                   "398a06f128e0c7b9"},
+        GoldenCase{RankerKind::kBAggIE, UpdateKind::kTopK, 1,
+                   "dfbb93b5247a40bf"},
+        GoldenCase{RankerKind::kBAggIE, UpdateKind::kTopK, 7,
+                   "0b363c2d48e92bdc"},
+        GoldenCase{RankerKind::kRSVMIE, UpdateKind::kFeatS, 1,
+                   "7742c6d1f4a8d75f"},
+        GoldenCase{RankerKind::kRSVMIE, UpdateKind::kFeatS, 7,
+                   "1550fa60783bdeed"},
+        GoldenCase{RankerKind::kBAggIE, UpdateKind::kFeatS, 1,
+                   "b8c58daff21de255"},
+        GoldenCase{RankerKind::kBAggIE, UpdateKind::kFeatS, 7,
+                   "290422b65680f329"}));
 
 enum class Baseline { kFC, kAFC, kQXtract };
 

@@ -191,6 +191,118 @@ TEST(ElasticNetSgdTest, CopyIsIndependent) {
   EXPECT_NE(b.Score(x), a_score);
 }
 
+// A pure-ℓ2 learner, as the Top-K side classifier is (L1Eff() == 0).
+constexpr ElasticNetOptions kPureL2 = {.lambda_all = 0.01,
+                                       .lambda_l2_share = 1.0,
+                                       .step_offset = 2.0,
+                                       .step_clamp = 2000};
+
+bool BitEqual(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// Random steps over features [0, dim): each touches two or three features
+// with a random-signed gradient, and every fourth step is decay-only.
+template <typename StepFn>
+void RandomSteps(Rng& rng, uint32_t dim, int steps, StepFn step) {
+  for (int i = 0; i < steps; ++i) {
+    if (i % 4 == 3) {
+      step(SparseVector(), 0.0);
+      continue;
+    }
+    std::vector<SparseVector::Entry> entries;
+    const size_t n = 2 + rng.NextBounded(2);
+    for (size_t j = 0; j < n; ++j) {
+      entries.emplace_back(static_cast<uint32_t>(rng.NextBounded(dim)),
+                           0.1f + static_cast<float>(rng.NextDouble()));
+    }
+    step(Vec(std::move(entries)), rng.NextBool(0.5) ? 1.0 : -1.0);
+  }
+}
+
+TEST(ElasticNetSgdTest, CurrentWeightMatchesDenseWeightsBitForBit) {
+  for (double l2_share : {1.0, 0.9}) {
+    ElasticNetSgd sgd({.lambda_all = 0.05, .lambda_l2_share = l2_share});
+    Rng rng(23);
+    RandomSteps(rng, 30, 200, [&sgd](const SparseVector& x, double g) {
+      sgd.ForcedStep(x, g);
+    });
+    const WeightVector dense = sgd.DenseWeights();
+    // Past the stored dimension both read 0.
+    for (uint32_t id = 0; id < dense.dimension() + 3; ++id) {
+      EXPECT_TRUE(BitEqual(sgd.CurrentWeight(id), dense.Get(id)))
+          << "l2 share " << l2_share << ", feature " << id;
+    }
+  }
+}
+
+TEST(ElasticNetSgdTest, OrderKeyIsMinusInfinityForZeroWeights) {
+  ElasticNetSgd sgd(kPureL2);
+  EXPECT_EQ(sgd.OrderKey(0), -HUGE_VAL);  // nothing stored yet
+  sgd.ForcedStep(Vec({{3, 1.0f}}), 1.0);
+  EXPECT_TRUE(std::isfinite(sgd.OrderKey(3)));
+  EXPECT_EQ(sgd.OrderKey(2), -HUGE_VAL);    // stored, never touched
+  EXPECT_EQ(sgd.OrderKey(100), -HUGE_VAL);  // past the dimension
+}
+
+// The key of an untouched feature is ln|v| − D[u] with v and u frozen, so
+// neither decay-only steps nor steps on other features move it, while the
+// weight itself keeps shrinking.
+TEST(ElasticNetSgdTest, OrderKeyStaysFixedWhileUntouched) {
+  ElasticNetSgd sgd(kPureL2);
+  sgd.ForcedStep(Vec({{3, 1.0f}, {5, 0.5f}}), 1.0);
+  const double key = sgd.OrderKey(3);
+  double weight = sgd.CurrentWeight(3);
+  for (int i = 0; i < 50; ++i) {
+    if (i % 2 == 0) {
+      sgd.ForcedStep(SparseVector(), 0.0);
+    } else {
+      sgd.ForcedStep(Vec({{5, 1.0f}, {7, 0.25f}}), i % 3 == 0 ? 1.0 : -1.0);
+    }
+    EXPECT_TRUE(BitEqual(sgd.OrderKey(3), key)) << "step " << i;
+    EXPECT_LT(sgd.CurrentWeight(3), weight) << "step " << i;
+    weight = sgd.CurrentWeight(3);
+  }
+  // A gradient in the weight's own direction raises its key.
+  sgd.ForcedStep(Vec({{3, 1.0f}}), 1.0);
+  EXPECT_GT(sgd.OrderKey(3), key);
+}
+
+// Without ℓ1, a key that trails another by more than the order index's
+// rounding slack belongs to a strictly smaller weight: the stop rule of
+// OrderKeyIndex::TopK rests on this.
+TEST(ElasticNetSgdTest, OrderKeyRanksWeightsWithoutL1) {
+  ElasticNetSgd sgd(kPureL2);
+  Rng rng(31);
+  constexpr uint32_t kDim = 40;
+  RandomSteps(rng, kDim, 400, [&sgd](const SparseVector& x, double g) {
+    sgd.ForcedStep(x, g);
+  });
+  size_t ordered_pairs = 0;
+  for (uint32_t i = 0; i < kDim; ++i) {
+    for (uint32_t j = 0; j < kDim; ++j) {
+      const double ki = sgd.OrderKey(i);
+      const double kj = sgd.OrderKey(j);
+      if (ki == -HUGE_VAL || !(kj < ki - 1e-9 * (1.0 + std::fabs(ki)))) {
+        continue;
+      }
+      ++ordered_pairs;
+      EXPECT_LT(std::fabs(sgd.CurrentWeight(j)),
+                std::fabs(sgd.CurrentWeight(i)))
+          << "features " << j << " and " << i;
+    }
+  }
+  EXPECT_GT(ordered_pairs, 100u);
+}
+
+TEST(ElasticNetSgdTest, L1EffIsZeroExactlyForPureL2) {
+  EXPECT_EQ(ElasticNetSgd(kPureL2).L1Eff(), 0.0);
+  EXPECT_EQ(ElasticNetSgd({.lambda_all = 0.0, .lambda_l2_share = 0.5}).L1Eff(),
+            0.0);
+  EXPECT_GT(ElasticNetSgd({.lambda_all = 0.1, .lambda_l2_share = 0.99}).L1Eff(),
+            0.0);
+}
+
 // ---- OnlineBinarySvm ------------------------------------------------------
 
 TEST(OnlineBinarySvmTest, LearnsSeparableTask) {
@@ -227,6 +339,38 @@ TEST(OnlineBinarySvmTest, BiasLearnsSkewedPrior) {
     svm.Update(Vec({{static_cast<uint32_t>(i % 7), 1.0f}}), 1);
   }
   EXPECT_GT(svm.bias(), 0.0);
+}
+
+// Update returns true exactly when it applied a gradient; otherwise it
+// takes a decay-only step, which moves no order key. The Top-K detector
+// re-keys only after a true return.
+TEST(OnlineBinarySvmTest, OnlyGradientUpdatesMoveOrderKeys) {
+  OnlineBinarySvm svm(kPureL2);
+  SeparableData data(300, 19);
+  size_t applied = 0;
+  size_t skipped = 0;
+  for (const auto& ex : data.examples) {
+    std::vector<double> before;
+    for (uint32_t id = 0; id < 5; ++id) {
+      before.push_back(svm.learner().OrderKey(id));
+    }
+    const size_t steps = svm.steps();
+    const bool moved = svm.Update(ex.features, ex.label);
+    EXPECT_EQ(svm.steps(), steps + 1);
+    size_t changed = 0;
+    for (uint32_t id = 0; id < 5; ++id) {
+      changed += BitEqual(svm.learner().OrderKey(id), before[id]) ? 0 : 1;
+    }
+    if (moved) {
+      ++applied;
+      EXPECT_GT(changed, 0u);
+    } else {
+      ++skipped;
+      EXPECT_EQ(changed, 0u);
+    }
+  }
+  EXPECT_GT(applied, 0u);
+  EXPECT_GT(skipped, 0u);
 }
 
 // ---- OnlineRankSvm ---------------------------------------------------------
@@ -333,7 +477,7 @@ TEST(BaggingCommitteeTest, MeanDenseWeightsAveragesMembers) {
 // ---- OneClassSvm -----------------------------------------------------------
 
 TEST(OneClassSvmTest, InlierScoresHigherThanOutlier) {
-  OneClassSvm svm({.gamma = 4.0, .lambda = 0.01, .budget = 64}, 7);
+  OneClassSvm svm({.gamma = 4.0, .lambda = 0.01, .budget = 64});
   Rng rng(3);
   // Training cloud: features {0,1}.
   for (int i = 0; i < 200; ++i) {
@@ -349,11 +493,69 @@ TEST(OneClassSvmTest, InlierScoresHigherThanOutlier) {
 }
 
 TEST(OneClassSvmTest, BudgetEnforced) {
-  OneClassSvm svm({.gamma = 4.0, .lambda = 0.01, .budget = 16}, 7);
+  OneClassSvm svm({.gamma = 4.0, .lambda = 0.01, .budget = 16});
   for (int i = 0; i < 100; ++i) {
     svm.Observe(Vec({{static_cast<uint32_t>(i), 1.0f}}));
   }
   EXPECT_LE(svm.NumSupportVectors(), 17u);
+}
+
+TEST(OneClassSvmTest, EmptyModelDecidesZero) {
+  OneClassSvm svm({});
+  const SparseVector x = Vec({{2, 1.0f}});
+  EXPECT_EQ(svm.Decision(x), 0.0);
+  EXPECT_TRUE(svm.IsInlier(x, 0.0));
+  EXPECT_FALSE(svm.IsInlier(x, 0.5));
+  EXPECT_EQ(svm.NumSupportVectors(), 0u);
+}
+
+// IsInlier stops summing once the partial sum reaches the margin; the
+// verdict must still be exactly Decision(x) >= margin, at the decision
+// itself and one ulp to either side.
+TEST(OneClassSvmTest, IsInlierMatchesDecisionAtEveryMargin) {
+  OneClassSvm svm({.gamma = 2.0, .lambda = 0.01, .budget = 16});
+  Rng rng(37);
+  size_t checks = 0;
+  for (int i = 0; i < 300; ++i) {
+    SparseVector x = Vec({{static_cast<uint32_t>(rng.NextBounded(40)),
+                           0.2f + static_cast<float>(rng.NextDouble())},
+                          {static_cast<uint32_t>(40 + rng.NextBounded(40)),
+                           0.2f + static_cast<float>(rng.NextDouble())}});
+    x.Normalize();
+    const double d = svm.Decision(x);
+    for (double margin : {d, std::nextafter(d, -HUGE_VAL),
+                          std::nextafter(d, HUGE_VAL), 0.5 * d, 2.0 * d, 0.0,
+                          0.5, 1.0}) {
+      EXPECT_EQ(svm.IsInlier(x, margin), d >= margin)
+          << "doc " << i << ", margin " << margin;
+      ++checks;
+    }
+    svm.Observe(x);
+  }
+  EXPECT_EQ(svm.NumSupportVectors(), 16u);  // the budget is full
+  EXPECT_EQ(checks, 300u * 8u);
+}
+
+// Decision and IsInlier scatter x into a dense array and clear it before
+// returning, also when IsInlier exits early: a later call must not see a
+// trace of an earlier one.
+TEST(OneClassSvmTest, CallsLeaveNoScatterBehind) {
+  OneClassSvm svm({.gamma = 0.5, .lambda = 0.01, .budget = 8});
+  for (uint32_t i = 0; i < 6; ++i) {
+    svm.Observe(Vec({{i, 1.0f}, {i + 1, 0.5f}}));
+  }
+  const SparseVector y = Vec({{1, 0.75f}, {4, 0.25f}});
+  const double want = svm.Decision(y);
+  for (const SparseVector& x :
+       {Vec({{1, 2.0f}, {2, 1.0f}}), Vec({{4, 1.0f}, {900, 3.0f}}),
+        Vec({{0, 1.0f}, {1, 1.0f}, {5, 1.0f}})}) {
+    svm.Decision(x);
+    EXPECT_TRUE(BitEqual(svm.Decision(y), want));
+    EXPECT_TRUE(svm.IsInlier(x, 0.0));  // stops before the first term
+    EXPECT_TRUE(BitEqual(svm.Decision(y), want));
+    svm.IsInlier(x, 1e-3);
+    EXPECT_TRUE(BitEqual(svm.Decision(y), want));
+  }
 }
 
 // ---- Feature selection ------------------------------------------------------
@@ -407,6 +609,150 @@ TEST(FootruleTest, Symmetric) {
   const std::vector<WeightedFeature> a = {{0, 3.0}, {1, 1.0}, {5, 0.5}};
   const std::vector<WeightedFeature> b = {{1, 2.0}, {7, 1.5}, {0, 0.5}};
   EXPECT_NEAR(GeneralizedFootrule(a, b), GeneralizedFootrule(b, a), 1e-12);
+}
+
+TEST(FootruleTest, DuplicateIdsKeepTheirFirstOccurrence) {
+  const std::vector<WeightedFeature> dup = {{3, 1.0}, {3, 5.0}, {1, 2.0}};
+  const std::vector<WeightedFeature> first = {{3, 1.0}, {1, 2.0}};
+  const std::vector<WeightedFeature> other = {{1, 4.0}, {8, 1.0}, {3, 0.5}};
+  EXPECT_EQ(GeneralizedFootrule(dup, first), 0.0);
+  EXPECT_TRUE(BitEqual(GeneralizedFootrule(dup, other),
+                       GeneralizedFootrule(first, other)));
+  EXPECT_TRUE(BitEqual(GeneralizedFootrule(other, dup),
+                       GeneralizedFootrule(other, first)));
+}
+
+// Each list is normalized by its own sum, so scaling a list by a power of
+// two (exact in binary) leaves the distance bit-identical.
+TEST(FootruleTest, ScalingAListLeavesTheDistance) {
+  const std::vector<WeightedFeature> a = {{0, 3.0}, {1, 1.0}, {5, 0.5}};
+  const std::vector<WeightedFeature> b = {{1, 2.0}, {7, 1.5}, {0, 0.5}};
+  std::vector<WeightedFeature> a4 = a;
+  for (WeightedFeature& f : a4) f.weight *= 4.0;
+  EXPECT_TRUE(BitEqual(GeneralizedFootrule(a4, b), GeneralizedFootrule(a, b)));
+  EXPECT_TRUE(BitEqual(GeneralizedFootrule(b, a4), GeneralizedFootrule(b, a)));
+  EXPECT_EQ(GeneralizedFootrule(a, a4), 0.0);
+}
+
+// The union's element weights sum to at most 1 and every prefix-sum gap
+// lies in [0, 1], so the distance does too.
+TEST(FootruleTest, DistanceLiesInUnitInterval) {
+  Rng rng(41);
+  for (int trial = 0; trial < 500; ++trial) {
+    std::vector<WeightedFeature> a, b;
+    for (size_t i = rng.NextBounded(20); i > 0; --i) {
+      a.push_back({static_cast<uint32_t>(rng.NextBounded(25)),
+                   0.01 + rng.NextDouble()});
+    }
+    for (size_t i = rng.NextBounded(20); i > 0; --i) {
+      b.push_back({static_cast<uint32_t>(rng.NextBounded(25)),
+                   0.01 + rng.NextDouble()});
+    }
+    const double f = GeneralizedFootrule(a, b);
+    EXPECT_GE(f, 0.0) << "trial " << trial;
+    EXPECT_LE(f, 1.0 + 1e-12) << "trial " << trial;
+  }
+}
+
+// ---- OrderKeyIndex ---------------------------------------------------------
+
+// Random pure-ℓ2 steps on `sgd`, re-keying each touched vector.
+void StepAndRekey(Rng& rng, uint32_t dim, int steps, ElasticNetSgd& sgd,
+                  OrderKeyIndex& index) {
+  RandomSteps(rng, dim, steps,
+              [&sgd, &index](const SparseVector& x, double g) {
+                sgd.ForcedStep(x, g);
+                index.Rekey(sgd, x);
+              });
+}
+
+void ExpectSameList(const std::vector<WeightedFeature>& got,
+                    const std::vector<WeightedFeature>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].id, want[i].id) << "slot " << i;
+    EXPECT_TRUE(BitEqual(got[i].weight, want[i].weight)) << "slot " << i;
+  }
+}
+
+TEST(OrderKeyIndexTest, EmptyIndexListsNothing) {
+  const ElasticNetSgd sgd(kPureL2);
+  const OrderKeyIndex index;
+  EXPECT_TRUE(index.TopK(sgd, 0).empty());
+  EXPECT_TRUE(index.TopK(sgd, 5).empty());
+}
+
+TEST(OrderKeyIndexTest, ZeroKListsNothing) {
+  ElasticNetSgd sgd(kPureL2);
+  OrderKeyIndex index;
+  Rng rng(43);
+  StepAndRekey(rng, 20, 50, sgd, index);
+  EXPECT_TRUE(index.TopK(sgd, 0).empty());
+  ExpectSameList(index.TopK(sgd, 1), TopKFeatures(sgd.DenseWeights(), 1));
+}
+
+TEST(OrderKeyIndexTest, LargeKListsEveryNonZeroWeight) {
+  ElasticNetSgd sgd(kPureL2);
+  OrderKeyIndex index;
+  Rng rng(47);
+  StepAndRekey(rng, 60, 120, sgd, index);
+  const WeightVector dense = sgd.DenseWeights();
+  size_t non_zero = 0;
+  for (uint32_t id = 0; id < dense.dimension(); ++id) {
+    non_zero += dense.Get(id) != 0.0 ? 1 : 0;
+  }
+  const std::vector<WeightedFeature> all = index.TopK(sgd, 1000);
+  EXPECT_EQ(all.size(), non_zero);
+  ExpectSameList(all, TopKFeatures(dense, 1000));
+}
+
+// Re-keying a vector whose keys did not move, or a feature with a zero
+// weight, leaves the index as it was.
+TEST(OrderKeyIndexTest, RekeyIsIdempotent) {
+  ElasticNetSgd sgd(kPureL2);
+  OrderKeyIndex once;
+  OrderKeyIndex twice;
+  Rng rng(53);
+  RandomSteps(rng, 30, 80, [&](const SparseVector& x, double g) {
+    sgd.ForcedStep(x, g);
+    once.Rekey(sgd, x);
+    twice.Rekey(sgd, x);
+    twice.Rekey(sgd, x);
+  });
+  twice.Rekey(sgd, Vec({{500, 1.0f}}));  // never stepped: weight 0
+  for (size_t k : {1u, 5u, 30u, 100u}) {
+    ExpectSameList(twice.TopK(sgd, k), once.TopK(sgd, k));
+  }
+}
+
+// Under fast forgetting (a low step clamp) the order churns at every
+// step; the list still equals TopKFeatures over the dense weights.
+TEST(OrderKeyIndexTest, MatchesTopKFeaturesUnderFastForgetting) {
+  ElasticNetSgd sgd({.lambda_all = 0.05,
+                     .lambda_l2_share = 1.0,
+                     .step_offset = 2.0,
+                     .step_clamp = 10});
+  OrderKeyIndex index;
+  Rng rng(59);
+  RandomSteps(rng, 150, 600, [&](const SparseVector& x, double g) {
+    sgd.ForcedStep(x, g);
+    index.Rekey(sgd, x);
+    const WeightVector dense = sgd.DenseWeights();
+    for (size_t k : {1u, 7u, 64u}) {
+      ExpectSameList(index.TopK(sgd, k), TopKFeatures(dense, k));
+    }
+  });
+}
+
+// With an ℓ1 share the keys no longer rank the weights, so TopK refuses
+// the learner instead of returning a wrong list.
+TEST(OrderKeyIndexTest, RejectsALearnerWithL1) {
+  ElasticNetSgd sgd({.lambda_all = 0.1, .lambda_l2_share = 0.99});
+  OrderKeyIndex index;
+  const SparseVector x = Vec({{1, 1.0f}});
+  sgd.ForcedStep(x, 1.0);
+  index.Rekey(sgd, x);
+  EXPECT_DEATH(index.TopK(sgd, 1), "order keys rank weights only without");
 }
 
 }  // namespace

@@ -121,6 +121,29 @@ TEST(SparseKernelTest, SparseSparseDotBitParityRandomized) {
   }
 }
 
+// The one-class SVM scatters x once and gathers each support vector's dot
+// from it. An unmatched id adds a ±0 to a sum that starts at +0 and so is
+// never -0, which leaves it unchanged: the gathered dot equals the sorted
+// merge bit for bit, including ids past x's last one.
+TEST(SparseKernelTest, GatherFromScatterMatchesSparseSparseDot) {
+  Rng rng(8);
+  for (int trial = 0; trial < 300; ++trial) {
+    const auto x = MakeSparse(rng, rng.NextBounded(67), 400);
+    const auto sv = MakeSparse(rng, rng.NextBounded(67), 400);
+    std::vector<double> scatter(x.ids.empty() ? 0 : x.ids.back() + 1, 0.0);
+    for (size_t i = 0; i < x.ids.size(); ++i) {
+      scatter[x.ids[i]] = static_cast<double>(x.vals[i]);
+    }
+    const double got =
+        kernels::GatherDot(scatter.data(), scatter.size(), sv.ids.data(),
+                           sv.vals.data(), sv.ids.size());
+    const double want = kernels::SparseSparseDot(
+        sv.ids.data(), sv.vals.data(), sv.ids.size(), x.ids.data(),
+        x.vals.data(), x.ids.size());
+    EXPECT_EQ(Bits(got), Bits(want)) << "trial " << trial;
+  }
+}
+
 TEST(SparseKernelTest, EdgeShapesEmptySingleUnaligned) {
   const std::vector<double> w = {0.5, -1.0, 0.0, 2.0, -0.0};
   // Empty.

@@ -112,17 +112,6 @@ TEST(TopKTest, DistributionShiftTriggers) {
   EXPECT_GT(detector.last_distance(), 0.0);
 }
 
-TEST(TopKTest, CheckIntervalSkipsChecks) {
-  TopKOptions options;
-  options.check_interval = 50;
-  TopKDetector detector(options);
-  RsvmIeRanker ranker;
-  // 49 observations: no check performed, distance never computed.
-  for (const auto& ex : Stream(49, 100, 4)) {
-    EXPECT_FALSE(detector.Observe(ex.features, ex.label > 0, ranker));
-  }
-}
-
 // ---- Mod-C ------------------------------------------------------------
 
 TEST(ModCTest, RequiresOnModelUpdatedFirst) {

@@ -65,11 +65,14 @@ step "header self-sufficiency gate (tests/headercheck)"
 # only -I src — no include-order coupling between modules.
 ctest --test-dir build-default -R '^headercheck\.' -j "$JOBS"
 
-step "golden-hash determinism matrix (rankers x seeds x threads, baselines)"
+step "golden-hash determinism matrix (rankers x detectors x seeds x threads, baselines, detector lockstep)"
 # Byte-stable digests across extract_threads {1,2,8} plus pinned golden
 # constants, and the pinned FC/A-FC/QXtract baselines; see DESIGN.md §12
-# for the re-pin procedure.
-ctest --test-dir build-default -R 'DeterminismGoldenTest|BaselineGoldenTest' \
+# for the re-pin procedure. DetectorOracleTest holds the incremental
+# Top-K and Feat-S statistics bit-equal to their dense oracles
+# (DESIGN.md §17).
+ctest --test-dir build-default \
+    -R 'DeterminismGoldenTest|BaselineGoldenTest|DetectorOracleTest' \
     --output-on-failure -j "$JOBS"
 
 step "bench_featurize perf trajectory (arena featurizer)"
