@@ -6,9 +6,9 @@
 // document stream.
 //
 // Paper shape: Wind-F << Mod-C < Top-K < Feat-S. Not expected here: Top-K
-// and Feat-S compute the same statistics incrementally (DESIGN.md §17), so
-// the measured shape is Wind-F << Feat-S < Top-K ~ Mod-C. EXPERIMENTS.md
-// records the deviation.
+// and Feat-S compute the same statistics incrementally (DESIGN.md §17) and
+// Mod-C never materializes a model (§18), so the measured shape is
+// Wind-F << Feat-S < Mod-C < Top-K. EXPERIMENTS.md records the deviation.
 #include <benchmark/benchmark.h>
 
 #include <cstdio>

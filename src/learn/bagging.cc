@@ -18,12 +18,12 @@ double BaggingCommittee::Score(const SparseVector& x) const {
   return s;
 }
 
-void BaggingCommittee::PoolAdd(std::vector<SparseVector>& pool,
-                               const SparseVector& x) {
+void BaggingCommittee::PoolAdd(Pool& pool, const SparseVector& x) {
   if (pool.size() < options_.balance_pool_capacity) {
-    pool.push_back(x);
+    pool.push_back(std::make_shared<const SparseVector>(x));
   } else {
-    pool[rng_.NextBounded(pool.size())] = x;
+    pool[rng_.NextBounded(pool.size())] =
+        std::make_shared<const SparseVector>(x);
   }
 }
 
@@ -98,7 +98,7 @@ void BaggingCommittee::Observe(const SparseVector& x, bool useful) {
       static_cast<double>(
           std::max(state.positives_seen, state.negatives_seen));
   if (ratio < 0.8) {
-    const SparseVector& replay = pool[rng_.NextBounded(pool.size())];
+    const SparseVector& replay = *pool[rng_.NextBounded(pool.size())];
     member.Update(replay, pos_minority ? 1 : -1);
     if (pos_minority) {
       ++state.positives_seen;
@@ -106,18 +106,6 @@ void BaggingCommittee::Observe(const SparseVector& x, bool useful) {
       ++state.negatives_seen;
     }
   }
-}
-
-WeightVector BaggingCommittee::MeanDenseWeights() const {
-  WeightVector mean;
-  for (const OnlineBinarySvm& member : members_) {
-    const WeightVector w = member.DenseWeights();
-    for (uint32_t id = 0; id < w.dimension(); ++id) {
-      const double v = w.Get(id);
-      if (v != 0.0) mean.Add(id, v / static_cast<double>(members_.size()));
-    }
-  }
-  return mean;
 }
 
 size_t BaggingCommittee::NonZeroCount(double eps) const {

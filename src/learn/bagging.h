@@ -6,7 +6,9 @@
 // of the members' sigmoid-normalized confidences.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
+#include <memory>
 #include <vector>
 
 #include "common/rng.h"
@@ -54,24 +56,56 @@ class BaggingCommittee {
     return v;
   }
 
-  /// Element-wise mean of the members' dense weights (used by Mod-C for
-  /// model-level comparison).
-  WeightVector MeanDenseWeights() const;
+  /// Calls fn(id, mean) for every id whose element-wise mean of the
+  /// members' current weights is non-zero, in ascending id order, without
+  /// materializing a member (Mod-C's model-level comparison). Each mean is
+  /// 0 plus w / committee_size() for every non-zero member weight w, added
+  /// in member order.
+  template <typename Fn>
+  void ForEachMeanWeight(Fn&& fn) const {
+    std::vector<ElasticNetSgd::Reader> readers;
+    readers.reserve(members_.size());
+    size_t dimension = 0;
+    for (const OnlineBinarySvm& member : members_) {
+      readers.emplace_back(member.learner());
+      dimension = std::max(dimension, member.learner().dimension());
+    }
+    const double size = static_cast<double>(members_.size());
+    for (uint32_t id = 0; id < dimension; ++id) {
+      double mean = 0.0;
+      for (ElasticNetSgd::Reader& reader : readers) {
+        const double v = reader.Weight(id);
+        if (v != 0.0) mean += v / size;
+      }
+      if (mean != 0.0) fn(id, mean);
+    }
+  }
+
+  /// The element-wise mean materialized through ForEachMeanWeight.
+  WeightVector MeanDenseWeights() const {
+    WeightVector mean;
+    ForEachMeanWeight([&mean](uint32_t id, double v) { mean.Set(id, v); });
+    return mean;
+  }
 
   size_t NonZeroCount(double eps = 1e-9) const;
 
+  /// The balance pools are copy-on-write: a copy shares the stored
+  /// documents, which are immutable, and replaces pointers only.
   BaggingCommittee(const BaggingCommittee&) = default;
   BaggingCommittee& operator=(const BaggingCommittee&) = default;
 
  private:
+  using Pool = std::vector<std::shared_ptr<const SparseVector>>;
+
   struct MemberState {
     size_t positives_seen = 0;
     size_t negatives_seen = 0;
-    std::vector<SparseVector> positive_pool;
-    std::vector<SparseVector> negative_pool;
+    Pool positive_pool;
+    Pool negative_pool;
   };
 
-  void PoolAdd(std::vector<SparseVector>& pool, const SparseVector& x);
+  void PoolAdd(Pool& pool, const SparseVector& x);
 
   BaggingOptions options_;
   Rng rng_;

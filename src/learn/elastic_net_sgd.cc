@@ -1,6 +1,7 @@
 #include "learn/elastic_net_sgd.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "common/metrics.h"
@@ -9,8 +10,42 @@
 namespace ie {
 
 namespace {
+
 constexpr double kMinL2 = 1e-6;
-}
+
+/// A call-local memo of the decay factor for one step: direct-mapped on
+/// the last-touch step u over 64 slots. A miss calls the learner's
+/// DecayFactor, so every factor is the very double std::exp returns. Score
+/// and ApplyGradient read a few dozen features, whose steps repeat (all
+/// features untouched since the last commit share one). Construction
+/// clears one word, so short documents pay next to nothing for the memo.
+template <typename Factor>
+class DecayMemo {
+ public:
+  explicit DecayMemo(Factor factor) : factor_(factor) {}
+
+  double operator()(uint32_t u) {
+    const uint32_t slot = u % 64;
+    const uint64_t bit = uint64_t{1} << slot;
+    if ((filled_ & bit) == 0 || steps_[slot] != u) {
+      filled_ |= bit;
+      steps_[slot] = u;
+      factors_[slot] = factor_(u);
+    }
+    return factors_[slot];
+  }
+
+ private:
+  Factor factor_;
+  uint64_t filled_ = 0;  // bit s is set once slot s holds a step
+  // Left uninitialized: a slot is read only after filled_ marks it
+  // written, and clearing 768 bytes per call would cost short documents
+  // more than the memo saves them.
+  std::array<uint32_t, 64> steps_;
+  std::array<double, 64> factors_;
+};
+
+}  // namespace
 
 ElasticNetSgd::ElasticNetSgd(ElasticNetOptions options)
     : options_(options) {
@@ -41,14 +76,7 @@ void ElasticNetSgd::EnsureFeature(uint32_t id) {
 
 double ElasticNetSgd::CurrentWeight(uint32_t id) const {
   if (id >= values_.size()) return 0.0;
-  double v = values_[id];
-  if (v == 0.0) return 0.0;
-  const uint32_t u = last_step_[id];
-  v *= std::exp(cum_log_decay_[steps_] - cum_log_decay_[u]);
-  const double pending_l1 = cum_l1_[steps_] - cum_l1_[u];
-  if (v > pending_l1) return v - pending_l1;
-  if (v < -pending_l1) return v + pending_l1;
-  return 0.0;
+  return WeightAt(id, [this](uint32_t u) { return DecayFactor(u); });
 }
 
 double ElasticNetSgd::OrderKey(uint32_t id) const {
@@ -56,18 +84,14 @@ double ElasticNetSgd::OrderKey(uint32_t id) const {
   return std::log(std::fabs(values_[id])) - cum_log_decay_[last_step_[id]];
 }
 
-void ElasticNetSgd::Refresh(uint32_t id) {
-  EnsureFeature(id);
-  values_[id] = CurrentWeight(id);
-  last_step_[id] = static_cast<uint32_t>(steps_);
-}
-
 double ElasticNetSgd::Score(const SparseVector& x) const {
   const uint32_t* ids = x.ids();
   const float* vals = x.values();
+  DecayMemo decay([this](uint32_t u) { return DecayFactor(u); });
   double s = 0.0;
   for (size_t i = 0; i < x.size(); ++i) {
-    s += CurrentWeight(ids[i]) * static_cast<double>(vals[i]);
+    const double w = ids[i] < values_.size() ? WeightAt(ids[i], decay) : 0.0;
+    s += w * static_cast<double>(vals[i]);
   }
   return s;
 }
@@ -84,9 +108,14 @@ void ElasticNetSgd::BeginStep() {
 void ElasticNetSgd::ApplyGradient(const SparseVector& x, double factor) {
   const uint32_t* ids = x.ids();
   const float* vals = x.values();
+  // steps_ is fixed for the whole call, so one memo serves every feature.
+  DecayMemo decay([this](uint32_t u) { return DecayFactor(u); });
   for (size_t i = 0; i < x.size(); ++i) {
     const uint32_t id = ids[i];
-    Refresh(id);
+    // Commit the pending decay and ℓ1, then take the gradient step.
+    EnsureFeature(id);
+    values_[id] = WeightAt(id, decay);
+    last_step_[id] = static_cast<uint32_t>(steps_);
     values_[id] += factor * static_cast<double>(vals[i]);
   }
 }
@@ -122,26 +151,25 @@ bool ElasticNetSgd::PairStep(const SparseVector& pos,
 
 void ElasticNetSgd::CommitAll() {
   IE_TRACE_SCOPE("learn.commit");
+  Reader reader(*this);
   for (uint32_t id = 0; id < values_.size(); ++id) {
-    values_[id] = CurrentWeight(id);
+    values_[id] = reader.Weight(id);
     last_step_[id] = static_cast<uint32_t>(steps_);
   }
+  commit_step_ = steps_;
 }
 
 WeightVector ElasticNetSgd::DenseWeights() const {
   WeightVector w(values_.size());
-  for (uint32_t id = 0; id < values_.size(); ++id) {
-    const double v = CurrentWeight(id);
-    if (v != 0.0) w.Set(id, v);
-  }
+  ForEachWeight([&w](uint32_t id, double v) { w.Set(id, v); });
   return w;
 }
 
 size_t ElasticNetSgd::NonZeroCount(double eps) const {
   size_t n = 0;
-  for (uint32_t id = 0; id < values_.size(); ++id) {
-    if (std::fabs(CurrentWeight(id)) > eps) ++n;
-  }
+  ForEachWeight([eps, &n](uint32_t, double v) {
+    if (std::fabs(v) > eps) ++n;
+  });
   return n;
 }
 

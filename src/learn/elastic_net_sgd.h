@@ -11,6 +11,7 @@
 // model adaptation affordable (the paper's efficiency requirement).
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -59,6 +60,9 @@ class ElasticNetSgd {
   /// Number of SGD steps taken so far.
   size_t steps() const { return steps_; }
 
+  /// Number of stored features: every id a step has touched is below it.
+  size_t dimension() const { return values_.size(); }
+
   /// Current value of feature id, with its pending lazy regularization
   /// applied (0 past the stored dimension). Does not mutate state.
   double CurrentWeight(uint32_t id) const;
@@ -70,8 +74,49 @@ class ElasticNetSgd {
   /// a key changes only when its feature is touched. -inf for a zero value.
   double OrderKey(uint32_t id) const;
 
+  /// Reads current weights during one pass over an unchanged learner:
+  /// Weight(id) is bit-equal to CurrentWeight(id), but the decay factor
+  /// exp(D[t] − D[u]) is computed once per distinct last-touch step u. The
+  /// memo lives in the reader, in the caller's frame, never in the
+  /// learner, so concurrent readers of one learner share nothing.
+  class Reader {
+   public:
+    explicit Reader(const ElasticNetSgd& sgd)
+        : sgd_(sgd),
+          // Every last-touch step lies in [commit_step_, steps_].
+          decay_(sgd.steps_ - sgd.commit_step_ + 1, -1.0) {}
+
+    double Weight(uint32_t id) {
+      if (id >= sgd_.values_.size()) return 0.0;
+      return sgd_.WeightAt(id, [this](uint32_t u) {
+        double& factor = decay_[u - sgd_.commit_step_];
+        // std::exp never returns a negative value, so -1 marks "unset".
+        if (factor < 0.0) factor = sgd_.DecayFactor(u);
+        return factor;
+      });
+    }
+
+   private:
+    const ElasticNetSgd& sgd_;
+    std::vector<double> decay_;  // by last-touch step − commit_step_
+  };
+
+  /// Calls fn(id, w) for every non-zero current weight w, in ascending id
+  /// order, without materializing the model; w is bit-equal to
+  /// CurrentWeight(id). DenseWeights, NonZeroCount and the rankers' model
+  /// visits all read the weights through this pass.
+  template <typename Fn>
+  void ForEachWeight(Fn&& fn) const {
+    Reader reader(*this);
+    for (uint32_t id = 0; id < values_.size(); ++id) {
+      const double w = reader.Weight(id);
+      if (w != 0.0) fn(id, w);
+    }
+  }
+
   /// Materializes all pending lazy regularization and returns a dense
-  /// snapshot of the weights. O(dimension).
+  /// snapshot of the weights (dimension: every stored feature).
+  /// O(dimension).
   WeightVector DenseWeights() const;
 
   /// Commits every feature's pending regularization in place: each stored
@@ -80,7 +125,7 @@ class ElasticNetSgd {
   /// values. The rankers commit at every scoring snapshot. O(dimension).
   void CommitAll();
 
-  /// Count of features with |w| above eps, after materialization.
+  /// Count of features with |w| above eps ≥ 0, after materialization.
   size_t NonZeroCount(double eps = 1e-9) const;
 
   const ElasticNetOptions& options() const { return options_; }
@@ -97,8 +142,26 @@ class ElasticNetSgd {
   double L2Eff() const;
   double Eta(size_t t) const;
 
-  /// Commits pending decay + ℓ1 for feature id up to the current step.
-  void Refresh(uint32_t id);
+  /// exp(D[steps_] − D[u]): the lazy ℓ2 decay of a weight last touched at
+  /// step u. Every memo of it stores exactly this double.
+  double DecayFactor(uint32_t u) const {
+    return std::exp(cum_log_decay_[steps_] - cum_log_decay_[u]);
+  }
+
+  /// The current value of stored feature id, given decay(u) ==
+  /// DecayFactor(u): the one home of the lazy-regularization arithmetic.
+  template <typename Decay>
+  double WeightAt(uint32_t id, Decay&& decay) const {
+    double v = values_[id];
+    if (v == 0.0) return 0.0;
+    const uint32_t u = last_step_[id];
+    v *= decay(u);
+    const double pending_l1 = cum_l1_[steps_] - cum_l1_[u];
+    if (v > pending_l1) return v - pending_l1;
+    if (v < -pending_l1) return v + pending_l1;
+    return 0.0;
+  }
+
   void EnsureFeature(uint32_t id);
   /// Starts step t = steps_+1: extends the cumulative decay/penalty tables.
   void BeginStep();
@@ -106,6 +169,7 @@ class ElasticNetSgd {
 
   ElasticNetOptions options_;
   size_t steps_ = 0;
+  size_t commit_step_ = 0;  // steps_ at the last CommitAll; ≤ every last_step_
 
   std::vector<double> values_;      // committed weights (as of last touch)
   std::vector<uint32_t> last_step_; // step each feature was last committed at

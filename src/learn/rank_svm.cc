@@ -2,15 +2,15 @@
 
 namespace ie {
 
-void OnlineRankSvm::ReservoirAdd(std::vector<SparseVector>& pool,
-                                 size_t& seen, const SparseVector& x) {
+void OnlineRankSvm::ReservoirAdd(Pool& pool, size_t& seen,
+                                 const SparseVector& x) {
   ++seen;
   if (pool.size() < options_.pool_capacity) {
-    pool.push_back(x);
+    pool.push_back(std::make_shared<const SparseVector>(x));
     return;
   }
   const size_t j = static_cast<size_t>(rng_.NextBounded(seen));
-  if (j < pool.size()) pool[j] = x;
+  if (j < pool.size()) pool[j] = std::make_shared<const SparseVector>(x);
 }
 
 void OnlineRankSvm::Observe(const SparseVector& x, bool useful) {
@@ -25,8 +25,8 @@ void OnlineRankSvm::Observe(const SparseVector& x, bool useful) {
 void OnlineRankSvm::TrainPairs(size_t n) {
   if (useful_.empty() || useless_.empty()) return;
   for (size_t i = 0; i < n; ++i) {
-    const SparseVector& pos = useful_[rng_.NextBounded(useful_.size())];
-    const SparseVector& neg = useless_[rng_.NextBounded(useless_.size())];
+    const SparseVector& pos = *useful_[rng_.NextBounded(useful_.size())];
+    const SparseVector& neg = *useless_[rng_.NextBounded(useless_.size())];
     sgd_.PairStep(pos, neg);
   }
 }

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <vector>
 
 #include "common/rng.h"
@@ -49,6 +50,8 @@ class OnlineRankSvm {
   size_t useful_pool_size() const { return useful_.size(); }
   size_t useless_pool_size() const { return useless_.size(); }
   WeightVector DenseWeights() const { return sgd_.DenseWeights(); }
+  /// The underlying learner (read-only), e.g. for a weight visit.
+  const ElasticNetSgd& learner() const { return sgd_; }
 
   /// Commits pending regularization in place (see ElasticNetSgd::CommitAll).
   void CommitWeights() { sgd_.CommitAll(); }
@@ -57,18 +60,21 @@ class OnlineRankSvm {
   }
 
   /// Mod-C clones the learner to train a shadow copy on recent documents.
+  /// The pools are copy-on-write: a copy shares the stored documents,
+  /// which are immutable, and replaces pointers only.
   OnlineRankSvm(const OnlineRankSvm&) = default;
   OnlineRankSvm& operator=(const OnlineRankSvm&) = default;
 
  private:
-  void ReservoirAdd(std::vector<SparseVector>& pool, size_t& seen,
-                    const SparseVector& x);
+  using Pool = std::vector<std::shared_ptr<const SparseVector>>;
+
+  void ReservoirAdd(Pool& pool, size_t& seen, const SparseVector& x);
 
   RankSvmOptions options_;
   ElasticNetSgd sgd_;
   Rng rng_;
-  std::vector<SparseVector> useful_;
-  std::vector<SparseVector> useless_;
+  Pool useful_;
+  Pool useless_;
   size_t useful_seen_ = 0;
   size_t useless_seen_ = 0;
 };

@@ -114,13 +114,12 @@ CompactIndex BuildPoolIndex(const Corpus& corpus,
 
 namespace {
 
-/// Support set of a model's non-zero weights (feature-churn accounting).
-/// Iterates the stored non-zeros directly instead of issuing a
-/// bounds-checked Get per vocabulary id.
-std::unordered_set<uint32_t> WeightSupport(const WeightVector& w) {
-  std::unordered_set<uint32_t> support;
-  w.ForEachNonZero([&support](uint32_t id, double value) {
-    if (std::abs(value) > 1e-9) support.insert(id);
+/// Ids of a model's weights above 1e-9 in magnitude, ascending
+/// (feature-churn accounting). Visits the model without materializing it.
+std::vector<uint32_t> ModelSupport(const DocumentRanker& ranker) {
+  std::vector<uint32_t> support;
+  ranker.ForEachModelWeight([&support](uint32_t id, double w) {
+    if (std::abs(w) > 1e-9) support.push_back(id);
   });
   return support;
 }
@@ -216,10 +215,10 @@ class ExtractionSession {
     result_.full_rescores = engine_->stats().full_rescores;
     recorder_.EndRun(result_);
     result_.final_model_features = ranker_->NonZeroFeatureCount();
-    // Final model snapshot, id-sorted (ForEachNonZero walks the dense
-    // weight array in id order): the determinism golden test hashes this
-    // so weight-level nondeterminism fails loudly, not just order-level.
-    ranker_->ModelWeights().ForEachNonZero([this](uint32_t id, double w) {
+    // Final model snapshot, id-sorted (the model visit runs in id order):
+    // the determinism golden test hashes this so weight-level
+    // nondeterminism fails loudly, not just order-level.
+    ranker_->ForEachModelWeight([this](uint32_t id, double w) {
       result_.final_weights.emplace_back(id, w);
     });
     return std::move(result_);
@@ -255,7 +254,7 @@ class ExtractionSession {
     }
     detector_ = MakeDetector(config_, pool_.size(), rng_.NextUint64());
     detector_->OnModelUpdated(*ranker_, examples);
-    support_ = WeightSupport(ranker_->ModelWeights());
+    support_ = ModelSupport(*ranker_);
     return examples;
   }
 
@@ -351,16 +350,23 @@ class ExtractionSession {
       }
       result_.ranking_cpu_seconds += timer.ElapsedSeconds();
     }
-    // Feature churn between consecutive models.
-    std::unordered_set<uint32_t> support =
-        WeightSupport(ranker_->ModelWeights());
-    size_t added = 0, removed = 0;
-    // DETERMINISM: order-insensitive (integer membership counting)
-    for (uint32_t f : support) added += support_.count(f) == 0;
-    // DETERMINISM: order-insensitive (integer membership counting)
-    for (uint32_t f : support_) removed += support.count(f) == 0;
-    result_.features_added_per_update.push_back(added);
-    result_.features_removed_per_update.push_back(removed);
+    // Feature churn between consecutive models: both supports are
+    // id-sorted, so one merge counts the features they share.
+    std::vector<uint32_t> support = ModelSupport(*ranker_);
+    size_t shared = 0;
+    for (size_t i = 0, j = 0; i < support.size() && j < support_.size();) {
+      if (support[i] < support_[j]) {
+        ++i;
+      } else if (support_[j] < support[i]) {
+        ++j;
+      } else {
+        ++shared;
+        ++i;
+        ++j;
+      }
+    }
+    result_.features_added_per_update.push_back(support.size() - shared);
+    result_.features_removed_per_update.push_back(support_.size() - shared);
     support_ = std::move(support);
 
     detector_->OnModelUpdated(*ranker_, buffer_);
@@ -527,7 +533,7 @@ class ExtractionSession {
   std::vector<DocId> staged_;  // candidates found before the engine
   std::vector<LabeledExample> buffer_;  // examples since the last update
   std::deque<DocId> lookahead_;
-  std::unordered_set<uint32_t> support_;  // current model's features
+  std::vector<uint32_t> support_;  // current model's features, ascending
 };
 
 }  // namespace

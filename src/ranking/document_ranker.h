@@ -6,6 +6,8 @@
 // in every recall figure of the paper.
 #pragma once
 
+#include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -48,9 +50,23 @@ class DocumentRanker {
     return {};
   }
 
-  /// Dense model weights for update detection / query refresh. Rankers
-  /// without a weight vector return an empty vector.
-  virtual WeightVector ModelWeights() const = 0;
+  /// Calls fn(id, w) for every non-zero model weight, in ascending id
+  /// order, without materializing the model: Mod-C's angle, the pipeline's
+  /// feature-churn accounting and its final-weights record read the model
+  /// this way. Rankers without a weight vector visit nothing.
+  virtual void ForEachModelWeight(
+      const std::function<void(uint32_t, double)>& fn) const {
+    (void)fn;
+  }
+
+  /// Dense model weights (Mod-C's frozen model, query refresh),
+  /// materialized through ForEachModelWeight. Empty for rankers without a
+  /// weight vector.
+  WeightVector ModelWeights() const {
+    WeightVector w;
+    ForEachModelWeight([&w](uint32_t id, double v) { w.Set(id, v); });
+    return w;
+  }
 
   /// Deep copy (Mod-C trains a shadow clone on recent documents).
   virtual std::unique_ptr<DocumentRanker> Clone() const = 0;
@@ -72,7 +88,6 @@ class RandomRanker : public DocumentRanker {
   double Score(const SparseVector&) const override {
     return rng_.NextDouble();
   }
-  WeightVector ModelWeights() const override { return {}; }
   std::unique_ptr<DocumentRanker> Clone() const override {
     return std::make_unique<RandomRanker>(*this);
   }
@@ -98,7 +113,6 @@ class PerfectRanker : public DocumentRanker {
   void Observe(const SparseVector&, bool) override {}
   void SnapshotForScoring() override {}
   double Score(const SparseVector&) const override { return 0.0; }
-  WeightVector ModelWeights() const override { return {}; }
   std::unique_ptr<DocumentRanker> Clone() const override {
     return std::make_unique<PerfectRanker>(*this);
   }

@@ -39,12 +39,18 @@ class RsvmIeRanker : public DocumentRanker {
   WeightVector ComponentSnapshotWeights(size_t) const override {
     return snapshot_;
   }
-  WeightVector ModelWeights() const override { return svm_.DenseWeights(); }
+  void ForEachModelWeight(
+      const std::function<void(uint32_t, double)>& fn) const override {
+    svm_.learner().ForEachWeight(fn);
+  }
   std::unique_ptr<DocumentRanker> Clone() const override {
     return std::make_unique<RsvmIeRanker>(*this);
   }
   std::string name() const override { return "RSVM-IE"; }
   size_t NonZeroFeatureCount() const override { return svm_.NonZeroCount(); }
+
+  /// The learner (read-only), e.g. for a dense reference model.
+  const OnlineRankSvm& svm() const { return svm_; }
 
  private:
   RsvmIeOptions options_;
@@ -87,8 +93,10 @@ class BaggIeRanker : public DocumentRanker {
   WeightVector ComponentSnapshotWeights(size_t c) const override {
     return c < snapshots_.size() ? snapshots_[c] : WeightVector{};
   }
-  WeightVector ModelWeights() const override {
-    return committee_.MeanDenseWeights();
+  /// The committee's model is the element-wise mean of its members.
+  void ForEachModelWeight(
+      const std::function<void(uint32_t, double)>& fn) const override {
+    committee_.ForEachMeanWeight(fn);
   }
   std::unique_ptr<DocumentRanker> Clone() const override {
     return std::make_unique<BaggIeRanker>(*this);
@@ -97,6 +105,9 @@ class BaggIeRanker : public DocumentRanker {
   size_t NonZeroFeatureCount() const override {
     return committee_.NonZeroCount();
   }
+
+  /// The committee (read-only), e.g. for a dense reference model.
+  const BaggingCommittee& committee() const { return committee_; }
 
  private:
   BaggIeOptions options_;

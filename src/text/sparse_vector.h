@@ -150,8 +150,7 @@ class WeightVector {
   size_t NonZeroCount(double eps = 1e-12) const;
 
   /// Calls fn(id, value) for every stored non-zero weight, in id order.
-  /// O(dimension) scan but without per-id bounds-checked Get calls; the
-  /// update-detection paths iterate supports this way.
+  /// O(dimension) scan but without per-id bounds-checked Get calls.
   template <typename Fn>
   void ForEachNonZero(Fn&& fn) const {
     for (uint32_t id = 0; id < w_.size(); ++id) {

@@ -54,6 +54,7 @@ void ModCDetector::OnModelUpdated(
   (void)absorbed;
   shadow_ = ranker.Clone();
   frozen_weights_ = ranker.ModelWeights();
+  frozen_norm_ = std::sqrt(frozen_weights_.L2NormSquared());
   last_angle_ = 0.0;
 }
 
@@ -63,9 +64,19 @@ bool ModCDetector::Observe(const SparseVector& features, bool useful,
   if (shadow_ == nullptr) return false;
   if (!rng_.NextBool(options_.rho)) return false;
   shadow_->Observe(features, useful);
-  const WeightVector shadow_weights = shadow_->ModelWeights();
-  const double cosine = WeightVector::Cosine(shadow_weights,
-                                             frozen_weights_);
+  // WeightVector::Cosine(shadow_->ModelWeights(), frozen_weights_) from one
+  // id-ordered visit of the shadow: the terms the visit skips are zeros,
+  // and adding a zero never changes a sum that starts at +0 (DESIGN.md
+  // §18), so the dot and the norm are the dense ones bit for bit.
+  double dot = 0.0;
+  double norm_sq = 0.0;
+  shadow_->ForEachModelWeight([this, &dot, &norm_sq](uint32_t id, double w) {
+    dot += w * frozen_weights_.Get(id);
+    norm_sq += w * w;
+  });
+  const double norm = std::sqrt(norm_sq);
+  const double cosine =
+      norm == 0.0 || frozen_norm_ == 0.0 ? 0.0 : dot / (norm * frozen_norm_);
   last_angle_ =
       std::acos(std::clamp(cosine, -1.0, 1.0)) * 180.0 / M_PI;
   IE_METRIC_COUNT("detector.checks");
@@ -93,9 +104,12 @@ void FeatSDetector::OnModelUpdated(
       decisions.push_back(svm_.Decision(ex.features));
     }
     std::sort(decisions.begin(), decisions.end());
+    // Clamped into [0, 1], NaN read as 0, so the index stays in range.
+    const double quantile = options_.margin_quantile > 0.0
+                                ? std::min(options_.margin_quantile, 1.0)
+                                : 0.0;
     const size_t idx = static_cast<size_t>(
-        options_.margin_quantile *
-        static_cast<double>(decisions.size() - 1));
+        quantile * static_cast<double>(decisions.size() - 1));
     margin_ = decisions[idx];
   }
   recent_inlier_.clear();

@@ -120,7 +120,9 @@ struct ModCOptions {
 
 /// Mod-C: clones the ranking model at each update; routes a fraction ρ of
 /// recent documents into the clone; triggers when the angle between the
-/// clone's and the frozen model's weight vectors exceeds α.
+/// clone's and the frozen model's weight vectors exceeds α. A check reads
+/// the clone through one visit of its non-zero weights against the frozen
+/// weights and norm taken at the update, so it never materializes a model.
 class ModCDetector : public UpdateDetector {
  public:
   explicit ModCDetector(ModCOptions options = {}, uint64_t seed = 53)
@@ -140,6 +142,7 @@ class ModCDetector : public UpdateDetector {
   Rng rng_;
   std::unique_ptr<DocumentRanker> shadow_;
   WeightVector frozen_weights_;
+  double frozen_norm_ = 0.0;  // ‖frozen_weights_‖
   double last_angle_ = 0.0;
 };
 
@@ -155,7 +158,8 @@ struct FeatSOptions {
   /// Sliding window of recent documents evaluated for inlier fraction S.
   size_t window = 200;
   /// Inlier margin = this quantile of the training documents' decision
-  /// values, recalibrated at every model update.
+  /// values, recalibrated at every model update. Read clamped into
+  /// [0, 1], with NaN as 0.
   double margin_quantile = 0.45;
 };
 

@@ -1,25 +1,30 @@
-// Dense reference detectors — the oracles for the Top-K and Feat-S
-// statistics (DESIGN.md §17). They compute the statistics the plain way:
-// Top-K materializes its side classifier's weights, takes
+// Dense reference detectors — the oracles for the Top-K, Feat-S and Mod-C
+// statistics (DESIGN.md §17, §18). They compute the statistics the plain
+// way: Top-K materializes its side classifier's weights, takes
 // TopKFeatures(DenseWeights(), K) and compares lists with a hash-map
 // footrule; the one-class SVM recomputes both norms and a sorted-merge dot
-// for every support vector. TopKDetector, OrderKeyIndex,
-// GeneralizedFootrule and OneClassSvm must match them bit for bit
-// (tests/detector_oracle_test.cc drives both on one stream). Header-only,
-// like tests/index_oracle.h. Their arithmetic is the reference: change it
-// only together with the product code, operation for operation.
+// for every support vector; Mod-C materializes the shadow model id by id
+// and takes WeightVector::Cosine. TopKDetector, OrderKeyIndex,
+// GeneralizedFootrule, OneClassSvm and ModCDetector must match them bit
+// for bit (tests/detector_oracle_test.cc drives both on one stream).
+// Header-only, like tests/index_oracle.h. Their arithmetic is the
+// reference: change it only together with the product code, operation for
+// operation.
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
 #include "common/ordered.h"
+#include "common/rng.h"
 #include "learn/binary_svm.h"
 #include "learn/feature_selection.h"
 #include "learn/one_class_svm.h"
+#include "ranking/learned_rankers.h"
 #include "text/sparse_vector.h"
 #include "update/update_detector.h"
 
@@ -195,6 +200,71 @@ class MergeDotOneClassSvm {
   std::vector<SparseVector> support_;
   std::vector<double> alphas_;
   size_t steps_ = 0;
+};
+
+/// A learner's weights materialized id by id through the unmemoized
+/// CurrentWeight: one std::exp per stored feature.
+inline WeightVector DenseLearnerWeights(const ElasticNetSgd& sgd) {
+  WeightVector w(sgd.dimension());
+  for (uint32_t id = 0; id < sgd.dimension(); ++id) {
+    const double v = sgd.CurrentWeight(id);
+    if (v != 0.0) w.Set(id, v);
+  }
+  return w;
+}
+
+/// A learned ranker's model, dense: RSVM-IE's weights, or the BAgg-IE
+/// committee's element-wise mean, accumulated member by member over each
+/// member's dense weights.
+inline WeightVector DenseModel(const DocumentRanker& ranker) {
+  if (const auto* rsvm = dynamic_cast<const RsvmIeRanker*>(&ranker)) {
+    return DenseLearnerWeights(rsvm->svm().learner());
+  }
+  const BaggingCommittee& committee =
+      dynamic_cast<const BaggIeRanker&>(ranker).committee();
+  const double size = static_cast<double>(committee.committee_size());
+  WeightVector mean;
+  for (size_t m = 0; m < committee.committee_size(); ++m) {
+    const WeightVector w = DenseLearnerWeights(committee.member(m).learner());
+    for (uint32_t id = 0; id < w.dimension(); ++id) {
+      const double v = w.Get(id);
+      if (v != 0.0) mean.Add(id, v / size);
+    }
+  }
+  return mean;
+}
+
+/// Mod-C with dense models: every check materializes the shadow and takes
+/// WeightVector::Cosine against the frozen model, norms included. Draws
+/// the same ρ stream as ModCDetector for the same seed.
+class DenseModCDetector {
+ public:
+  DenseModCDetector(ModCOptions options, uint64_t seed)
+      : options_(options), rng_(seed) {}
+
+  void OnModelUpdated(const DocumentRanker& ranker) {
+    shadow_ = ranker.Clone();
+    frozen_ = DenseModel(ranker);
+    last_angle_ = 0.0;
+  }
+
+  bool Observe(const SparseVector& features, bool useful) {
+    if (shadow_ == nullptr) return false;
+    if (!rng_.NextBool(options_.rho)) return false;
+    shadow_->Observe(features, useful);
+    const double cosine = WeightVector::Cosine(DenseModel(*shadow_), frozen_);
+    last_angle_ = std::acos(std::clamp(cosine, -1.0, 1.0)) * 180.0 / M_PI;
+    return last_angle_ > options_.alpha_degrees;
+  }
+
+  double last_angle_degrees() const { return last_angle_; }
+
+ private:
+  ModCOptions options_;
+  Rng rng_;
+  std::unique_ptr<DocumentRanker> shadow_;
+  WeightVector frozen_;
+  double last_angle_ = 0.0;
 };
 
 }  // namespace ie::test

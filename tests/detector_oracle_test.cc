@@ -1,7 +1,7 @@
 // Lockstep bit-identity tests for the incremental Top-K and Feat-S
-// statistics (DESIGN.md §17): the product and the dense oracles of
-// tests/detector_oracle.h consume one stream, and every statistic must
-// agree to the bit. Like the golden pins, this suite is a bit-identity
+// statistics (DESIGN.md §17) and Mod-C's angle (§18): the product and the
+// dense oracles of tests/detector_oracle.h consume one stream, and every
+// statistic must agree to the bit. Like the golden pins, this suite is a bit-identity
 // contract; the CI golden step runs it.
 #include "detector_oracle.h"
 
@@ -278,6 +278,75 @@ TEST(DetectorOracleTest, FeatSLockstepOnFixturePools) {
     SCOPED_TRACE(GetRelation(relation).name);
     EXPECT_GE(RunFeatSLockstep(relation, options),
               PoolStream(relation).size());
+  }
+}
+
+// ---- Mod-C ------------------------------------------------------------
+
+// Three passes over one relation's pool with the pipeline's Mod-C options
+// for the ranker. The ranker trains on the pool's first documents. At
+// every trigger it absorbs the documents seen since its last update, both
+// detectors re-clone it, and it then commits (a scoring snapshot), in the
+// pipeline's order. At every document the angles are memcmp-equal and the
+// triggers agree. Returns the number of triggers.
+template <typename Ranker>
+size_t RunModCLockstep(RelationId relation, RankerKind kind) {
+  const std::vector<LabeledExample> stream = PoolStream(relation);
+  const ModCOptions options =
+      PipelineConfig::Defaults(kind, SamplerKind::kSRS, UpdateKind::kModC, 1)
+          .modc;
+  Ranker ranker;
+  ranker.TrainInitial(
+      std::vector<LabeledExample>(stream.begin(), stream.begin() + 120));
+  ModCDetector product(options, 53);
+  test::DenseModCDetector oracle(options, 53);
+  product.OnModelUpdated(ranker, {});
+  oracle.OnModelUpdated(ranker);
+  std::vector<LabeledExample> buffer;
+  size_t docs = 0;
+  size_t triggers = 0;
+  for (int pass = 0; pass < kPasses; ++pass) {
+    for (const LabeledExample& ex : stream) {
+      const bool fired = product.Observe(ex.features, ex.label > 0, ranker);
+      EXPECT_EQ(fired, oracle.Observe(ex.features, ex.label > 0))
+          << "document " << docs;
+      EXPECT_TRUE(BitEqual(product.last_angle_degrees(),
+                           oracle.last_angle_degrees()))
+          << "document " << docs << ": " << product.last_angle_degrees()
+          << " vs " << oracle.last_angle_degrees();
+      if (::testing::Test::HasFailure()) return triggers;
+      ++docs;
+      buffer.push_back(ex);
+      if (fired) {
+        ++triggers;
+        for (const LabeledExample& absorbed : buffer) {
+          ranker.Observe(absorbed.features, absorbed.label > 0);
+        }
+        buffer.clear();
+        product.OnModelUpdated(ranker, {});
+        oracle.OnModelUpdated(ranker);
+        ranker.SnapshotForScoring();
+      }
+    }
+  }
+  return triggers;
+}
+
+TEST(DetectorOracleTest, ModCLockstepRsvmIeOnFixturePools) {
+  for (RelationId relation :
+       {RelationId::kPersonCharge, RelationId::kPersonCareer}) {
+    SCOPED_TRACE(GetRelation(relation).name);
+    EXPECT_GT(RunModCLockstep<RsvmIeRanker>(relation, RankerKind::kRSVMIE),
+              0u);
+  }
+}
+
+TEST(DetectorOracleTest, ModCLockstepBaggIeOnFixturePools) {
+  for (RelationId relation :
+       {RelationId::kPersonCharge, RelationId::kPersonCareer}) {
+    SCOPED_TRACE(GetRelation(relation).name);
+    EXPECT_GT(RunModCLockstep<BaggIeRanker>(relation, RankerKind::kBAggIE),
+              0u);
   }
 }
 

@@ -10,6 +10,7 @@
 #include "learn/feature_selection.h"
 #include "learn/one_class_svm.h"
 #include "learn/rank_svm.h"
+#include "learner_oracle.h"
 
 namespace ie {
 namespace {
@@ -301,6 +302,147 @@ TEST(ElasticNetSgdTest, L1EffIsZeroExactlyForPureL2) {
             0.0);
   EXPECT_GT(ElasticNetSgd({.lambda_all = 0.1, .lambda_l2_share = 0.99}).L1Eff(),
             0.0);
+}
+
+// ---- ElasticNetSgd against the reference arithmetic -----------------------
+
+// After an operation the product and the reference (tests/learner_oracle.h,
+// one std::exp per weight read) agree bit for bit on every weight, order
+// key, the dense snapshot, the non-zero count and the probes' scores.
+void ExpectMatchesReference(const ElasticNetSgd& sgd,
+                            const test::ReferenceElasticNetSgd& reference,
+                            const std::vector<SparseVector>& probes) {
+  ASSERT_EQ(sgd.steps(), reference.steps());
+  const WeightVector got = sgd.DenseWeights();
+  const WeightVector want = reference.DenseWeights();
+  ASSERT_EQ(got.dimension(), want.dimension());
+  for (uint32_t id = 0; id < want.dimension() + 2; ++id) {
+    ASSERT_TRUE(BitEqual(got.Get(id), want.Get(id))) << "dense " << id;
+    ASSERT_TRUE(BitEqual(sgd.CurrentWeight(id), reference.CurrentWeight(id)))
+        << "weight " << id;
+    ASSERT_TRUE(BitEqual(sgd.OrderKey(id), reference.OrderKey(id)))
+        << "key " << id;
+  }
+  ASSERT_EQ(sgd.NonZeroCount(), reference.NonZeroCount());
+  for (size_t i = 0; i < probes.size(); ++i) {
+    ASSERT_TRUE(BitEqual(sgd.Score(probes[i]), reference.Score(probes[i])))
+        << "probe " << i;
+  }
+}
+
+// A document of 1 to `max_features` random features in [0, dim).
+SparseVector RandomDocument(Rng& rng, uint32_t dim, size_t max_features) {
+  std::vector<SparseVector::Entry> entries;
+  const size_t n = 1 + rng.NextBounded(max_features);
+  for (size_t j = 0; j < n; ++j) {
+    entries.emplace_back(static_cast<uint32_t>(rng.NextBounded(dim)),
+                         0.05f + static_cast<float>(rng.NextDouble()));
+  }
+  return Vec(std::move(entries));
+}
+
+// One random operation on both learners: Step, PairStep, ForcedStep with a
+// gradient, a decay-only ForcedStep, or (when `commits`) CommitAll.
+void RandomOperation(Rng& rng, bool commits, ElasticNetSgd& sgd,
+                     test::ReferenceElasticNetSgd& reference) {
+  const double pick = rng.NextDouble();
+  const int y = rng.NextBool(0.5) ? 1 : -1;
+  if (pick < 0.3) {
+    const SparseVector x = RandomDocument(rng, 300, 40);
+    ASSERT_EQ(sgd.Step(x, y), reference.Step(x, y));
+  } else if (pick < 0.6) {
+    const SparseVector pos = RandomDocument(rng, 300, 40);
+    const SparseVector neg = RandomDocument(rng, 300, 40);
+    ASSERT_EQ(sgd.PairStep(pos, neg), reference.PairStep(pos, neg));
+  } else if (pick < 0.8) {
+    const SparseVector x = RandomDocument(rng, 300, 40);
+    sgd.ForcedStep(x, y);
+    reference.ForcedStep(x, y);
+  } else if (pick < 0.95 || !commits) {
+    sgd.ForcedStep(SparseVector(), 0.0);
+    reference.ForcedStep(SparseVector(), 0.0);
+  } else {
+    sgd.CommitAll();
+    reference.CommitAll();
+  }
+}
+
+// With ℓ1 (weights hit exactly 0 and come back), pure ℓ2 (the Top-K side
+// classifier's regime) and a step clamp (the rankers' regime).
+constexpr ElasticNetOptions kLockstepOptions[] = {
+    {.lambda_all = 0.5, .lambda_l2_share = 0.9},
+    {.lambda_all = 0.01, .lambda_l2_share = 1.0},
+    {.lambda_all = 0.1,
+     .lambda_l2_share = 0.99,
+     .step_offset = 2.0,
+     .step_clamp = 50},
+};
+
+TEST(LearnerOracleTest, RandomInterleavingsMatchReference) {
+  for (const ElasticNetOptions& options : kLockstepOptions) {
+    SCOPED_TRACE(::testing::Message() << "l2 share " << options.lambda_l2_share
+                                      << ", clamp " << options.step_clamp);
+    ElasticNetSgd sgd(options);
+    test::ReferenceElasticNetSgd reference(options);
+    Rng rng(61);
+    std::vector<SparseVector> probes;
+    for (int i = 0; i < 4; ++i) probes.push_back(RandomDocument(rng, 320, 60));
+    for (int op = 0; op < 1500; ++op) {
+      RandomOperation(rng, /*commits=*/true, sgd, reference);
+      ExpectMatchesReference(sgd, reference, probes);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    EXPECT_GT(sgd.NonZeroCount(), 0u);
+  }
+}
+
+// A document whose 100 features were each last touched at a different
+// step: its Score and gradient steps read more distinct last-touch steps
+// than the per-call memo has slots.
+TEST(LearnerOracleTest, DocumentWithManyDistinctLastTouchSteps) {
+  for (const ElasticNetOptions& options : kLockstepOptions) {
+    ElasticNetSgd sgd(options);
+    test::ReferenceElasticNetSgd reference(options);
+    std::vector<SparseVector::Entry> all;
+    for (uint32_t f = 0; f < 100; ++f) {
+      const SparseVector x = Vec({{f, 1.0f}});
+      const double g = f % 3 == 0 ? -1.0 : 1.0;
+      sgd.ForcedStep(x, g);
+      reference.ForcedStep(x, g);
+      all.emplace_back(f, 0.25f + 0.01f * static_cast<float>(f));
+    }
+    const SparseVector wide = Vec(std::move(all));
+    const SparseVector other = Vec({{3, 1.0f}, {70, 0.5f}, {130, 0.75f}});
+    const std::vector<SparseVector> probes = {wide, other};
+    ExpectMatchesReference(sgd, reference, probes);
+    ASSERT_EQ(sgd.Step(wide, -1), reference.Step(wide, -1));
+    ExpectMatchesReference(sgd, reference, probes);
+    ASSERT_EQ(sgd.PairStep(other, wide), reference.PairStep(other, wide));
+    ExpectMatchesReference(sgd, reference, probes);
+    sgd.ForcedStep(wide, 1.0);
+    reference.ForcedStep(wide, 1.0);
+    ExpectMatchesReference(sgd, reference, probes);
+  }
+}
+
+// Thousands of steps without a commit: the bulk passes' table spans every
+// step since construction.
+TEST(LearnerOracleTest, LongUncommittedRunMatchesReference) {
+  for (const ElasticNetOptions& options : kLockstepOptions) {
+    ElasticNetSgd sgd(options);
+    test::ReferenceElasticNetSgd reference(options);
+    Rng rng(67);
+    const std::vector<SparseVector> probes = {RandomDocument(rng, 300, 80)};
+    for (int op = 0; op < 4000; ++op) {
+      RandomOperation(rng, /*commits=*/false, sgd, reference);
+      ExpectMatchesReference(sgd, reference, probes);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    EXPECT_GE(sgd.steps(), 4000u);
+    sgd.CommitAll();
+    reference.CommitAll();
+    ExpectMatchesReference(sgd, reference, probes);
+  }
 }
 
 // ---- OnlineBinarySvm ------------------------------------------------------

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+
 #include "index/compact_index.h"
 #include "ranking/document_ranker.h"
 #include "ranking/factcrawl.h"
@@ -90,9 +93,31 @@ TEST(RsvmIeRankerTest, ScoreUsesSnapshotNotLiveModel) {
   EXPECT_NE(ranker.Score(probe), before);
 }
 
-TEST(RsvmIeRankerTest, CloneIsIndependent) {
-  RsvmIeRanker ranker;
-  ranker.TrainInitial(TopicalSample(100));
+bool BitEqual(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+void ExpectSameWeights(const WeightVector& got, const WeightVector& want) {
+  const size_t n = std::max(got.dimension(), want.dimension());
+  for (uint32_t id = 0; id < n; ++id) {
+    ASSERT_TRUE(BitEqual(got.Get(id), want.Get(id))) << "feature " << id;
+  }
+}
+
+// A clone shares the original's reservoir documents (copy-on-write pools).
+// The pools here are small, so the training sample already fills them and
+// the clone's 100 Observes replace stored documents. The original must
+// stay bit-equal to a twin that was never cloned: its scores, its weights,
+// and its next 100 training steps. Those steps draw pairs from the pools
+// (RSVM-IE) or, on a stream of mostly useless documents, replay stored
+// useful ones (BAgg-IE).
+template <typename Ranker, typename Options>
+void ExpectCloneIsIndependent(const Options& options) {
+  const auto sample = TopicalSample(100);
+  Ranker ranker(options);
+  Ranker twin(options);
+  ranker.TrainInitial(sample);
+  twin.TrainInitial(sample);
   std::unique_ptr<DocumentRanker> clone = ranker.Clone();
   const SparseVector probe = Vec({{0, 1.0f}});
   for (int i = 0; i < 100; ++i) clone->Observe(probe, true);
@@ -100,6 +125,40 @@ TEST(RsvmIeRankerTest, CloneIsIndependent) {
   const double cosine =
       WeightVector::Cosine(ranker.ModelWeights(), clone->ModelWeights());
   EXPECT_LT(cosine, 1.0 - 1e-6);
+  ExpectSameWeights(ranker.ModelWeights(), twin.ModelWeights());
+  ranker.SnapshotForScoring();
+  twin.SnapshotForScoring();
+  for (const auto& ex : sample) {
+    ASSERT_TRUE(BitEqual(ranker.Score(ex.features), twin.Score(ex.features)));
+  }
+  std::vector<LabeledExample> more;  // one useful document in five
+  for (const auto& ex : TopicalSample(200, 7)) {
+    if (more.size() == 100) break;
+    if (ex.label < 0 || more.size() % 5 == 0) more.push_back(ex);
+  }
+  for (const auto& ex : more) {
+    ranker.Observe(ex.features, ex.label > 0);
+    twin.Observe(ex.features, ex.label > 0);
+    ExpectSameWeights(ranker.ModelWeights(), twin.ModelWeights());
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  ranker.SnapshotForScoring();
+  twin.SnapshotForScoring();
+  for (const auto& ex : more) {
+    ASSERT_TRUE(BitEqual(ranker.Score(ex.features), twin.Score(ex.features)));
+  }
+}
+
+TEST(RsvmIeRankerTest, CloneIsIndependent) {
+  RsvmIeOptions options;
+  options.rank_svm.pool_capacity = 20;
+  ExpectCloneIsIndependent<RsvmIeRanker>(options);
+}
+
+TEST(BaggIeRankerTest, CloneIsIndependent) {
+  BaggIeOptions options;
+  options.bagging.balance_pool_capacity = 8;
+  ExpectCloneIsIndependent<BaggIeRanker>(options);
 }
 
 TEST(RsvmIeRankerTest, InTrainingFeatureSelectionKeepsModelSparse) {

@@ -30,7 +30,6 @@ class FixedScoreRanker : public DocumentRanker {
   double Score(const SparseVector& x) const override {
     return scores_[x.id(0)];
   }
-  WeightVector ModelWeights() const override { return {}; }
   std::unique_ptr<DocumentRanker> Clone() const override {
     return std::make_unique<FixedScoreRanker>(*this);
   }

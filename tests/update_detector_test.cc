@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <vector>
 
 #include "common/rng.h"
 #include "ranking/learned_rankers.h"
@@ -202,6 +204,36 @@ TEST(FeatSTest, InDistributionStreamQuiet) {
     triggers += detector.Observe(ex.features, ex.label > 0, *ranker);
   }
   EXPECT_EQ(triggers, 0);
+}
+
+// A margin quantile outside [0, 1] reads as its clamp, and NaN as 0, so
+// the margin index stays inside the sorted decisions: 1.5 and +inf used to
+// read past the end, and -0.5 and NaN cast a negative or NaN to size_t.
+TEST(FeatSTest, MarginQuantileIsClampedIntoUnitInterval) {
+  const auto sample = Stream(200, 0, 17);
+  auto ranker = TrainedRanker(sample);
+  const auto stream = Stream(300, 0, 18);
+  auto shifts = [&](double quantile) {
+    FeatSOptions options;
+    options.min_docs_between_checks = 25;
+    options.window = 25;
+    options.margin_quantile = quantile;
+    FeatSDetector detector(options);
+    detector.OnModelUpdated(*ranker, sample);
+    std::vector<double> out;
+    for (const auto& ex : stream) {
+      detector.Observe(ex.features, ex.label > 0, *ranker);
+      out.push_back(detector.last_shift());
+    }
+    return out;
+  };
+  const std::vector<double> at_zero = shifts(0.0);
+  const std::vector<double> at_one = shifts(1.0);
+  ASSERT_NE(at_zero, at_one);  // the two ends are told apart
+  EXPECT_EQ(shifts(-0.5), at_zero);
+  EXPECT_EQ(shifts(std::nan("")), at_zero);
+  EXPECT_EQ(shifts(1.5), at_one);
+  EXPECT_EQ(shifts(HUGE_VAL), at_one);
 }
 
 }  // namespace

@@ -69,10 +69,11 @@ step "golden-hash determinism matrix (rankers x detectors x seeds x threads, bas
 # Byte-stable digests across extract_threads {1,2,8} plus pinned golden
 # constants, and the pinned FC/A-FC/QXtract baselines; see DESIGN.md §12
 # for the re-pin procedure. DetectorOracleTest holds the incremental
-# Top-K and Feat-S statistics bit-equal to their dense oracles
-# (DESIGN.md §17).
+# Top-K and Feat-S statistics and Mod-C's angle bit-equal to their dense
+# oracles (DESIGN.md §17, §18); LearnerOracleTest holds the memoized
+# learner bit-equal to its reference arithmetic (§18).
 ctest --test-dir build-default \
-    -R 'DeterminismGoldenTest|BaselineGoldenTest|DetectorOracleTest' \
+    -R 'DeterminismGoldenTest|BaselineGoldenTest|DetectorOracleTest|LearnerOracleTest' \
     --output-on-failure -j "$JOBS"
 
 step "bench_featurize perf trajectory (arena featurizer)"
