@@ -24,6 +24,23 @@ uint32_t TokenGap(const RelationCandidate& c) {
   return hi_begin > lo_end ? hi_begin - lo_end : 0;
 }
 
+// Reusable per-thread kernel scratch: RawKernel's two DP tables, flat
+// (row-major, (n+1) × (m+1)) and grown to the largest pair a thread has
+// compared, so that a call allocates nothing once warm. thread_local because
+// ExtractionOutcomes::Compute and the speculative extraction executor call
+// Accept on worker threads. Every cell a call reads is written earlier in
+// the same call, so reuse never leaks state between calls
+// (KernelOracleTest in tests/relation_extractor_test.cc pins this).
+struct KernelScratch {
+  std::vector<double> prev;  // K'_{q-1}
+  std::vector<double> cur;   // K'_q
+};
+
+KernelScratch& GetKernelScratch() {
+  thread_local KernelScratch scratch;
+  return scratch;
+}
+
 }  // namespace
 
 std::vector<RelationCandidate> EnumerateCandidates(
@@ -159,25 +176,36 @@ double SubsequenceKernelRelationExtractor::RawKernel(
   const double lam = options_.decay;
   const size_t p = options_.max_subseq_len;
 
-  // kpp[i][j]: K'_{q}(a_1..i, b_1..j) auxiliary table for current q.
-  std::vector<std::vector<double>> kpp_prev(n + 1,
-                                            std::vector<double>(m + 1, 1.0));
-  std::vector<std::vector<double>> kpp(n + 1, std::vector<double>(m + 1));
+  // kpp[i·stride + j]: K'_{q}(a_1..i, b_1..j) auxiliary table for the
+  // current q; kpp_prev holds K'_{q-1}, all ones for q = 1.
+  const size_t stride = m + 1;
+  const size_t cells = (n + 1) * stride;
+  KernelScratch& scratch = GetKernelScratch();
+  if (scratch.prev.size() < cells) {
+    scratch.prev.resize(cells);
+    scratch.cur.resize(cells);
+  }
+  double* kpp_prev = scratch.prev.data();
+  double* kpp = scratch.cur.data();
+  std::fill(kpp_prev, kpp_prev + cells, 1.0);
   double total = 0.0;
 
   for (size_t q = 1; q <= p; ++q) {
     double kq = 0.0;  // K_q(s, t)
-    for (size_t i = 0; i <= n; ++i) kpp[i][0] = 0.0;
-    for (size_t j = 0; j <= m; ++j) kpp[0][j] = 0.0;
+    for (size_t i = 0; i <= n; ++i) kpp[i * stride] = 0.0;
+    for (size_t j = 0; j <= m; ++j) kpp[j] = 0.0;
     for (size_t i = 1; i <= n; ++i) {
+      const double* diag = kpp_prev + (i - 1) * stride;  // row i-1 of q-1
+      const double* up = kpp + (i - 1) * stride;         // row i-1 of q
+      double* row = kpp + i * stride;
       double kpps = 0.0;  // running K''
       for (size_t j = 1; j <= m; ++j) {
         kpps = lam * kpps;
         if (a[i - 1] == b[j - 1]) {
-          kpps += lam * lam * kpp_prev[i - 1][j - 1];
-          kq += lam * lam * kpp_prev[i - 1][j - 1];
+          kpps += lam * lam * diag[j - 1];
+          kq += lam * lam * diag[j - 1];
         }
-        kpp[i][j] = lam * kpp[i - 1][j] + kpps;
+        row[j] = lam * up[j] + kpps;
       }
     }
     total += kq;

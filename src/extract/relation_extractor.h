@@ -102,16 +102,31 @@ class SubsequenceKernelRelationExtractor : public RelationExtractor {
 
   size_t NumSupportVectors() const { return support_.size(); }
 
+  /// Read-only views of the trained model, for the reference decision in
+  /// tests/kernel_oracle.h.
+  const Options& options() const { return options_; }
+  const std::vector<std::vector<TokenId>>& support_vectors() const {
+    return support_;
+  }
+  const std::vector<double>& alphas() const { return alphas_; }
+  double bias() const { return bias_; }
+
   /// Exposed for testing: normalized kernel between two token sequences.
   double NormalizedKernel(const std::vector<TokenId>& a,
                           const std::vector<TokenId>& b) const;
 
- private:
+  /// The token sequence the kernel compares for a candidate: a window
+  /// before, the capped between-tokens, a window after.
   std::vector<TokenId> CandidateSequence(
       const RelationCandidate& candidate) const;
+
+  /// Kernel-perceptron margin of a candidate sequence; Accept is
+  /// Decision > 0.
+  double Decision(const std::vector<TokenId>& seq) const;
+
+ private:
   double RawKernel(const std::vector<TokenId>& a,
                    const std::vector<TokenId>& b) const;
-  double Decision(const std::vector<TokenId>& seq) const;
 
   Options options_{};
   std::vector<std::vector<TokenId>> support_;

@@ -375,17 +375,7 @@ class ExtractionSession {
 
     // Search-interface scenario: turn the refreshed model's top features
     // into new queries and grow the candidate pool.
-    if (config_.access == AccessMode::kSearchInterface) {
-      const WeightVector weights = ranker_->ModelWeights();
-      for (const WeightedFeature& f :
-           TopKFeatures(weights, config_.search_refresh_features)) {
-        if (f.id >= context_.corpus->vocab().size()) continue;
-        const std::string& term = context_.corpus->vocab().Term(f.id);
-        if (IsQueryableTerm(term)) {
-          AddSearchHits(term, config_.search_refresh_depth);
-        }
-      }
-    }
+    if (config_.access == AccessMode::kSearchInterface) RefreshQueries();
     if (!recorder_.active()) {
       Rerank();
       return;
@@ -410,6 +400,31 @@ class ExtractionSession {
       total_sq += sq;
     }
     record->weight_delta_norm = std::sqrt(total_sq);
+  }
+
+  /// Queries the index with each queryable top feature of the updated
+  /// model. A feature already issued as a refresh query this run is
+  /// skipped: the index, the depth and the feature's term are fixed for
+  /// the run and `seen_` only grows, so every hit of the repeat is already
+  /// a candidate or processed (DESIGN.md §19).
+  void RefreshQueries() {
+    IE_TRACE_SCOPE("pipeline.refresh_queries");
+    const Vocabulary& vocab = context_.corpus->vocab();
+    const WeightVector weights = ranker_->ModelWeights();
+    for (const WeightedFeature& f :
+         TopKFeatures(weights, config_.search_refresh_features)) {
+      if (f.id >= vocab.size()) continue;
+      const std::string& term = vocab.Term(f.id);
+      if (!IsQueryableTerm(term)) continue;
+      if (refresh_issued_.size() <= f.id) refresh_issued_.resize(f.id + 1);
+      if (refresh_issued_[f.id] != 0) {
+        IE_METRIC_COUNT("pipeline.refresh_queries_repeated");
+        continue;
+      }
+      refresh_issued_[f.id] = 1;
+      IE_METRIC_COUNT("pipeline.refresh_queries");
+      AddSearchHits(term, config_.search_refresh_depth);
+    }
   }
 
   /// Search access: documents never retrieved by any query are processed
@@ -531,6 +546,8 @@ class ExtractionSession {
   /// processed so far.
   std::unordered_set<DocId> seen_;
   std::vector<DocId> staged_;  // candidates found before the engine
+  /// Indexed by feature id: 1 once issued as a refresh query this run.
+  std::vector<uint8_t> refresh_issued_;
   std::vector<LabeledExample> buffer_;  // examples since the last update
   std::deque<DocId> lookahead_;
   std::vector<uint32_t> support_;  // current model's features, ascending

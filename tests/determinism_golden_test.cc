@@ -19,15 +19,19 @@
 //
 // The adaptive matrix pins Mod-C, Top-K and Feat-S on PH; the Top-K and
 // Feat-S cases must fire at least one update, so their pins cover the
-// detector's statistic. The baselines (FC, A-FC, QXtract) have no thread
+// detector's statistic. The search-access matrix pins PH and PC under
+// Wind-F and Mod-C, once with live extraction, which must reproduce its
+// cached-outcome twin. The baselines (FC, A-FC, QXtract) have no thread
 // axis: their layer 1 is a repeat of the same run, and layer 2 pins them
 // over both samplers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -203,6 +207,106 @@ INSTANTIATE_TEST_SUITE_P(
                    "b8c58daff21de255"},
         GoldenCase{RankerKind::kBAggIE, UpdateKind::kFeatS, 7,
                    "290422b65680f329"}));
+
+struct SearchCase {
+  RelationId relation;
+  RankerKind ranker;
+  UpdateKind update;
+  /// Runs the real IE system per document instead of the outcome cache.
+  bool live;
+  /// Expected digest; a live case carries its cached-outcome twin's pin.
+  const char* pinned;
+};
+
+/// The shared world's vocabulary grows as it is built: training each
+/// relation's extractor and each run's up-front attribute interning add
+/// ids, and the digest hashes feature ids. Building PH, then PC, before
+/// any case makes a case run alone see the ids a whole-binary run sees.
+void BuildWorldInPinOrder() {
+  for (RelationId relation :
+       {RelationId::kPersonCharge, RelationId::kPersonCareer}) {
+    const ExtractionOutcomes& outcomes = test::SharedOutcomes(relation);
+    for (DocId id : test::SharedCorpus().splits().test) {
+      for (const std::string& value : outcomes.AttributeValues(id)) {
+        test::SharedFeaturizer().AttributeFeatureId(value);
+      }
+    }
+  }
+}
+
+PipelineResult RunSearch(const SearchCase& param, bool live) {
+  SharedContext context = test::MakeSharedContext(param.relation);
+  if (live) context.extraction_system = &test::SharedSystem(param.relation);
+  PipelineConfig config = PipelineConfig::Defaults(
+      param.ranker, SamplerKind::kSRS, param.update, /*seed=*/1);
+  config.access = AccessMode::kSearchInterface;
+  config.sample_size = 120;
+  // RSVM-IE's Mod-C threshold for both rankers: at BAgg-IE's default 6°
+  // the PH run never updates, so it would issue no refresh query.
+  config.modc.alpha_degrees = 2.0;
+  return AdaptiveExtractionPipeline::Run(context, config);
+}
+
+/// e.g. "PC_RSVMIE_ModC_seed1_live"; also the printed parameter, so that
+/// ctest names carry no pointer bytes.
+std::string SearchCaseName(const SearchCase& param) {
+  std::string name = GetRelation(param.relation).code + "_" +
+                     RankerKindName(param.ranker) + "_" +
+                     UpdateKindName(param.update) + "_seed1" +
+                     (param.live ? "_live" : "");
+  name.erase(std::remove(name.begin(), name.end(), '-'), name.end());
+  return name;
+}
+
+void PrintTo(const SearchCase& param, std::ostream* os) {
+  *os << SearchCaseName(param);
+}
+
+class SearchGoldenTest : public ::testing::TestWithParam<SearchCase> {};
+
+// Search access: the initial queries, every refresh query after an update
+// and the leftovers all shape the processing order, so these pins cover
+// the query path that the full-access matrix above never takes.
+TEST_P(SearchGoldenTest, Pinned) {
+  const SearchCase param = GetParam();
+  BuildWorldInPinOrder();
+  const SharedContext context = test::MakeSharedContext(param.relation);
+  const PipelineResult result = RunSearch(param, param.live);
+  ASSERT_EQ(result.processing_order.size(), result.pool_size);
+  // A pin over a run that never updates would not cover a refresh query.
+  EXPECT_GT(result.NumUpdates(), 0u);
+  const std::string digest = RunDigest(context, result);
+  if (param.live) {
+    // Live extraction must reproduce the cached outcomes' run exactly.
+    EXPECT_EQ(digest, RunDigest(context, RunSearch(param, false)));
+  }
+  ExpectPinned(digest, param.pinned);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RelationsRankersDetectors, SearchGoldenTest,
+    ::testing::Values(
+        SearchCase{RelationId::kPersonCharge, RankerKind::kRSVMIE,
+                   UpdateKind::kWindF, false, "23e41eeb4d41417b"},
+        SearchCase{RelationId::kPersonCharge, RankerKind::kRSVMIE,
+                   UpdateKind::kModC, false, "f9012c68cb9af1d5"},
+        SearchCase{RelationId::kPersonCharge, RankerKind::kBAggIE,
+                   UpdateKind::kWindF, false, "cd2cc62ed9bbefc2"},
+        SearchCase{RelationId::kPersonCharge, RankerKind::kBAggIE,
+                   UpdateKind::kModC, false, "94ff7f08ccc7aa99"},
+        SearchCase{RelationId::kPersonCareer, RankerKind::kRSVMIE,
+                   UpdateKind::kWindF, false, "9610ef5432134620"},
+        SearchCase{RelationId::kPersonCareer, RankerKind::kRSVMIE,
+                   UpdateKind::kModC, false, "2904ae5b197ebb70"},
+        SearchCase{RelationId::kPersonCareer, RankerKind::kBAggIE,
+                   UpdateKind::kWindF, false, "5aaa7ec2506b73fe"},
+        SearchCase{RelationId::kPersonCareer, RankerKind::kBAggIE,
+                   UpdateKind::kModC, false, "ccc1f8aaa586e7d1"},
+        SearchCase{RelationId::kPersonCareer, RankerKind::kRSVMIE,
+                   UpdateKind::kModC, true, "2904ae5b197ebb70"}),
+    [](const ::testing::TestParamInfo<SearchCase>& info) {
+      return SearchCaseName(info.param);
+    });
 
 enum class Baseline { kFC, kAFC, kQXtract };
 

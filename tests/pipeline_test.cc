@@ -4,6 +4,8 @@
 
 #include <limits>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "eval/experiment.h"
 #include "pipeline/factcrawl_pipeline.h"
@@ -186,6 +188,61 @@ TEST(PipelineTest, SearchInterfaceAccessCoversPool) {
   const PipelineResult result =
       AdaptiveExtractionPipeline::Run(context, config);
   CheckRunInvariants(result, context);
+}
+
+/// Delegates to another index and logs every search as (terms, depth).
+class CountingIndex : public SearchIndex {
+ public:
+  using Log = std::vector<std::pair<std::vector<TokenId>, size_t>>;
+
+  CountingIndex(const SearchIndex& base, Log* log) : base_(base), log_(log) {}
+
+  size_t NumDocs() const override { return base_.NumDocs(); }
+  size_t NumPostings() const override { return base_.NumPostings(); }
+  size_t DocFreq(TokenId term) const override { return base_.DocFreq(term); }
+  size_t PostingsBytes() const override { return base_.PostingsBytes(); }
+  std::vector<SearchHit> Search(const std::vector<TokenId>& terms,
+                                size_t k) const override {
+    log_->emplace_back(terms, k);
+    return base_.Search(terms, k);
+  }
+
+ private:
+  const SearchIndex& base_;
+  Log* log_;
+};
+
+// Each refresh query is searched once per run: a feature that stays in the
+// model's top features across updates is not queried again, and the run's
+// counters report exactly the searches the index served.
+TEST(PipelineTest, RefreshQueriesAreSearchedOncePerRun) {
+  CountingIndex::Log log;
+  const CountingIndex index(test::SharedIndex(), &log);
+  SharedContext context = test::MakeSharedContext(RelationId::kPersonCareer);
+  context.index = &index;
+  PipelineConfig config =
+      BaseConfig(RankerKind::kRSVMIE, UpdateKind::kModC, 1);
+  config.access = AccessMode::kSearchInterface;
+  // Refresh searches are told apart from the initial ones by their depth.
+  ASSERT_NE(config.search_refresh_depth, config.search_initial_depth);
+  const PipelineResult result =
+      AdaptiveExtractionPipeline::Run(context, config);
+  CheckRunInvariants(result, context);
+  ASSERT_GT(result.NumUpdates(), 1u);
+
+  std::set<std::vector<TokenId>> refresh_queries;
+  size_t refresh_searches = 0;
+  for (const auto& [terms, depth] : log) {
+    if (depth != config.search_refresh_depth) continue;
+    ++refresh_searches;
+    EXPECT_TRUE(refresh_queries.insert(terms).second)
+        << "refresh query searched twice";
+  }
+  EXPECT_GT(refresh_searches, 0u);
+  EXPECT_EQ(result.metrics.CounterOr("pipeline.refresh_queries"),
+            refresh_searches);
+  EXPECT_GT(result.metrics.CounterOr("pipeline.refresh_queries_repeated"),
+            0u);
 }
 
 TEST(PipelineTest, OverheadAccountingNonNegative) {

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
+#include "common/parallel.h"
+#include "common/rng.h"
 #include "extract/extraction_system.h"
+#include "kernel_oracle.h"
 #include "test_util.h"
 #include "text/tokenizer.h"
 
@@ -154,6 +159,127 @@ TEST_F(SubseqKernelTest, GapsAreDiscounted) {
 
 TEST_F(SubseqKernelTest, EmptySequenceIsZero) {
   EXPECT_DOUBLE_EQ(extractor_.NormalizedKernel({}, Seq("anything")), 0.0);
+}
+
+// ---- Kernel oracle: the flat-scratch DP against the nested-table one -------
+
+/// Bit equality: the kernel must keep the reference's operation order, so
+/// its doubles compare with memcmp, not a tolerance.
+bool SameBits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+/// A random sequence of length 0–24 over a six-token alphabet, so that
+/// tokens repeat and sequences share many subsequences.
+std::vector<TokenId> RandomSequence(Rng* rng) {
+  std::vector<TokenId> seq(rng->NextBounded(25));
+  for (TokenId& t : seq) t = static_cast<TokenId>(rng->NextBounded(6));
+  return seq;
+}
+
+TEST(KernelOracleTest, RandomSequencesMatchReference) {
+  Rng rng(20261018);
+  for (size_t p = 1; p <= 3; ++p) {
+    for (double decay : {0.3, 0.5, 0.75, 0.9}) {
+      SubsequenceKernelRelationExtractor::Options options;
+      options.decay = decay;
+      options.max_subseq_len = p;
+      const SubsequenceKernelRelationExtractor extractor(options);
+      for (int trial = 0; trial < 60; ++trial) {
+        const std::vector<TokenId> a = RandomSequence(&rng);
+        const std::vector<TokenId> b = RandomSequence(&rng);
+        const double want = test::ReferenceNormalizedKernel(a, b, decay, p);
+        const double got = extractor.NormalizedKernel(a, b);
+        ASSERT_TRUE(SameBits(got, want))
+            << "p=" << p << " decay=" << decay << " |a|=" << a.size()
+            << " |b|=" << b.size() << ": " << got << " vs " << want;
+      }
+    }
+  }
+}
+
+// The scratch is sized by the largest pair seen so far and indexed with
+// the current pair's row stride: a short pair after a long one reads a
+// table full of the long pair's values, and a long pair after a short one
+// regrows it. Any cell read before this call wrote it shows here.
+TEST(KernelOracleTest, LongShortLongCallsMatchReference) {
+  const std::vector<TokenId> long_a = {1, 2, 1, 3, 2, 1, 4, 2, 1, 3, 1, 2,
+                                       5, 1, 2, 3, 1, 2, 1, 4, 2, 2, 1, 3};
+  const std::vector<TokenId> long_b = {2, 1, 3, 1, 2, 2, 1, 4, 1, 2, 3, 1,
+                                       2, 1, 5, 2, 1, 3, 2, 1};
+  const std::vector<TokenId> short_a = {1, 2};
+  const std::vector<TokenId> short_b = {2, 1, 2};
+  const SubsequenceKernelRelationExtractor::Options options;
+  const SubsequenceKernelRelationExtractor extractor(options);
+  const std::vector<std::pair<const std::vector<TokenId>*,
+                              const std::vector<TokenId>*>>
+      calls = {{&long_a, &long_b},  {&short_a, &short_b},
+               {&long_b, &long_a},  {&short_b, &long_a},
+               {&long_a, &short_a}, {&long_a, &long_b}};
+  for (const auto& [a, b] : calls) {
+    const double want = test::ReferenceNormalizedKernel(
+        *a, *b, options.decay, options.max_subseq_len);
+    EXPECT_TRUE(SameBits(extractor.NormalizedKernel(*a, *b), want))
+        << "|a|=" << a->size() << " |b|=" << b->size();
+  }
+}
+
+// Each thread owns its scratch: concurrent calls over pairs of different
+// shapes give the reference's bits (run under TSan by CI).
+TEST(KernelOracleTest, ConcurrentCallsMatchReference) {
+  Rng rng(7919);
+  std::vector<std::pair<std::vector<TokenId>, std::vector<TokenId>>> pairs;
+  for (int i = 0; i < 200; ++i) {
+    std::vector<TokenId> a = RandomSequence(&rng);
+    pairs.emplace_back(std::move(a), RandomSequence(&rng));
+  }
+  const SubsequenceKernelRelationExtractor::Options options;
+  const SubsequenceKernelRelationExtractor extractor(options);
+  std::vector<double> got(pairs.size());
+  ParallelFor(pairs.size(), 4, [&](size_t i) {
+    got[i] = extractor.NormalizedKernel(pairs[i].first, pairs[i].second);
+  });
+  for (size_t i = 0; i < pairs.size(); ++i) {
+    EXPECT_TRUE(SameBits(
+        got[i], test::ReferenceNormalizedKernel(pairs[i].first,
+                                                pairs[i].second, options.decay,
+                                                options.max_subseq_len)))
+        << "pair " << i;
+  }
+}
+
+// Every candidate the fixture's gold mentions form on the train split,
+// through the trained PH and PC classifiers: the margin is the reference
+// margin bit for bit, so every Accept verdict agrees with it.
+TEST(KernelOracleTest, TrainedDecisionsMatchReference) {
+  const Corpus& corpus = test::SharedCorpus();
+  for (RelationId relation :
+       {RelationId::kPersonCharge, RelationId::kPersonCareer}) {
+    const RelationSpec& spec = GetRelation(relation);
+    const auto* extractor =
+        dynamic_cast<const SubsequenceKernelRelationExtractor*>(
+            &test::SharedSystem(relation).relation_extractor());
+    ASSERT_NE(extractor, nullptr) << spec.code;
+    ASSERT_GT(extractor->NumSupportVectors(), 0u) << spec.code;
+    size_t candidates = 0;
+    size_t accepted = 0;
+    for (DocId id : corpus.splits().train) {
+      for (const RelationCandidate& candidate :
+           EnumerateCandidates(corpus.doc(id), corpus.annotations(id).mentions,
+                               spec.attr1, spec.attr2)) {
+        const std::vector<TokenId> seq =
+            extractor->CandidateSequence(candidate);
+        const double want = test::ReferenceDecision(*extractor, seq);
+        ASSERT_TRUE(SameBits(extractor->Decision(seq), want))
+            << spec.code << " doc " << id;
+        const bool accept = extractor->Accept(candidate);
+        ASSERT_EQ(accept, want > 0.0) << spec.code << " doc " << id;
+        ++candidates;
+        accepted += accept ? 1 : 0;
+      }
+    }
+    // Both verdicts occur, so agreement is not vacuous.
+    EXPECT_GT(accepted, 0u) << spec.code;
+    EXPECT_LT(accepted, candidates) << spec.code;
+  }
 }
 
 // ---- End-to-end extraction-system quality over every relation -------------

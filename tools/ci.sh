@@ -71,9 +71,11 @@ step "golden-hash determinism matrix (rankers x detectors x seeds x threads, bas
 # for the re-pin procedure. DetectorOracleTest holds the incremental
 # Top-K and Feat-S statistics and Mod-C's angle bit-equal to their dense
 # oracles (DESIGN.md §17, §18); LearnerOracleTest holds the memoized
-# learner bit-equal to its reference arithmetic (§18).
+# learner bit-equal to its reference arithmetic (§18). SearchGoldenTest
+# pins search-access runs, one with live extraction; KernelOracleTest
+# holds the relation kernel bit-equal to its nested-table reference (§19).
 ctest --test-dir build-default \
-    -R 'DeterminismGoldenTest|BaselineGoldenTest|DetectorOracleTest|LearnerOracleTest' \
+    -R 'DeterminismGoldenTest|BaselineGoldenTest|SearchGoldenTest|DetectorOracleTest|LearnerOracleTest|KernelOracleTest' \
     --output-on-failure -j "$JOBS"
 
 step "bench_featurize perf trajectory (arena featurizer)"
