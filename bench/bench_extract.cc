@@ -13,10 +13,11 @@
 //                 [--metrics-out=metrics.prom]
 //
 // With --trace, an extra overhead smoke runs after the thread sweep:
-// best-of-3 two-thread walls with the tracer off vs on. The traced runs
-// export a Chrome-trace JSON to the given path (CI validates it with
+// interleaved two-thread runs with the tracer off vs on, and the smallest
+// per-pair ratio of process CPU seconds. The traced runs export a
+// Chrome-trace JSON to the given path (CI validates it with
 // tools/check_trace.py) and the ratio lands in the output JSON as
-// "trace_overhead_ratio".
+// "trace_overhead_ratio" (CI gates it at <= 1.10).
 //
 // With --ledger, an analogous flight-recorder smoke runs: interleaved
 // serial runs with the recorder (the JSONL ledger) off vs on. The
@@ -39,6 +40,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <ctime>
 #include <string>
 #include <thread>
 #include <vector>
@@ -50,6 +52,14 @@ using namespace ie;
 using namespace ie::bench;
 
 namespace {
+
+/// CPU seconds of every thread of the process.
+double ProcessCpuSeconds() {
+  timespec ts;
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         static_cast<double>(ts.tv_nsec) * 1e-9;
+}
 
 struct RunStats {
   size_t threads = 0;
@@ -175,33 +185,45 @@ int main(int argc, char** argv) {
                gate_applies ? (gate_passes ? "PASS" : "FAIL")
                             : "SKIP (needs >=8 hardware threads)");
 
-  // Tracing-overhead smoke: best-of-3 two-thread walls, tracer off vs on.
-  // Two threads so the trace carries executor spans and queue-depth
-  // counters, not just the serial inline path. The traced runs all export
-  // to trace_path (last one wins — any of them is a valid CI artifact).
+  // Tracing-overhead smoke: 5 interleaved off/on pairs of two-thread
+  // runs, tracer off vs on, measured like the recorder smoke below: CPU
+  // seconds, gated on the minimum per-pair ratio. Process CPU, so the
+  // executor workers' spans count; not wall, because at two threads the
+  // wall hides the workers' share and its run-to-run spread exceeds the
+  // 10% budget (a best-of-3 wall ratio read 0.885 and 1.184 on the same
+  // code). Two threads so the trace carries executor spans and
+  // queue-depth counters, not just the serial inline path. The traced runs
+  // all export to trace_path (last one wins — any of them is a valid CI
+  // artifact).
   double trace_overhead_ratio = 0.0;
   if (!trace_path.empty()) {
     config.extract_threads = 2;
-    const auto best_wall = [&](const std::string& path) {
+    const auto one_cpu = [&](const std::string& path) {
       config.trace_path = path;
-      double best = 0.0;
-      for (int rep = 0; rep < 3; ++rep) {
-        WallTimer timer;
-        const PipelineResult result =
-            AdaptiveExtractionPipeline::Run(context, config);
-        IE_CHECK(result.processing_order == reference_order);
-        const double wall = timer.ElapsedSeconds();
-        if (best == 0.0 || wall < best) best = wall;
-      }
-      return best;
+      const double start = ProcessCpuSeconds();
+      const PipelineResult result =
+          AdaptiveExtractionPipeline::Run(context, config);
+      IE_CHECK(result.processing_order == reference_order);
+      return ProcessCpuSeconds() - start;
     };
-    const double untraced = best_wall("");
-    const double traced = best_wall(trace_path);
+    double untraced = 0.0;
+    double traced = 0.0;
+    std::vector<double> ratios;
+    for (int rep = 0; rep < 5; ++rep) {
+      const double off = one_cpu("");
+      const double on = one_cpu(trace_path);
+      if (off > 0.0) ratios.push_back(on / off);
+      if (untraced == 0.0 || off < untraced) untraced = off;
+      if (traced == 0.0 || on < traced) traced = on;
+    }
     config.trace_path.clear();
-    if (untraced > 0.0) trace_overhead_ratio = traced / untraced;
+    if (!ratios.empty()) {
+      trace_overhead_ratio = *std::min_element(ratios.begin(), ratios.end());
+    }
     std::fprintf(stderr,
                  "[bench_extract] trace overhead: untraced=%.3fs "
-                 "traced=%.3fs ratio=%.3f (trace -> %s)\n",
+                 "traced=%.3fs min-pair process cpu ratio=%.3f "
+                 "(trace -> %s)\n",
                  untraced, traced, trace_overhead_ratio, trace_path.c_str());
   }
 

@@ -137,6 +137,20 @@ struct GoldenCase {
   const char* pinned;
 };
 
+/// e.g. "RSVMIE_ModC_seed1"; also the printed parameter, so that ctest
+/// names carry no pointer bytes.
+std::string GoldenCaseName(const GoldenCase& param) {
+  std::string name = std::string(RankerKindName(param.ranker)) + "_" +
+                     UpdateKindName(param.update) + "_seed" +
+                     std::to_string(param.seed);
+  name.erase(std::remove(name.begin(), name.end(), '-'), name.end());
+  return name;
+}
+
+void PrintTo(const GoldenCase& param, std::ostream* os) {
+  *os << GoldenCaseName(param);
+}
+
 class DeterminismGoldenTest : public ::testing::TestWithParam<GoldenCase> {};
 
 TEST_P(DeterminismGoldenTest, ByteStableAcrossThreadsAndPinned) {
@@ -206,7 +220,10 @@ INSTANTIATE_TEST_SUITE_P(
         GoldenCase{RankerKind::kBAggIE, UpdateKind::kFeatS, 1,
                    "b8c58daff21de255"},
         GoldenCase{RankerKind::kBAggIE, UpdateKind::kFeatS, 7,
-                   "290422b65680f329"}));
+                   "290422b65680f329"}),
+    [](const ::testing::TestParamInfo<GoldenCase>& info) {
+      return GoldenCaseName(info.param);
+    });
 
 struct SearchCase {
   RelationId relation;

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
+#include <thread>
+
+#include "crf_oracle.h"
 #include "extract/crf_ner.h"
 #include "extract/hmm_ner.h"
 #include "extract/memm_ner.h"
@@ -338,6 +343,232 @@ TEST(CrfLiteNerTest, LearnsChargeRecognition) {
   ner.Train(TaggerTrainingData(EntityType::kCharge));
   const TaggerQuality q = EvaluateTagger(ner, EntityType::kCharge);
   EXPECT_GT(q.recall, 0.6);
+}
+
+// ---- CrfOracleTest ---------------------------------------------------------
+// CrfLiteNer decodes from the tables Train compiles (DESIGN.md §20);
+// test::ReferenceCrfLiteNer (tests/crf_oracle.h) hashes every feature into
+// dense tables, as the recognizer did before them. Trained on the same data
+// with the same seed, the two must label every sentence alike.
+
+/// A relation-dense training corpus for `relation`, built once per binary
+/// into the fixture's vocabulary, the way the production factory builds one.
+const Corpus& OracleTrainingCorpus(RelationId relation) {
+  static auto* cache = new std::map<RelationId, std::unique_ptr<Corpus>>();
+  auto it = cache->find(relation);
+  if (it == cache->end()) {
+    GeneratorOptions options =
+        GeneratorOptions::ForExtractorTraining(relation, 600, 71);
+    options.shared_vocab = test::SharedCorpus().shared_vocab();
+    it = cache
+             ->emplace(relation,
+                       std::make_unique<Corpus>(GenerateCorpus(options)))
+             .first;
+  }
+  return *it->second;
+}
+
+/// Gold sequences for `type` from the training corpus of `relation`.
+std::vector<TaggedSentence> OracleTrainingData(RelationId relation,
+                                               EntityType type,
+                                               uint64_t seed) {
+  const Corpus& corpus = OracleTrainingCorpus(relation);
+  return CollectTaggedSentences(corpus, corpus.splits().train, type, 0.25,
+                                seed);
+}
+
+/// Every sentence of `corpus`, over all of its splits.
+std::vector<const Sentence*> AllSentences(const Corpus& corpus) {
+  std::vector<const Sentence*> sentences;
+  const CorpusSplits& splits = corpus.splits();
+  for (const auto* split : {&splits.train, &splits.dev, &splits.test}) {
+    for (DocId id : *split) {
+      for (const Sentence& sentence : corpus.doc(id).sentences) {
+        sentences.push_back(&sentence);
+      }
+    }
+  }
+  return sentences;
+}
+
+/// Expects equal labels on every sentence; returns how many tokens the
+/// reference labels as part of an entity, so a caller can tell a trained
+/// comparison from an all-O one.
+size_t ExpectSameLabels(const SequenceTaggerNer& product,
+                        const SequenceTaggerNer& reference,
+                        const std::vector<const Sentence*>& sentences) {
+  size_t mismatches = 0;
+  size_t entity_tokens = 0;
+  for (const Sentence* sentence : sentences) {
+    const std::vector<uint8_t> expected = reference.LabelSentence(*sentence);
+    if (product.LabelSentence(*sentence) != expected) ++mismatches;
+    for (uint8_t label : expected) entity_tokens += label != kO;
+  }
+  EXPECT_EQ(mismatches, 0u) << "of " << sentences.size() << " sentences";
+  return entity_tokens;
+}
+
+struct OracleTagger {
+  EntityType type;
+  RelationId corpus;
+  uint64_t seed;
+};
+
+// The four recognizers the PH and PC extraction systems train, plus
+// Location, on the fixture corpus's sentences in every split.
+TEST(CrfOracleTest, EveryFixtureSentenceMatchesForEachEntityType) {
+  const Corpus& fixture = test::SharedCorpus();
+  const std::vector<const Sentence*> sentences = AllSentences(fixture);
+  for (const OracleTagger& tagger :
+       {OracleTagger{EntityType::kPerson, RelationId::kPersonCareer, 1},
+        OracleTagger{EntityType::kCareer, RelationId::kPersonCareer, 3},
+        OracleTagger{EntityType::kPerson, RelationId::kPersonCharge, 1},
+        OracleTagger{EntityType::kCharge, RelationId::kPersonCharge, 3},
+        OracleTagger{EntityType::kLocation, RelationId::kNaturalDisaster,
+                     3}}) {
+    SCOPED_TRACE(std::string(EntityTypeName(tagger.type)) + " from " +
+                 GetRelation(tagger.corpus).code);
+    const auto data =
+        OracleTrainingData(tagger.corpus, tagger.type, tagger.seed);
+    CrfLiteNer product(tagger.type, &fixture.vocab());
+    test::ReferenceCrfLiteNer reference(tagger.type, &fixture.vocab());
+    product.Train(data, 11);
+    reference.Train(data, 11);
+    EXPECT_GT(ExpectSameLabels(product, reference, sentences), 0u);
+  }
+}
+
+TEST(CrfOracleTest, UntrainedRecognizerMatches) {
+  const Corpus& fixture = test::SharedCorpus();
+  const CrfLiteNer product(EntityType::kPerson, &fixture.vocab());
+  const test::ReferenceCrfLiteNer reference(EntityType::kPerson,
+                                            &fixture.vocab());
+  ExpectSameLabels(product, reference, AllSentences(fixture));
+}
+
+// A second Train continues from the compiled weights, as the dense
+// recognizer continues from its tables.
+TEST(CrfOracleTest, SecondTrainMatches) {
+  const Corpus& fixture = test::SharedCorpus();
+  const std::vector<const Sentence*> sentences = AllSentences(fixture);
+  CrfLiteNer product(EntityType::kPerson, &fixture.vocab());
+  test::ReferenceCrfLiteNer reference(EntityType::kPerson, &fixture.vocab());
+  const auto first = OracleTrainingData(RelationId::kPersonCareer,
+                                        EntityType::kPerson, 1);
+  product.Train(first, 11);
+  reference.Train(first, 11);
+  EXPECT_GT(ExpectSameLabels(product, reference, sentences), 0u);
+  const auto second = OracleTrainingData(RelationId::kPersonCharge,
+                                         EntityType::kPerson, 5);
+  product.Train(second, 13);
+  reference.Train(second, 13);
+  EXPECT_GT(ExpectSameLabels(product, reference, sentences), 0u);
+}
+
+// 4 bits leave fewer slots than one 64-bit word, so every feature shares a
+// slot with many others; 6 and 7 bits fill one and two words exactly.
+TEST(CrfOracleTest, NarrowAndDefaultHashWidthsMatch) {
+  const Corpus& fixture = test::SharedCorpus();
+  const std::vector<const Sentence*> sentences = AllSentences(fixture);
+  const auto data = OracleTrainingData(RelationId::kPersonCharge,
+                                       EntityType::kCharge, 3);
+  for (uint32_t bits : {4u, 6u, 7u, 18u}) {
+    SCOPED_TRACE(bits);
+    const CrfOptions options{bits, 5};
+    CrfLiteNer product(EntityType::kCharge, &fixture.vocab(), options);
+    test::ReferenceCrfLiteNer reference(EntityType::kCharge,
+                                        &fixture.vocab(), options);
+    product.Train(data, 11);
+    reference.Train(data, 11);
+    ExpectSameLabels(product, reference, sentences);
+  }
+}
+
+// Tokens interned after Train have no row: their token features read the
+// hashed slots. A private vocabulary makes those tokens certain.
+TEST(CrfOracleTest, TokensInternedAfterTrainMatch) {
+  auto vocab = std::make_shared<Vocabulary>();
+  GeneratorOptions options =
+      GeneratorOptions::ForExtractorTraining(RelationId::kPersonCareer, 300, 5);
+  options.shared_vocab = vocab;
+  const Corpus trained_on = GenerateCorpus(options);
+  const auto data = CollectTaggedSentences(
+      trained_on, trained_on.splits().train, EntityType::kPerson, 0.25, 1);
+  std::vector<std::unique_ptr<CrfLiteNer>> products;
+  std::vector<std::unique_ptr<test::ReferenceCrfLiteNer>> references;
+  for (uint32_t bits : {4u, 12u, 18u}) {
+    const CrfOptions crf{bits, 5};
+    products.push_back(
+        std::make_unique<CrfLiteNer>(EntityType::kPerson, vocab.get(), crf));
+    references.push_back(std::make_unique<test::ReferenceCrfLiteNer>(
+        EntityType::kPerson, vocab.get(), crf));
+    products.back()->Train(data, 11);
+    references.back()->Train(data, 11);
+  }
+  const uint32_t trained_size = static_cast<uint32_t>(vocab->size());
+
+  // A later relation's corpus interns new tokens into the same vocabulary.
+  GeneratorOptions later =
+      GeneratorOptions::ForExtractorTraining(RelationId::kDiseaseOutbreak,
+                                             200, 9);
+  later.shared_vocab = vocab;
+  const Corpus later_corpus = GenerateCorpus(later);
+  std::vector<const Sentence*> sentences = AllSentences(later_corpus);
+  size_t late_tokens = 0;
+  for (const Sentence* sentence : sentences) {
+    for (TokenId token : sentence->tokens) late_tokens += token >= trained_size;
+  }
+  EXPECT_GT(late_tokens, 0u);
+  // Ids no vocabulary holds, next to trained ones and at both ends.
+  const TokenId known = trained_on.doc(0).sentences[0].tokens[0];
+  const std::vector<Sentence> unseen = {
+      Sentence{{trained_size + 7u}},
+      Sentence{{known, trained_size + 7u, known}},
+      Sentence{{0xfffffffeu, known, 0xffffffffu}}};
+  for (const Sentence& sentence : unseen) sentences.push_back(&sentence);
+  for (const Sentence* sentence : AllSentences(trained_on)) {
+    sentences.push_back(sentence);
+  }
+  for (size_t i = 0; i < products.size(); ++i) {
+    ExpectSameLabels(*products[i], *references[i], sentences);
+  }
+}
+
+// Labeling is const and thread-safe: four threads labeling at once, each
+// from a different starting sentence, reproduce the reference labels.
+TEST(CrfOracleTest, FourThreadsLabelAlike) {
+  const Corpus& fixture = test::SharedCorpus();
+  const std::vector<const Sentence*> sentences = AllSentences(fixture);
+  const auto data = OracleTrainingData(RelationId::kNaturalDisaster,
+                                       EntityType::kLocation, 3);
+  CrfLiteNer product(EntityType::kLocation, &fixture.vocab());
+  test::ReferenceCrfLiteNer reference(EntityType::kLocation,
+                                      &fixture.vocab());
+  product.Train(data, 11);
+  reference.Train(data, 11);
+  std::vector<std::vector<uint8_t>> expected;
+  expected.reserve(sentences.size());
+  for (const Sentence* sentence : sentences) {
+    expected.push_back(reference.LabelSentence(*sentence));
+  }
+  constexpr size_t kThreads = 4;
+  std::vector<size_t> mismatches(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const size_t start = t * sentences.size() / kThreads;
+      for (size_t k = 0; k < sentences.size(); ++k) {
+        const size_t i = (start + k) % sentences.size();
+        if (product.LabelSentence(*sentences[i]) != expected[i]) {
+          ++mismatches[t];
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(mismatches[t], 0u) << "thread " << t;
+  }
 }
 
 }  // namespace

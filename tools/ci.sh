@@ -73,9 +73,11 @@ step "golden-hash determinism matrix (rankers x detectors x seeds x threads, bas
 # oracles (DESIGN.md §17, §18); LearnerOracleTest holds the memoized
 # learner bit-equal to its reference arithmetic (§18). SearchGoldenTest
 # pins search-access runs, one with live extraction; KernelOracleTest
-# holds the relation kernel bit-equal to its nested-table reference (§19).
+# holds the relation kernel bit-equal to its nested-table reference (§19);
+# CrfOracleTest holds the compiled CRF-lite recognizer label-equal to its
+# dense reference (§20).
 ctest --test-dir build-default \
-    -R 'DeterminismGoldenTest|BaselineGoldenTest|SearchGoldenTest|DetectorOracleTest|LearnerOracleTest|KernelOracleTest' \
+    -R 'DeterminismGoldenTest|BaselineGoldenTest|SearchGoldenTest|DetectorOracleTest|LearnerOracleTest|KernelOracleTest|CrfOracleTest' \
     --output-on-failure -j "$JOBS"
 
 step "bench_featurize perf trajectory (arena featurizer)"
@@ -91,8 +93,9 @@ step "bench_extract smoke (speculative extraction executor + tracing)"
 # executor engages (hit counters) and output stays byte-identical. The
 # ≥2.5x @ 8-thread gate self-skips below 8 hardware threads. --trace adds
 # the observability smoke: traced 2-thread runs export a Chrome trace and
-# measure overhead against untraced runs (best-of-3 each); --ledger does
-# the same for the flight recorder (serial runs, JSONL run ledger);
+# measure overhead against untraced runs (minimum process-CPU ratio over
+# interleaved off/on pairs); --ledger does the same for the flight
+# recorder (serial runs, JSONL run ledger);
 # --metrics-out renders the serial run's Prometheus exposition.
 IE_BENCH_DOCS=4000 ./build-default/bench/bench_extract \
     --threads=1,2 --out=build-default/BENCH_extract.json \
