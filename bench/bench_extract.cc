@@ -4,22 +4,23 @@
 // extract_threads settings, reporting docs/sec and speedup over the serial
 // run and re-proving byte-identical output along the way.
 //
-// Not a google-benchmark microbench: one run per thread count is the
-// measurement (the unit of work is the whole pipeline), and results are
-// emitted as JSON for CI trend tracking.
+// Not a microbench: one run per thread count is the measurement (the
+// unit of work is the whole pipeline), and results are emitted as JSON for
+// CI trend tracking.
 //
 //   bench_extract [--threads=1,2,4,8] [--out=BENCH_extract.json]
 //                 [--trace=trace.json] [--ledger=run.jsonl]
 //                 [--metrics-out=metrics.prom]
 //
 // With --trace, an extra overhead smoke runs after the thread sweep:
-// interleaved two-thread runs with the tracer off vs on, and the smallest
-// per-pair ratio of process CPU seconds. The traced runs export a
-// Chrome-trace JSON to the given path (CI validates it with
-// tools/check_trace.py) and the ratio lands in the output JSON as
-// "trace_overhead_ratio" (CI gates it at <= 1.10).
+// two-thread runs with the tracer off vs on, in blocks of one off-first
+// and one on-first pair; each block scores the geometric mean of its two
+// ratios of process CPU seconds, and the smoke reports the smallest block
+// score. The traced runs export a Chrome-trace JSON to the given path (CI
+// validates it with tools/check_trace.py) and the ratio lands in the
+// output JSON as "trace_overhead_ratio" (CI gates it at <= 1.10).
 //
-// With --ledger, an analogous flight-recorder smoke runs: interleaved
+// With --ledger, an analogous flight-recorder smoke runs: blocks of
 // serial runs with the recorder (the JSONL ledger) off vs on. The
 // recorded runs write the ledger to the given path (CI validates it with
 // tools/report.py --validate and cross-checks it against the trace) and
@@ -38,6 +39,7 @@
 // (the determinism checks still run — threads interleave on any core
 // count).
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <ctime>
@@ -72,6 +74,40 @@ struct RunStats {
   size_t misses = 0;
   size_t cancelled = 0;
 };
+
+/// An off/on overhead measurement: the best run of each side and the
+/// gated ratio.
+struct Overhead {
+  double best_off = 0.0;
+  double best_on = 0.0;
+  double ratio = 0.0;  // the smallest block score
+};
+
+/// Runs `blocks` blocks of `run(false)` / `run(true)` pairs, each block one
+/// off-first and one on-first pair, and scores a block as the geometric
+/// mean of its two on/off ratios. Whichever side runs second in a pair
+/// finds the process warmer; the two orders cancel that bias within a
+/// block, so the minimum over blocks favours neither side.
+template <typename Fn>
+Overhead MeasureOverhead(int blocks, Fn&& run) {
+  Overhead overhead;
+  const auto keep_best = [](double* best, double seconds) {
+    if (*best == 0.0 || seconds < *best) *best = seconds;
+  };
+  for (int block = 0; block < blocks; ++block) {
+    const double off_first = run(false);
+    const double on_second = run(true);
+    const double on_first = run(true);
+    const double off_second = run(false);
+    keep_best(&overhead.best_off, std::min(off_first, off_second));
+    keep_best(&overhead.best_on, std::min(on_first, on_second));
+    if (off_first > 0.0 && off_second > 0.0) {
+      keep_best(&overhead.ratio, std::sqrt((on_second / off_first) *
+                                           (on_first / off_second)));
+    }
+  }
+  return overhead;
+}
 
 std::vector<size_t> ParseThreadList(const std::string& csv) {
   std::vector<size_t> threads;
@@ -185,9 +221,9 @@ int main(int argc, char** argv) {
                gate_applies ? (gate_passes ? "PASS" : "FAIL")
                             : "SKIP (needs >=8 hardware threads)");
 
-  // Tracing-overhead smoke: 5 interleaved off/on pairs of two-thread
+  // Tracing-overhead smoke: 3 blocks (MeasureOverhead) of two-thread
   // runs, tracer off vs on, measured like the recorder smoke below: CPU
-  // seconds, gated on the minimum per-pair ratio. Process CPU, so the
+  // seconds, gated on the minimum block score. Process CPU, so the
   // executor workers' spans count; not wall, because at two threads the
   // wall hides the workers' share and its run-to-run spread exceeds the
   // 10% budget (a best-of-3 wall ratio read 0.885 and 1.184 on the same
@@ -198,79 +234,56 @@ int main(int argc, char** argv) {
   double trace_overhead_ratio = 0.0;
   if (!trace_path.empty()) {
     config.extract_threads = 2;
-    const auto one_cpu = [&](const std::string& path) {
-      config.trace_path = path;
+    const Overhead overhead = MeasureOverhead(3, [&](bool traced) {
+      config.trace_path = traced ? trace_path : std::string();
       const double start = ProcessCpuSeconds();
       const PipelineResult result =
           AdaptiveExtractionPipeline::Run(context, config);
       IE_CHECK(result.processing_order == reference_order);
       return ProcessCpuSeconds() - start;
-    };
-    double untraced = 0.0;
-    double traced = 0.0;
-    std::vector<double> ratios;
-    for (int rep = 0; rep < 5; ++rep) {
-      const double off = one_cpu("");
-      const double on = one_cpu(trace_path);
-      if (off > 0.0) ratios.push_back(on / off);
-      if (untraced == 0.0 || off < untraced) untraced = off;
-      if (traced == 0.0 || on < traced) traced = on;
-    }
+    });
     config.trace_path.clear();
-    if (!ratios.empty()) {
-      trace_overhead_ratio = *std::min_element(ratios.begin(), ratios.end());
-    }
+    trace_overhead_ratio = overhead.ratio;
     std::fprintf(stderr,
                  "[bench_extract] trace overhead: untraced=%.3fs "
-                 "traced=%.3fs min-pair process cpu ratio=%.3f "
+                 "traced=%.3fs min-block process cpu ratio=%.3f "
                  "(trace -> %s)\n",
-                 untraced, traced, trace_overhead_ratio, trace_path.c_str());
+                 overhead.best_off, overhead.best_on, trace_overhead_ratio,
+                 trace_path.c_str());
   }
 
-  // Flight-recorder overhead smoke: 8 interleaved off/on pairs of serial
+  // Flight-recorder overhead smoke: 4 blocks (MeasureOverhead) of serial
   // CPU seconds, recorder off vs on (the JSONL ledger, flushed per
   // iteration). Serial runs on the calling thread so
   // CLOCK_THREAD_CPUTIME_ID captures the whole pipeline including the
   // ledger's write syscalls; CPU time instead of wall
   // because a 3% budget is far below wall-clock scheduler noise on small
-  // CI machines. Each rep measures an adjacent off/on pair and the gate
-  // takes the minimum of the per-pair ratios: pairing cancels slow
-  // machine-wide drift (cache pressure, frequency scaling), and because
-  // interrupt/cache noise on shared CI hardware is strictly additive, the
-  // cleanest pair is the one closest to the true overhead floor — a mean
-  // or median re-imports the noise a 3% budget cannot absorb.
+  // CI machines. Each block measures adjacent off/on pairs and the gate
+  // takes the minimum block score: pairing cancels slow machine-wide
+  // drift (cache pressure, frequency scaling), and because interrupt/cache
+  // noise on shared CI hardware is strictly additive, the cleanest block
+  // is the one closest to the true overhead floor — a mean or median
+  // re-imports the noise a 3% budget cannot absorb.
   // The recorded runs write the ledger to ledger_path (last one wins —
   // iteration content is deterministic, so any of them is the valid CI
   // artifact; only the footer's timing fields vary).
   double recorder_overhead_ratio = 0.0;
   if (!ledger_path.empty()) {
     config.extract_threads = 1;
-    const auto one_cpu = [&](bool record) {
+    const Overhead overhead = MeasureOverhead(4, [&](bool record) {
       config.ledger_path = record ? ledger_path : std::string();
       CpuTimer timer;
       const PipelineResult result =
           AdaptiveExtractionPipeline::Run(context, config);
       IE_CHECK(result.processing_order == reference_order);
       return timer.ElapsedSeconds();
-    };
-    double unrecorded = 0.0;
-    double recorded = 0.0;
-    std::vector<double> ratios;
-    for (int rep = 0; rep < 8; ++rep) {
-      const double off = one_cpu(false);
-      const double on = one_cpu(true);
-      if (off > 0.0) ratios.push_back(on / off);
-      if (unrecorded == 0.0 || off < unrecorded) unrecorded = off;
-      if (recorded == 0.0 || on < recorded) recorded = on;
-    }
+    });
     config.ledger_path.clear();
-    if (!ratios.empty()) {
-      recorder_overhead_ratio = *std::min_element(ratios.begin(), ratios.end());
-    }
+    recorder_overhead_ratio = overhead.ratio;
     std::fprintf(stderr,
                  "[bench_extract] recorder overhead: off=%.3fs on=%.3fs "
-                 "min-pair cpu ratio=%.3f (ledger -> %s)\n",
-                 unrecorded, recorded, recorder_overhead_ratio,
+                 "min-block cpu ratio=%.3f (ledger -> %s)\n",
+                 overhead.best_off, overhead.best_on, recorder_overhead_ratio,
                  ledger_path.c_str());
   }
 

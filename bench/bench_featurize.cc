@@ -14,8 +14,6 @@
 //
 // Without --out the comparison is printed to stderr only. Exit status:
 // 0 gate passes, 1 gate fails, 2 output file not writable.
-#include <benchmark/benchmark.h>
-
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -56,6 +54,13 @@ struct FeaturizeResult {
   double speedup = 0.0;
   bool identical = false;
 };
+
+// An empty asm barrier that the compiler must assume reads and writes
+// `value` (the one google-benchmark's DoNotOptimize emits under GCC), so
+// the timed loop that produced it cannot be optimized away.
+void KeepAlive(size_t& value) {
+  asm volatile("" : "+m,r"(value) : : "memory");
+}
 
 template <typename Fn>
 double BestOfRepsSeconds(int reps, Fn&& fn) {
@@ -105,14 +110,14 @@ FeaturizeResult RunFeaturizeTrajectory(Harness& harness, int reps) {
     for (size_t i = 0; i < num_docs; ++i) {
       total += RefFeaturize(corpus.doc(pool[i])).size();
     }
-    benchmark::DoNotOptimize(total);
+    KeepAlive(total);
   });
   const double arena_seconds = BestOfRepsSeconds(reps, [&] {
     size_t total = 0;
     for (size_t i = 0; i < num_docs; ++i) {
       total += featurizer.Featurize(corpus.doc(pool[i])).size();
     }
-    benchmark::DoNotOptimize(total);
+    KeepAlive(total);
   });
 
   FeaturizeResult out;

@@ -6,17 +6,12 @@
 // both, re-proving byte-identical SearchHit output at every tier along the
 // way.
 //
-// Not a google-benchmark microbench: the unit of work is an entire
-// generate → write → build → query pass per corpus size, and results are
-// emitted as JSON for CI trend tracking.
+// Not a microbench: the unit of work is an entire generate → write →
+// build → query pass per corpus size, and results are emitted as JSON for
+// CI trend tracking.
 //
 //   bench_index [--docs=10000,100000,1000000] [--out=BENCH_index.json]
-//               [--tmp=/tmp] [--build-threads=1,2,4]
-//
-// --build-threads sweeps CompactIndex::Finalize over thread counts: each
-// count rebuilds the compact backend and re-proves the sharded parallel
-// encode is byte-identical to the serial one (same compressed bytes, same
-// hits) while reporting the finalize wall time per count.
+//               [--tmp=/tmp]
 //
 // Environment knobs: IE_BENCH_DOCS replaces the tier list with a single
 // tier (the CI smoke runs IE_BENCH_DOCS=4000).
@@ -64,12 +59,6 @@ struct BackendStats {
   double qps_k100 = 0.0;
 };
 
-struct FinalizeSweepPoint {
-  size_t threads = 0;
-  double finalize_seconds = 0.0;
-  bool identical = true;  // same compressed bytes + hits as the serial build
-};
-
 struct TierStats {
   size_t docs = 0;
   bool skipped = false;       // did not fit the host; never ran
@@ -81,7 +70,6 @@ struct TierStats {
   BackendStats compact;   // the product backend
   double compression_ratio = 0.0;  // oracle postings bytes / compact
   bool identical = true;           // SearchHit byte-identity over queries
-  std::vector<FinalizeSweepPoint> finalize_sweep;
 };
 
 std::vector<size_t> ParseDocsList(const std::string& csv) {
@@ -188,7 +176,6 @@ void PrintBackendJson(std::FILE* out, const char* name,
 
 int main(int argc, char** argv) {
   std::vector<size_t> tiers = {10000, 100000, 1000000};
-  std::vector<size_t> build_threads = {1, 2, 4};
   std::string out_path = "BENCH_index.json";
   const char* tmpdir_env = std::getenv("TMPDIR");
   std::string tmp_dir = tmpdir_env != nullptr ? tmpdir_env : "/tmp";
@@ -196,8 +183,6 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg.rfind("--docs=", 0) == 0) {
       tiers = ParseDocsList(arg.substr(7));
-    } else if (arg.rfind("--build-threads=", 0) == 0) {
-      build_threads = ParseDocsList(arg.substr(16));
     } else if (arg.rfind("--out=", 0) == 0) {
       out_path = arg.substr(6);
     } else if (arg.rfind("--tmp=", 0) == 0) {
@@ -273,7 +258,6 @@ int main(int argc, char** argv) {
       tier.inverted.build_seconds = timer.ElapsedSeconds();
     }
     CompactIndex compact;
-    double primary_finalize_seconds = 0.0;
     {
       Document doc;
       WallTimer timer;
@@ -281,9 +265,7 @@ int main(int argc, char** argv) {
         IE_CHECK(reader.ReadDoc(id, &doc).ok());
         IE_CHECK(compact.Add(doc).ok());
       }
-      WallTimer finalize_timer;
       compact.Finalize();
-      primary_finalize_seconds = finalize_timer.ElapsedSeconds();
       tier.compact.build_seconds = timer.ElapsedSeconds();
     }
     for (BackendStats* stats : {&tier.inverted, &tier.compact}) {
@@ -321,50 +303,6 @@ int main(int argc, char** argv) {
     tier.inverted.qps_k100 = QueriesPerSecond(inverted, queries, 100);
     tier.compact.qps_k10 = QueriesPerSecond(compact, queries, 10);
     tier.compact.qps_k100 = QueriesPerSecond(compact, queries, 100);
-
-    // Finalize-threads sweep: rebuild the compact backend per thread count
-    // and re-prove the parallel sharded encode is byte-identical to the
-    // serial one (same compressed size, same hits).
-    tier.finalize_sweep.push_back({1, primary_finalize_seconds, true});
-    for (size_t threads : build_threads) {
-      if (threads <= 1) continue;
-      CompactIndex swept;
-      {
-        Document doc;
-        for (DocId id = 0; id < reader.NumDocs(); ++id) {
-          IE_CHECK(reader.ReadDoc(id, &doc).ok());
-          IE_CHECK(swept.Add(doc).ok());
-        }
-      }
-      FinalizeSweepPoint point;
-      point.threads = threads;
-      {
-        WallTimer timer;
-        swept.Finalize(threads);
-        point.finalize_seconds = timer.ElapsedSeconds();
-      }
-      point.identical = swept.PostingsBytes() == compact.PostingsBytes();
-      for (const auto& query : queries) {
-        if (!point.identical) break;
-        if (!SameHits(compact.Search(query, 10), swept.Search(query, 10))) {
-          point.identical = false;
-        }
-      }
-      if (!point.identical) {
-        all_identical = false;
-        std::fprintf(stderr,
-                     "FAIL: parallel finalize differs at docs=%zu "
-                     "threads=%zu\n",
-                     docs, threads);
-      }
-      std::fprintf(stderr,
-                   "[bench_index] docs=%zu finalize threads=%zu %.2fs "
-                   "(serial %.2fs) identical=%s\n",
-                   docs, threads, point.finalize_seconds,
-                   primary_finalize_seconds,
-                   point.identical ? "yes" : "NO");
-      tier.finalize_sweep.push_back(point);
-    }
 
     std::fprintf(stderr,
                  "[bench_index] docs=%zu gen=%.1fs (%.0f docs/s) "
@@ -422,16 +360,6 @@ int main(int argc, char** argv) {
                  tier.file_bytes, tier.num_postings);
     PrintBackendJson(out, "inverted", tier.inverted, ",");
     PrintBackendJson(out, "compact", tier.compact, ",");
-    std::fprintf(out, "      \"finalize_sweep\": [");
-    for (size_t s = 0; s < tier.finalize_sweep.size(); ++s) {
-      const FinalizeSweepPoint& point = tier.finalize_sweep[s];
-      std::fprintf(out,
-                   "%s{\"threads\": %zu, \"finalize_seconds\": %.3f, "
-                   "\"identical\": %s}",
-                   s > 0 ? ", " : "", point.threads, point.finalize_seconds,
-                   point.identical ? "true" : "false");
-    }
-    std::fprintf(out, "],\n");
     std::fprintf(out,
                  "      \"compression_ratio\": %.3f, \"identical\": %s}%s\n",
                  tier.compression_ratio, tier.identical ? "true" : "false",

@@ -5,7 +5,6 @@
 #include <numeric>
 
 #include "common/logging.h"
-#include "common/parallel.h"
 #include "common/string_util.h"
 
 namespace ie {
@@ -19,6 +18,12 @@ void EncodeVarint(std::vector<uint8_t>* out, uint32_t v) {
     v >>= 7;
   }
   out->push_back(static_cast<uint8_t>(v));
+}
+
+size_t VarintBytes(uint32_t v) {
+  size_t bytes = 1;
+  for (; v >= 0x80u; v >>= 7) ++bytes;
+  return bytes;
 }
 
 uint32_t DecodeVarint(const uint8_t** p) {
@@ -41,16 +46,6 @@ uint32_t DecodeVarint(const uint8_t** p) {
 constexpr double kBoundSlack = 1.0 + 1e-9;
 
 }  // namespace
-
-size_t CompactIndex::ShardOf(TokenId term) const {
-  // splitmix64-style finalizer: term ids are dense and sequential, so the
-  // shard assignment must mix, not just mod.
-  uint64_t z = static_cast<uint64_t>(term) + 0x9e3779b97f4a7c15ULL;
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-  z ^= z >> 31;
-  return static_cast<size_t>(z % kNumShards);
-}
 
 Status CompactIndex::Add(const Document& doc) {
   if (finalized_) {
@@ -94,129 +89,117 @@ double CompactIndex::Contribution(double idf, uint32_t tf, DocId doc) const {
   return idf * (tfd * (kBm25K1 + 1.0)) / denom;
 }
 
-void CompactIndex::Finalize(size_t threads) {
+void CompactIndex::Finalize() {
   if (finalized_) return;
   const double n = static_cast<double>(NumDocs());
   avg_len_ = n > 0.0 ? total_length_ / n : 0.0;
   finalized_ = true;  // Contribution() needs avg_len_ set
 
-  // Bucket the staged terms per shard and sort each bucket. The historical
-  // serial pass visited terms in globally ascending order, so per shard it
-  // encoded exactly that shard's terms in ascending order — which is what
-  // each bucket reproduces. Shards never read each other's state, so the
-  // per-shard encode below is byte-identical to the serial build whether
-  // it runs on one thread or many.
-  std::vector<std::vector<TokenId>> shard_terms(shards_.size());
-  // DETERMINISM: order-insensitive (bucketing only: one term lands in
-  // exactly one bucket, and every bucket is sorted before encoding)
+  std::vector<TokenId> terms;
+  terms.reserve(staged_.size());
+  // DETERMINISM: order-insensitive (collection only; sorted just below)
   for (const auto& [term, staged] : staged_) {
     (void)staged;
-    shard_terms[ShardOf(term)].push_back(term);
+    terms.push_back(term);
   }
-  for (std::vector<TokenId>& bucket : shard_terms) {
-    std::sort(bucket.begin(), bucket.end());
-  }
+  std::sort(terms.begin(), terms.end());
 
-  // Per-shard encode: writes only shards_[s]; staged_ is read-only here,
-  // so concurrent shard tasks are safe and deterministic.
-  auto encode_shard = [&](size_t s) {
-    Shard& shard = shards_[s];
-    std::vector<StagedPosting> list;
-    for (const TokenId term : shard_terms[s]) {
-      const std::vector<StagedPosting>& staged = staged_.at(term);
-      list.assign(staged.begin(), staged.end());
-      std::sort(list.begin(), list.end(),
-                [](const StagedPosting& a, const StagedPosting& b) {
-                  return a.doc < b.doc;
-                });
-      TermMeta meta;
-      meta.doc_freq = static_cast<uint32_t>(list.size());
-      const double df = static_cast<double>(list.size());
-      // Same idf expression as the test oracle's Search.
-      meta.idf = std::log(1.0 + (n - df + 0.5) / (df + 0.5));
-      meta.first_block = static_cast<uint32_t>(shard.blocks.size());
-      for (size_t begin = 0; begin < list.size(); begin += kBlockSize) {
-        const size_t end = std::min(list.size(), begin + kBlockSize);
-        BlockMeta block;
-        block.offset = shard.blob.size();
-        block.count = static_cast<uint32_t>(end - begin);
-        block.last_doc = list[end - 1].doc;
-        DocId prev = 0;
-        for (size_t i = begin; i < end; ++i) {
-          // First posting of a block stores the absolute doc id, so blocks
-          // decode independently after a skip; the rest store gaps. The low
-          // bit flags a tf varint — most postings have tf == 1 and pay no
-          // tf byte at all.
-          const uint32_t value =
-              i == begin ? list[i].doc : list[i].doc - prev;
-          const bool has_tf = list[i].tf != 1;
-          EncodeVarint(&shard.blob, (value << 1) | (has_tf ? 1u : 0u));
-          if (has_tf) EncodeVarint(&shard.blob, list[i].tf);
-          prev = list[i].doc;
-          block.max_score =
-              std::max(block.max_score,
-                       Contribution(meta.idf, list[i].tf, list[i].doc));
-        }
-        meta.max_score = std::max(meta.max_score, block.max_score);
-        shard.blocks.push_back(block);
-      }
-      meta.num_blocks =
-          static_cast<uint32_t>(shard.blocks.size()) - meta.first_block;
-      shard.terms.emplace(term, meta);
-    }
+  // The first varint of posting i of a doc-sorted list. A block's first
+  // posting stores its doc id, so blocks decode independently after a
+  // skip; the rest store the gap to the previous doc. The low bit flags a
+  // tf varint — most postings have tf == 1 and pay no tf byte at all.
+  const auto head = [](const std::vector<StagedPosting>& list, size_t i) {
+    const uint32_t value =
+        i % kBlockSize == 0 ? list[i].doc : list[i].doc - list[i - 1].doc;
+    return (value << 1) | (list[i].tf != 1 ? 1u : 0u);
   };
-  ParallelFor(shards_.size(), threads, encode_shard);
-  staged_.clear();
-  for (Shard& shard : shards_) {
-    shard.blob.shrink_to_fit();
-    shard.blocks.shrink_to_fit();
+
+  // Sort every list by doc id and size the store exactly first: a blob
+  // grown while encoding would briefly hold two copies of itself, which
+  // shows in the peak RSS of a run that builds its pool index.
+  size_t blob_bytes = 0;
+  size_t num_blocks = 0;
+  for (const TokenId term : terms) {
+    std::vector<StagedPosting>& list = staged_.at(term);
+    std::sort(list.begin(), list.end(),
+              [](const StagedPosting& a, const StagedPosting& b) {
+                return a.doc < b.doc;
+              });
+    for (size_t i = 0; i < list.size(); ++i) {
+      blob_bytes += VarintBytes(head(list, i));
+      if (list[i].tf != 1) blob_bytes += VarintBytes(list[i].tf);
+    }
+    num_blocks += (list.size() + kBlockSize - 1) / kBlockSize;
   }
+  blob_.reserve(blob_bytes);
+  blocks_.reserve(num_blocks);
+  terms_.reserve(terms.size());
+
+  for (const TokenId term : terms) {
+    const std::vector<StagedPosting>& list = staged_.at(term);
+    TermMeta meta;
+    meta.doc_freq = static_cast<uint32_t>(list.size());
+    const double df = static_cast<double>(list.size());
+    // Same idf expression as the test oracle's Search.
+    meta.idf = std::log(1.0 + (n - df + 0.5) / (df + 0.5));
+    meta.first_block = static_cast<uint32_t>(blocks_.size());
+    for (size_t begin = 0; begin < list.size(); begin += kBlockSize) {
+      const size_t end = std::min(list.size(), begin + kBlockSize);
+      BlockMeta block;
+      block.offset = blob_.size();
+      block.count = static_cast<uint32_t>(end - begin);
+      block.last_doc = list[end - 1].doc;
+      for (size_t i = begin; i < end; ++i) {
+        EncodeVarint(&blob_, head(list, i));
+        if (list[i].tf != 1) EncodeVarint(&blob_, list[i].tf);
+        block.max_score =
+            std::max(block.max_score,
+                     Contribution(meta.idf, list[i].tf, list[i].doc));
+      }
+      meta.max_score = std::max(meta.max_score, block.max_score);
+      blocks_.push_back(block);
+    }
+    meta.num_blocks = static_cast<uint32_t>(blocks_.size()) - meta.first_block;
+    terms_.emplace(term, meta);
+  }
+  IE_CHECK(blob_.size() == blob_bytes);
+  staged_.clear();
 }
 
-const CompactIndex::TermMeta* CompactIndex::FindTerm(
-    TokenId term, const Shard** shard) const {
-  const Shard& s = shards_[ShardOf(term)];
-  auto it = s.terms.find(term);
-  if (it == s.terms.end()) return nullptr;
-  *shard = &s;
-  return &it->second;
+const CompactIndex::TermMeta* CompactIndex::FindTerm(TokenId term) const {
+  auto it = terms_.find(term);
+  return it == terms_.end() ? nullptr : &it->second;
 }
 
 size_t CompactIndex::DocFreq(TokenId term) const {
   IE_CHECK(finalized_);
-  const Shard* shard = nullptr;
-  const TermMeta* meta = FindTerm(term, &shard);
+  const TermMeta* meta = FindTerm(term);
   return meta == nullptr ? 0 : meta->doc_freq;
 }
 
 size_t CompactIndex::PostingsBytes() const {
-  size_t bytes = 0;
-  for (const Shard& shard : shards_) {
-    bytes += shard.blob.capacity();
-    bytes += shard.blocks.capacity() * sizeof(BlockMeta);
-    bytes += shard.terms.size() * (sizeof(TokenId) + sizeof(TermMeta));
-  }
-  return bytes;
+  return blob_.capacity() + blocks_.capacity() * sizeof(BlockMeta) +
+         terms_.size() * (sizeof(TokenId) + sizeof(TermMeta));
 }
 
 // One decoding position in a term's posting list. Never materializes the
 // list: holds the current posting plus a byte pointer into the block.
 struct CompactIndex::Cursor {
-  const Shard* shard = nullptr;
+  const CompactIndex* index = nullptr;
   const TermMeta* term = nullptr;
-  size_t block = 0;        // absolute index into shard->blocks
+  size_t block = 0;        // absolute index into index->blocks_
   const uint8_t* ptr = nullptr;
   uint32_t remaining = 0;  // postings not yet decoded in this block
   DocId doc = 0;
   uint32_t tf = 0;
   bool exhausted = false;
 
-  double BlockMax() const { return shard->blocks[block].max_score; }
+  double BlockMax() const { return index->blocks_[block].max_score; }
 
   void Open(size_t block_index) {
     block = block_index;
-    const BlockMeta& meta = shard->blocks[block];
-    ptr = shard->blob.data() + meta.offset;
+    const BlockMeta& meta = index->blocks_[block];
+    ptr = index->blob_.data() + meta.offset;
     const uint32_t head = DecodeVarint(&ptr);
     doc = head >> 1;  // block-initial posting is absolute
     tf = (head & 1u) != 0 ? DecodeVarint(&ptr) : 1;
@@ -247,9 +230,9 @@ struct CompactIndex::Cursor {
     if (exhausted || doc >= target) return;
     const size_t end =
         static_cast<size_t>(term->first_block) + term->num_blocks;
-    if (shard->blocks[block].last_doc < target) {
+    if (index->blocks_[block].last_doc < target) {
       size_t next = block + 1;
-      while (next < end && shard->blocks[next].last_doc < target) ++next;
+      while (next < end && index->blocks_[next].last_doc < target) ++next;
       if (next == end) {
         exhausted = true;
         return;
@@ -271,11 +254,10 @@ std::vector<SearchHit> CompactIndex::Search(const std::vector<TokenId>& terms,
   // DETERMINISM: order-insensitive (DedupeQueryTerms returns a plain
   // vector in first-occurrence order; no hash container is iterated here).
   for (TokenId term : DedupeQueryTerms(terms)) {
-    const Shard* shard = nullptr;
-    const TermMeta* meta = FindTerm(term, &shard);
+    const TermMeta* meta = FindTerm(term);
     if (meta == nullptr) continue;
     Cursor cursor;
-    cursor.shard = shard;
+    cursor.index = this;
     cursor.term = meta;
     cursor.Open(meta->first_block);
     cursors.push_back(cursor);

@@ -1,10 +1,10 @@
 // CompactIndex — the library's one SearchIndex backend (DESIGN.md §13);
-// BuildPoolIndex returns it for every pool. Postings are sharded by term
-// hash and stored delta-compressed: per term, doc-id gaps (low bit = "tf
-// varint follows"; tf == 1 postings pay no tf byte) are LEB128 varints
-// laid out in blocks of 128 postings, each block carrying skip metadata
-// (last doc id, byte offset) and the exact maximum BM25 contribution of
-// any posting in the block. Search runs WAND-style
+// BuildPoolIndex returns it for every pool. Postings are stored
+// delta-compressed in one blob, terms in ascending id order: per term,
+// doc-id gaps (low bit = "tf varint follows"; tf == 1 postings pay no tf
+// byte) are LEB128 varints laid out in blocks of 128 postings, each block
+// carrying skip metadata (last doc id, byte offset) and the exact maximum
+// BM25 contribution of any posting in the block. Search runs WAND-style
 // document-at-a-time top-k with term-level and block-level max-score
 // pruning; the pruning is conservative (see DESIGN.md §13 for the
 // invariant), so the returned hits are byte-identical to the test
@@ -42,24 +42,15 @@ class CompactIndex : public SearchIndex {
   /// ids, so the cap is theoretical.
   static constexpr DocId kMaxDocId = 0x7fffffffu;
 
-  /// Term-hash shards: independent encode units for Finalize(threads).
-  static constexpr size_t kNumShards = 16;
-
-  CompactIndex() : shards_(kNumShards) {}
-
   /// Stages a document (bag-of-words over all sentences). Documents may be
   /// added in any id order; re-adding the same id is an error, as is
   /// adding after Finalize().
   Status Add(const Document& doc);
 
-  /// Compresses the staged postings into the sharded store and computes
+  /// Compresses the staged postings, term by ascending term, and computes
   /// the block-max metadata. Idempotent; called implicitly by nothing —
-  /// builders call it exactly once after the last Add(). With threads > 1
-  /// the shards are encoded with ParallelFor, one task per shard — each
-  /// shard's content depends only on its own terms (visited in ascending
-  /// term order), so the output is byte-identical to the serial build at
-  /// any thread count.
-  void Finalize(size_t threads = 1);
+  /// builders call it exactly once after the last Add().
+  void Finalize();
 
   bool finalized() const { return finalized_; }
 
@@ -71,7 +62,7 @@ class CompactIndex : public SearchIndex {
   std::vector<SearchHit> Search(const std::vector<TokenId>& terms,
                                 size_t k) const override;
 
-  /// Compressed accounting: shard blobs + block skip/max metadata +
+  /// Compressed accounting: the postings blob + block skip/max metadata +
   /// per-term directory entries.
   size_t PostingsBytes() const override;
 
@@ -79,7 +70,7 @@ class CompactIndex : public SearchIndex {
   // Field order keeps the struct at 24 bytes (no padding holes): the skip
   // metadata is a per-128-postings cost and is counted by PostingsBytes.
   struct BlockMeta {
-    uint64_t offset = 0;   // byte offset of the block within the shard blob
+    uint64_t offset = 0;   // byte offset of the block within blob_
     double max_score = 0;  // exact max BM25 contribution in the block
     DocId last_doc = 0;    // skip pointer: last doc id in the block
     uint32_t count = 0;    // postings in the block (<= kBlockSize)
@@ -87,25 +78,20 @@ class CompactIndex : public SearchIndex {
 
   struct TermMeta {
     uint32_t doc_freq = 0;
-    uint32_t first_block = 0;  // index into the shard's block array
+    uint32_t first_block = 0;  // index into blocks_
     uint32_t num_blocks = 0;
     double idf = 0.0;          // precomputed at Finalize
     double max_score = 0.0;    // max over blocks (WAND term upper bound)
   };
 
-  struct Shard {
-    std::unordered_map<TokenId, TermMeta> terms;
-    std::vector<BlockMeta> blocks;
-    std::vector<uint8_t> blob;
-  };
-
   struct Cursor;  // defined in compact_index.cc
 
-  size_t ShardOf(TokenId term) const;
-  const TermMeta* FindTerm(TokenId term, const Shard** shard) const;
+  const TermMeta* FindTerm(TokenId term) const;
   double Contribution(double idf, uint32_t tf, DocId doc) const;
 
-  std::vector<Shard> shards_;
+  std::unordered_map<TokenId, TermMeta> terms_;  // the term directory
+  std::vector<BlockMeta> blocks_;
+  std::vector<uint8_t> blob_;
   std::unordered_map<DocId, uint32_t> doc_lengths_;
   size_t num_postings_ = 0;
   double total_length_ = 0.0;

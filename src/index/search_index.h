@@ -4,7 +4,7 @@
 // scenario all retrieve documents through it: documents are ranked by how
 // well they match the query, NOT by extraction usefulness, which is exactly
 // the mismatch the paper's rankers fix. The library ships one backend,
-// CompactIndex (sharded, delta+varint-compressed postings with block-max
+// CompactIndex (delta+varint-compressed postings with block-max
 // top-k pruning). The contract is *byte-identical* `SearchHit` output
 // against the test oracle (tests/index_oracle.h, uncompressed postings):
 // for the same indexed documents and query, both return the same hits

@@ -253,7 +253,7 @@ class ExtractionSession {
       result_.ranking_cpu_seconds += timer.ElapsedSeconds();
     }
     detector_ = MakeDetector(config_, pool_.size(), rng_.NextUint64());
-    detector_->OnModelUpdated(*ranker_, examples);
+    RefreshDetector(examples);
     support_ = ModelSupport(*ranker_);
     return examples;
   }
@@ -275,11 +275,6 @@ class ExtractionSession {
     }
     rng_.Shuffle(staged_);
 
-    RerankOptions options;
-    options.scoring_threads = config_.scoring_threads;
-    // RandomRanker's Score() draws from its rng: scoring must stay serial
-    // (and in insertion order) to keep runs deterministic.
-    options.allow_parallel_scoring = config_.ranker != RankerKind::kRandom;
     std::function<double(DocId)> score_override;
     if (config_.ranker == RankerKind::kPerfect) {
       score_override = [this](DocId id) {
@@ -287,7 +282,7 @@ class ExtractionSession {
       };
     }
     engine_ = std::make_unique<RerankEngine>(
-        ranker_.get(), context_.word_features, options,
+        ranker_.get(), context_.word_features, RerankOptions{},
         std::move(score_override));
     for (DocId id : staged_) engine_->AddCandidate(id);
     Rerank();
@@ -369,7 +364,7 @@ class ExtractionSession {
     result_.features_removed_per_update.push_back(support_.size() - shared);
     support_ = std::move(support);
 
-    detector_->OnModelUpdated(*ranker_, buffer_);
+    RefreshDetector(buffer_);
     buffer_.clear();
     result_.update_positions.push_back(result_.processing_order.size());
 
@@ -400,6 +395,14 @@ class ExtractionSession {
       total_sq += sq;
     }
     record->weight_delta_norm = std::sqrt(total_sq);
+  }
+
+  /// Hands the updated model to the detector. The refresh (Feat-S's
+  /// one-class retrain, Mod-C's re-clone) counts as detection CPU.
+  void RefreshDetector(const std::vector<LabeledExample>& examples) {
+    CpuTimer timer;
+    detector_->OnModelUpdated(*ranker_, examples);
+    result_.detector_cpu_seconds += timer.ElapsedSeconds();
   }
 
   /// Queries the index with each queryable top feature of the updated
@@ -442,14 +445,9 @@ class ExtractionSession {
 
   void Rerank() {
     IE_TRACE_SCOPE("pipeline.rank");
-    // With worker threads, thread-CPU time misses the workers; fall back
-    // to wall time for the overhead accounting in that configuration.
-    CpuTimer cpu_timer;
-    WallTimer wall_timer;
+    CpuTimer timer;
     engine_->Rerank();
-    result_.ranking_cpu_seconds += config_.scoring_threads > 1
-                                       ? wall_timer.ElapsedSeconds()
-                                       : cpu_timer.ElapsedSeconds();
+    result_.ranking_cpu_seconds += timer.ElapsedSeconds();
   }
 
   /// Candidates found before the engine exists are staged; later ones

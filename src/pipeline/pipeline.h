@@ -51,10 +51,6 @@ struct PipelineConfig {
   ModCOptions modc = {};  // alpha auto-set per ranker by Defaults()
   FeatSOptions feats = {};
 
-  /// Worker threads for bulk re-rank scoring (1 = serial; >1 uses
-  /// ParallelFor and reports re-rank overhead in wall time).
-  size_t scoring_threads = 1;
-
   /// Worker threads for speculative per-document extraction (see
   /// pipeline/extract_executor.h). <= 1 runs extraction inline on the
   /// consumer thread (the serial reference). Results are byte-identical at

@@ -109,7 +109,6 @@ void PipelineRecorder::BeginRun(const PipelineConfig& config,
   AppendKeyUint(&line_, "sample_size",
                 std::min(config.sample_size, pool_size));
   AppendKeyUint(&line_, "extract_threads", config.extract_threads);
-  AppendKeyUint(&line_, "scoring_threads", config.scoring_threads);
   line_.push_back('}');
   WriteLedgerLine();
 }

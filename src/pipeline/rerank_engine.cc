@@ -4,7 +4,6 @@
 
 #include "common/logging.h"
 #include "common/metrics.h"
-#include "common/parallel.h"
 #include "common/trace.h"
 
 namespace ie {
@@ -17,11 +16,10 @@ constexpr uint32_t kNoSlot = 0xffffffffu;
 
 RerankEngine::RerankEngine(DocumentRanker* ranker,
                            const std::vector<SparseVector>* features,
-                           RerankOptions options,
+                           RerankOptions /*options*/,
                            std::function<double(DocId)> score_override)
     : ranker_(ranker),
       features_(features),
-      options_(options),
       score_override_(std::move(score_override)) {
   IE_CHECK(features_ != nullptr);
   IE_CHECK(ranker_ != nullptr || score_override_ != nullptr);
@@ -49,21 +47,11 @@ void RerankEngine::Rerank() {
   if (ranker_ != nullptr) ranker_->SnapshotForScoring();
   heap_.clear();
   heap_.reserve(pending_);
+  // Scores in insertion order, which a stateful Score() (Random) relies on.
   for (uint32_t s = 0; s < slots_.size(); ++s) {
-    if (!processed_[s]) heap_.push_back(HeapEntry{0.0f, s});
-  }
-  // Each index writes only its own entry and slot, so ParallelFor stays
-  // deterministic; the serial loop scores in insertion order, which a
-  // stateful Score() (Random) relies on.
-  auto score_one = [&](size_t i) {
-    Slot& slot = slots_[heap_[i].slot];
-    slot.score = static_cast<float>(Score(slot.doc));
-    heap_[i].score = slot.score;
-  };
-  if (options_.allow_parallel_scoring && options_.scoring_threads > 1) {
-    ParallelFor(heap_.size(), options_.scoring_threads, score_one);
-  } else {
-    for (size_t i = 0; i < heap_.size(); ++i) score_one(i);
+    if (processed_[s]) continue;
+    slots_[s].score = static_cast<float>(Score(slots_[s].doc));
+    heap_.push_back(HeapEntry{slots_[s].score, s});
   }
   std::make_heap(heap_.begin(), heap_.end(), HeapEntryLess);
   ++stats_.full_rescores;

@@ -1,7 +1,7 @@
 // Re-rank frontier (DESIGN.md §8). The paper's adaptive loop re-scores the
 // entire remaining pool on every model update. This engine does exactly
-// that — one scoring pass over the pending candidates per Rerank(), serial
-// or under ParallelFor — and serves candidates best-first from a binary
+// that — one serial scoring pass over the pending candidates per Rerank(),
+// in insertion order — and serves candidates best-first from a binary
 // heap, so only the consumed frontier is ever ordered. Equal scores pop in
 // insertion order, reproducing the stable sort the heap replaced.
 #pragma once
@@ -16,12 +16,8 @@
 
 namespace ie {
 
-struct RerankOptions {
-  /// Worker threads for the scoring pass (see ParallelFor).
-  size_t scoring_threads = 1;
-  /// Rankers with stateful Score() (Random) must be scored serially.
-  bool allow_parallel_scoring = true;
-};
+/// Empty: scoring is serial. Kept because perfbench/replay.cc passes one.
+struct RerankOptions {};
 
 struct RerankStats {
   size_t full_rescores = 0;  // scoring passes, one per Rerank()
@@ -75,7 +71,6 @@ class RerankEngine {
 
   DocumentRanker* ranker_;  // may be null only with score_override
   const std::vector<SparseVector>* features_;
-  RerankOptions options_;
   std::function<double(DocId)> score_override_;
 
   std::vector<Slot> slots_;

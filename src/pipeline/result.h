@@ -42,7 +42,8 @@ struct PipelineResult {
   /// the last document), including ranking overhead — the end-to-end
   /// docs/sec denominator for bench_extract.
   double extract_wall_seconds = 0.0;
-  /// Measured CPU time inside the update detector.
+  /// Measured CPU time inside the update detector: every Observe() and
+  /// every refresh after a model update (OnModelUpdated).
   double detector_cpu_seconds = 0.0;
   /// Measured CPU time spent training/scoring/sorting (ranking overhead).
   double ranking_cpu_seconds = 0.0;

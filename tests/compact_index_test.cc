@@ -212,58 +212,6 @@ TEST_F(CompactIndexTest, RandomizedEquivalence200QueriesPerSeed) {
   }
 }
 
-TEST_F(CompactIndexTest, ParallelFinalizeIsByteIdenticalToSerial) {
-  // Build the same randomized corpus into four indexes and finalize with
-  // 1, 2, 4, and 16 threads: every observable — compressed byte count,
-  // doc freqs, and bit-level search results — must match the serial build.
-  Rng rng(77);
-  constexpr uint32_t kVocabSize = 400;
-  std::vector<Document> docs;
-  for (DocId id = 0; id < 300; ++id) {
-    Document doc;
-    doc.id = id;
-    Sentence sentence;
-    const size_t len = 4 + rng.NextBounded(24);
-    for (size_t t = 0; t < len; ++t) {
-      sentence.tokens.push_back(
-          static_cast<TokenId>(rng.NextZipf(kVocabSize, 1.1)));
-    }
-    doc.sentences.push_back(std::move(sentence));
-    docs.push_back(std::move(doc));
-  }
-
-  CompactIndex serial;
-  for (const auto& doc : docs) ASSERT_TRUE(serial.Add(doc).ok());
-  serial.Finalize(1);
-
-  for (size_t threads : {2u, 4u, 16u}) {
-    CompactIndex parallel;
-    for (const auto& doc : docs) ASSERT_TRUE(parallel.Add(doc).ok());
-    parallel.Finalize(threads);
-
-    const std::string label = "threads=" + std::to_string(threads);
-    EXPECT_EQ(parallel.NumDocs(), serial.NumDocs()) << label;
-    EXPECT_EQ(parallel.NumPostings(), serial.NumPostings()) << label;
-    EXPECT_EQ(parallel.PostingsBytes(), serial.PostingsBytes()) << label;
-    for (TokenId term = 0; term < kVocabSize; ++term) {
-      ASSERT_EQ(parallel.DocFreq(term), serial.DocFreq(term))
-          << label << " term " << term;
-    }
-    Rng qrng(threads);
-    for (int q = 0; q < 100; ++q) {
-      std::vector<TokenId> terms;
-      const size_t num_terms = 1 + qrng.NextBounded(4);
-      for (size_t t = 0; t < num_terms; ++t) {
-        terms.push_back(static_cast<TokenId>(qrng.NextBounded(kVocabSize)));
-      }
-      const size_t k = 1 + qrng.NextBounded(50);
-      ExpectSameHits(serial.Search(terms, k), parallel.Search(terms, k),
-                     label + " query " + std::to_string(q));
-      if (::testing::Test::HasFailure()) return;
-    }
-  }
-}
-
 TEST_F(CompactIndexTest, SharedCorpusPoolEquivalenceAndCompression) {
   const Corpus& corpus = test::SharedCorpus();
   const test::InvertedIndex inverted =

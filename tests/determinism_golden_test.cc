@@ -23,7 +23,8 @@
 // Wind-F and Mod-C, once with live extraction, which must reproduce its
 // cached-outcome twin. The baselines (FC, A-FC, QXtract) have no thread
 // axis: their layer 1 is a repeat of the same run, and layer 2 pins them
-// over both samplers.
+// over both samplers, plus three runs (FC and A-FC on PC, A-FC at a short
+// re-rank cadence) that pin FactCrawl's score precision and tie-break.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -345,7 +346,34 @@ struct BaselineCase {
   uint64_t seed;
   /// Expected digest; pinned from the reference toolchain.
   const char* pinned;
+  RelationId relation = RelationId::kPersonCharge;
+  /// A-FC's re-rank cadence (FactCrawlConfig's defaults unless set).
+  size_t rerank_interval = FactCrawlConfig{}.rerank_interval;
+  size_t refresh_every_reranks = FactCrawlConfig{}.refresh_every_reranks;
 };
+
+/// e.g. "AFC_SRS_seed7"; a relation other than PH and a non-default A-FC
+/// cadence append their own parts ("AFC_SRS_seed1_every10_refresh2").
+/// Also the printed parameter, so that ctest names carry no pointer bytes.
+std::string BaselineCaseName(const BaselineCase& param) {
+  std::string name = std::string(BaselineName(param.baseline)) + "_" +
+                     SamplerKindName(param.sampler) + "_seed" +
+                     std::to_string(param.seed);
+  if (param.relation != RelationId::kPersonCharge) {
+    name += "_" + GetRelation(param.relation).code;
+  }
+  const FactCrawlConfig defaults;
+  if (param.rerank_interval != defaults.rerank_interval ||
+      param.refresh_every_reranks != defaults.refresh_every_reranks) {
+    name += "_every" + std::to_string(param.rerank_interval) + "_refresh" +
+            std::to_string(param.refresh_every_reranks);
+  }
+  return name;
+}
+
+void PrintTo(const BaselineCase& param, std::ostream* os) {
+  *os << BaselineCaseName(param);
+}
 
 PipelineResult RunBaseline(const SharedContext& context,
                            const BaselineCase& param) {
@@ -361,6 +389,8 @@ PipelineResult RunBaseline(const SharedContext& context,
   config.sampler = param.sampler;
   config.sample_size = 120;
   config.seed = param.seed;
+  config.rerank_interval = param.rerank_interval;
+  config.refresh_every_reranks = param.refresh_every_reranks;
   return FactCrawlPipeline::Run(context, config);
 }
 
@@ -368,7 +398,8 @@ class BaselineGoldenTest : public ::testing::TestWithParam<BaselineCase> {};
 
 TEST_P(BaselineGoldenTest, RepeatableAndPinned) {
   const BaselineCase param = GetParam();
-  SharedContext context = test::MakeSharedContext(RelationId::kPersonCharge);
+  BuildWorldInPinOrder();
+  SharedContext context = test::MakeSharedContext(param.relation);
   const std::vector<std::string> queries = {"courtroom", "trial", "fraud",
                                             "prosecutor"};
   context.cqs_queries = &queries;
@@ -410,11 +441,17 @@ INSTANTIATE_TEST_SUITE_P(
         BaselineCase{Baseline::kQXtract, SamplerKind::kCQS, 1,
                      "6b9743e370965a94"},
         BaselineCase{Baseline::kQXtract, SamplerKind::kCQS, 7,
-                     "463342d9842a3720"}),
+                     "463342d9842a3720"},
+        // Runs whose order a float-score or insertion-slot tie-break
+        // (instead of stable_sort's previous rank) would change.
+        BaselineCase{Baseline::kFC, SamplerKind::kSRS, 1,
+                     "cdc41bd24c580955", RelationId::kPersonCareer},
+        BaselineCase{Baseline::kAFC, SamplerKind::kSRS, 7,
+                     "0a8394dc9738ae62", RelationId::kPersonCareer},
+        BaselineCase{Baseline::kAFC, SamplerKind::kSRS, 1,
+                     "763428c520124c1b", RelationId::kPersonCharge, 10, 2}),
     [](const ::testing::TestParamInfo<BaselineCase>& info) {
-      return std::string(BaselineName(info.param.baseline)) + "_" +
-             SamplerKindName(info.param.sampler) + "_seed" +
-             std::to_string(info.param.seed);
+      return BaselineCaseName(info.param);
     });
 
 }  // namespace

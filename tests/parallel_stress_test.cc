@@ -1,20 +1,16 @@
-// TSan-targeted stress tests: hammer ParallelFor under contention and drive
-// the parallel re-rank path repeatedly. These tests are expected to pass
-// under -DIE_SANITIZE=thread (tsan preset) as well as the default build;
-// they are the gate for future scaling work on top of the threading.
+// TSan-targeted stress tests: hammer ParallelFor under contention. These
+// tests are expected to pass under -DIE_SANITIZE=thread (tsan preset) as
+// well as the default build; they are the gate for future scaling work on
+// top of the threading.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
-#include <numeric>
 #include <stdexcept>
 #include <vector>
 
 #include "common/parallel.h"
 #include "common/sync.h"
-#include "eval/experiment.h"
-#include "pipeline/pipeline.h"
-#include "test_util.h"
 
 namespace ie {
 namespace {
@@ -51,8 +47,9 @@ TEST(ParallelStressTest, MutexAggregationIsExact) {
   EXPECT_EQ(sum, kN * (kN - 1) / 2);
 }
 
-// Disjoint slot writes with no synchronization: the core contract the
-// pipeline's bulk scoring relies on. Any overlap is a TSan race.
+// Disjoint slot writes with no synchronization: the core contract that
+// parallel featurization (FeaturizePool) relies on. Any overlap is a TSan
+// race.
 TEST(ParallelStressTest, DisjointSlotWritesRaceFree) {
   constexpr size_t kRounds = 20;
   constexpr size_t kN = 4096;
@@ -94,30 +91,6 @@ TEST(ParallelStressTest, ExceptionChurn) {
     } catch (const std::runtime_error&) {
       EXPECT_GT(visited.load(), 0u);
     }
-  }
-}
-
-// The real consumer: the pipeline's threaded bulk re-rank. Scored slots are
-// written concurrently, then sorted; the result must be byte-identical to
-// the serial run, every time, under contention.
-TEST(ParallelStressTest, ThreadedRerankMatchesSerialRepeatedly) {
-  const SharedContext context =
-      test::MakeSharedContext(RelationId::kPersonCharge);
-  PipelineConfig config = PipelineConfig::Defaults(
-      RankerKind::kRSVMIE, SamplerKind::kSRS, UpdateKind::kModC, 131);
-  config.sample_size = 120;
-  const PipelineResult serial =
-      AdaptiveExtractionPipeline::Run(context, config);
-  for (size_t threads : {2u, 4u, 8u}) {
-    config.scoring_threads = threads;
-    const PipelineResult threaded =
-        AdaptiveExtractionPipeline::Run(context, config);
-    EXPECT_EQ(serial.processing_order, threaded.processing_order)
-        << "threads=" << threads;
-    EXPECT_EQ(serial.update_positions, threaded.update_positions)
-        << "threads=" << threads;
-    EXPECT_EQ(EvaluateRun(serial).auc, EvaluateRun(threaded).auc)
-        << "threads=" << threads;
   }
 }
 

@@ -35,21 +35,6 @@ TEST(ParallelForTest, ZeroIterations) {
   ParallelFor(0, 4, [](size_t) { FAIL(); });
 }
 
-TEST(ParallelScoringTest, ThreadedRerankIsDeterministic) {
-  const SharedContext context =
-      test::MakeSharedContext(RelationId::kPersonCharge);
-  PipelineConfig config = PipelineConfig::Defaults(
-      RankerKind::kRSVMIE, SamplerKind::kSRS, UpdateKind::kModC, 71);
-  config.sample_size = 120;
-  const PipelineResult serial =
-      AdaptiveExtractionPipeline::Run(context, config);
-  config.scoring_threads = 4;
-  const PipelineResult threaded =
-      AdaptiveExtractionPipeline::Run(context, config);
-  EXPECT_EQ(serial.processing_order, threaded.processing_order);
-  EXPECT_EQ(serial.update_positions, threaded.update_positions);
-}
-
 // ---- QXtract baseline -------------------------------------------------------
 
 TEST(QXtractPipelineTest, RunInvariants) {

@@ -144,10 +144,6 @@ def compare_index(fresh, base, tolerance):
         else:
             check_trend("index", "compression_ratio[docs=%s]" % docs, ratio,
                         base_tier.get("compression_ratio"), tolerance)
-        for point in tier.get("finalize_sweep", []):
-            if point.get("identical") is not True:
-                fail("index: finalize_sweep docs=%s threads=%s not identical"
-                     % (docs, point.get("threads")))
 
 
 COMPARATORS = {

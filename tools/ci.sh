@@ -93,8 +93,9 @@ step "bench_extract smoke (speculative extraction executor + tracing)"
 # executor engages (hit counters) and output stays byte-identical. The
 # ≥2.5x @ 8-thread gate self-skips below 8 hardware threads. --trace adds
 # the observability smoke: traced 2-thread runs export a Chrome trace and
-# measure overhead against untraced runs (minimum process-CPU ratio over
-# interleaved off/on pairs); --ledger does the same for the flight
+# measure overhead against untraced runs (process-CPU ratios, in blocks of
+# one off-first and one on-first pair; the gated value is the smallest
+# block's geometric mean); --ledger does the same for the flight
 # recorder (serial runs, JSONL run ledger);
 # --metrics-out renders the serial run's Prometheus exposition.
 IE_BENCH_DOCS=4000 ./build-default/bench/bench_extract \
