@@ -1,7 +1,8 @@
 // Perf trajectory for the per-document featurizer (DESIGN.md §14): the
 // production arena Featurizer against a faithful in-bench copy of the
 // pre-arena implementation (unordered_map count table, heap-vector entry
-// staging), single-threaded, best-of-reps wall time.
+// staging), single-threaded, timed in thread CPU seconds with the two
+// sides interleaved rep by rep in order-balanced pairs.
 //
 // Emits JSON for CI trend tracking (tools/bench_trend.py) with one
 // acceptance gate:
@@ -21,7 +22,9 @@
 #include <cstring>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
+#include "common/timer.h"
 #include "harness.h"
 
 using namespace ie;
@@ -63,15 +66,49 @@ void KeepAlive(size_t& value) {
 }
 
 template <typename Fn>
-double BestOfRepsSeconds(int reps, Fn&& fn) {
-  double best = 0.0;
+double CpuSeconds(Fn&& fn) {
+  CpuTimer timer;
+  fn();
+  return timer.ElapsedSeconds();
+}
+
+struct Interleaved {
+  double best_reference = 0.0;  // seconds, fastest run per side
+  double best_arena = 0.0;
+  double median_ratio = 0.0;    // median rep score
+};
+
+/// The reference and the arena side timed rep by rep: each rep runs one
+/// reference-first and one arena-first pair, so host drift and the warmer
+/// second slot land on both sides alike. A rep scores the geometric mean
+/// of its two reference/arena ratios.
+template <typename Ref, typename Arena>
+Interleaved TimeInterleaved(int reps, Ref&& reference, Arena&& arena) {
+  Interleaved out;
+  const auto keep_best = [](double* best, double seconds) {
+    if (*best == 0.0 || seconds < *best) *best = seconds;
+  };
+  std::vector<double> scores;
   for (int r = 0; r < reps; ++r) {
-    WallTimer timer;
-    fn();
-    const double wall = timer.ElapsedSeconds();
-    if (best == 0.0 || wall < best) best = wall;
+    const double ref_first = CpuSeconds(reference);
+    const double arena_second = CpuSeconds(arena);
+    const double arena_first = CpuSeconds(arena);
+    const double ref_second = CpuSeconds(reference);
+    keep_best(&out.best_reference, std::min(ref_first, ref_second));
+    keep_best(&out.best_arena, std::min(arena_first, arena_second));
+    if (arena_first > 0.0 && arena_second > 0.0) {
+      scores.push_back(std::sqrt((ref_first / arena_second) *
+                                 (ref_second / arena_first)));
+    }
   }
-  return best;
+  if (!scores.empty()) {
+    std::sort(scores.begin(), scores.end());
+    const size_t mid = scores.size() / 2;
+    out.median_ratio = scores.size() % 2 == 1
+                           ? scores[mid]
+                           : 0.5 * (scores[mid - 1] + scores[mid]);
+  }
+  return out;
 }
 
 FeaturizeResult RunFeaturizeTrajectory(Harness& harness, int reps) {
@@ -105,27 +142,30 @@ FeaturizeResult RunFeaturizeTrajectory(Harness& harness, int reps) {
     }
   }
 
-  const double ref_seconds = BestOfRepsSeconds(reps, [&] {
-    size_t total = 0;
-    for (size_t i = 0; i < num_docs; ++i) {
-      total += RefFeaturize(corpus.doc(pool[i])).size();
-    }
-    KeepAlive(total);
-  });
-  const double arena_seconds = BestOfRepsSeconds(reps, [&] {
-    size_t total = 0;
-    for (size_t i = 0; i < num_docs; ++i) {
-      total += featurizer.Featurize(corpus.doc(pool[i])).size();
-    }
-    KeepAlive(total);
-  });
+  const Interleaved timed = TimeInterleaved(
+      reps,
+      [&] {
+        size_t total = 0;
+        for (size_t i = 0; i < num_docs; ++i) {
+          total += RefFeaturize(corpus.doc(pool[i])).size();
+        }
+        KeepAlive(total);
+      },
+      [&] {
+        size_t total = 0;
+        for (size_t i = 0; i < num_docs; ++i) {
+          total += featurizer.Featurize(corpus.doc(pool[i])).size();
+        }
+        KeepAlive(total);
+      });
 
   FeaturizeResult out;
   out.docs = num_docs;
   out.identical = identical;
-  out.reference_us = ref_seconds * 1e6 / static_cast<double>(num_docs);
-  out.arena_us = arena_seconds * 1e6 / static_cast<double>(num_docs);
-  out.speedup = arena_seconds > 0.0 ? ref_seconds / arena_seconds : 0.0;
+  out.reference_us =
+      timed.best_reference * 1e6 / static_cast<double>(num_docs);
+  out.arena_us = timed.best_arena * 1e6 / static_cast<double>(num_docs);
+  out.speedup = timed.median_ratio;
   std::fprintf(stderr,
                "[bench_featurize] featurize over %zu docs: "
                "reference=%.2fus/doc arena=%.2fus/doc speedup=%.2fx "

@@ -7,7 +7,7 @@
 // Paper shape: Wind-F << Mod-C < Top-K < Feat-S. Not expected here: Top-K
 // and Feat-S compute the same statistics incrementally (DESIGN.md §17) and
 // Mod-C never materializes a model (§18), so the measured shape is
-// Wind-F << Feat-S < Mod-C < Top-K. EXPERIMENTS.md records the deviation.
+// Wind-F << Feat-S < Top-K < Mod-C. EXPERIMENTS.md records the deviation.
 #include <cstdio>
 #include <utility>
 #include <vector>

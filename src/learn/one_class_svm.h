@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "text/sparse_vector.h"
@@ -19,10 +20,12 @@ struct OneClassSvmOptions {
 };
 
 /// Kernel evaluations reuse each support vector's ‖sv‖², cached when it is
-/// inserted, and a dot product gathered from x scattered once per call
-/// (DESIGN.md §17). The sums equal the sorted-merge evaluation bit for bit.
-/// Decision and IsInlier write that scatter array, so they are non-const
-/// and one instance must not be shared between threads.
+/// inserted, and dot products accumulated from postings: per feature id,
+/// the support vectors holding it with their values. One pass over x's
+/// ids adds each support vector's matched products in ascending id order
+/// (DESIGN.md §17), so the sums equal the sorted-merge evaluation bit for
+/// bit. Decision and IsInlier write the per-call dot products, so they are
+/// non-const and one instance must not be shared between threads.
 class OneClassSvm {
  public:
   explicit OneClassSvm(OneClassSvmOptions options) : options_(options) {}
@@ -41,16 +44,28 @@ class OneClassSvm {
   size_t NumSupportVectors() const { return alphas_.size(); }
 
  private:
+  /// A support vector's entry in the postings of one feature id.
+  struct Posting {
+    uint32_t slot;  // the support vector's storage slot
+    float value;
+  };
+
   /// Adds α_i K(sv_i, x) for i = 0, 1, ... to a sum starting at 0, and
   /// returns it once it reaches `stop_at` (or after the last term).
   double Sum(const SparseVector& x, double stop_at);
+  void Insert(const SparseVector& x, double alpha);
   void Evict();
 
   OneClassSvmOptions options_;
-  std::vector<SparseVector> support_;
-  std::vector<double> support_norms_;  // ‖sv_i‖², parallel to support_
+  // Support vectors in support order (insertion order, less evictions).
+  std::vector<uint32_t> slots_;
+  std::vector<double> norms_;  // ‖sv_i‖²
   std::vector<double> alphas_;
-  std::vector<double> scatter_;  // x's values by id; all zero between calls
+  // By storage slot; a slot freed by an eviction is reused.
+  std::vector<SparseVector> vectors_;
+  std::vector<double> dots_;  // sv·x of the current call
+  std::vector<uint32_t> free_slots_;
+  std::vector<std::vector<Posting>> postings_;  // by feature id
   size_t steps_ = 0;
 };
 

@@ -30,7 +30,7 @@ void TopKDetector::OnModelUpdated(
   // The side classifier keeps learning across updates; absorbed documents
   // were already fed through Observe. Snapshot the reference feature set.
   (void)absorbed;
-  reference_topk_ = index_.TopK(side_.learner(), options_.k);
+  reference_ = FootruleReference(index_.TopK(side_.learner(), options_.k));
 }
 
 bool TopKDetector::Observe(const SparseVector& features, bool useful,
@@ -40,9 +40,8 @@ bool TopKDetector::Observe(const SparseVector& features, bool useful,
     index_.Rekey(side_.learner(), features);
   }
   IE_METRIC_COUNT("detector.checks");
-  const std::vector<WeightedFeature> current =
-      index_.TopK(side_.learner(), options_.k);
-  last_distance_ = GeneralizedFootrule(reference_topk_, current);
+  last_distance_ =
+      reference_.Distance(index_.TopK(side_.learner(), options_.k));
   IE_METRIC_GAUGE_SET("detector.topk.footrule", last_distance_);
   IE_TRACE_COUNTER("detector.topk.footrule", last_distance_);
   return last_distance_ > options_.tau;

@@ -88,7 +88,8 @@ struct TopKOptions {
 /// ranker; after every document compares the current top-K features
 /// against the top-K at the last model update with the generalized
 /// Spearman's footrule. The lists come off an OrderKeyIndex over the side
-/// classifier, so a check costs O(K log K), not O(model dimension).
+/// classifier, and the footrule's reference side is prepared once per
+/// update, so a check costs about O(K log K), not O(model dimension).
 class TopKDetector : public UpdateDetector {
  public:
   explicit TopKDetector(TopKOptions options = {});
@@ -107,7 +108,7 @@ class TopKDetector : public UpdateDetector {
   TopKOptions options_;
   OnlineBinarySvm side_;
   OrderKeyIndex index_;  // over side_'s weights
-  std::vector<WeightedFeature> reference_topk_;
+  FootruleReference reference_;  // the top K at the last model update
   double last_distance_ = 0.0;
 };
 

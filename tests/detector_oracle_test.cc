@@ -54,14 +54,14 @@ constexpr int kPasses = 3;
 
 // ---- Top-K ------------------------------------------------------------
 
-// Three passes over one relation's pool with Top-K options `options`. At
-// every document the product's footrule equals the dense detector's bit
-// for bit, the triggers agree, and an OrderKeyIndex over a second side
+// `passes` passes over `stream` with Top-K options `options`. At every
+// document the product's footrule equals the dense detector's bit for
+// bit, the triggers agree, and an OrderKeyIndex over a second side
 // classifier lists exactly TopKFeatures(DenseWeights(), K). Both
 // re-reference at every trigger; as in the pipeline, the first reference
 // is taken before any Observe. Returns the number of triggers.
-size_t RunTopKLockstep(RelationId relation, TopKOptions options) {
-  const std::vector<LabeledExample> stream = PoolStream(relation);
+size_t RunTopKLockstep(const std::vector<LabeledExample>& stream, int passes,
+                       TopKOptions options) {
   const RsvmIeRanker ranker;
   TopKDetector product(options);
   test::DenseTopKDetector oracle(options);
@@ -71,7 +71,7 @@ size_t RunTopKLockstep(RelationId relation, TopKOptions options) {
   oracle.OnModelUpdated();
   size_t checks = 0;
   size_t triggers = 0;
-  for (int pass = 0; pass < kPasses; ++pass) {
+  for (int pass = 0; pass < passes; ++pass) {
     for (const LabeledExample& ex : stream) {
       const bool fired = product.Observe(ex.features, ex.label > 0, ranker);
       EXPECT_EQ(fired, oracle.Observe(ex.features, ex.label > 0))
@@ -93,8 +93,12 @@ size_t RunTopKLockstep(RelationId relation, TopKOptions options) {
       }
     }
   }
-  EXPECT_EQ(checks, kPasses * stream.size());
+  EXPECT_EQ(checks, passes * stream.size());
   return triggers;
+}
+
+size_t RunTopKLockstep(RelationId relation, TopKOptions options) {
+  return RunTopKLockstep(PoolStream(relation), kPasses, options);
 }
 
 // The default options over the PH and PC pools. PH fires on this stream,
@@ -234,6 +238,247 @@ TEST(DetectorOracleTest, FootruleMatchesHashMapOracle) {
   }
 }
 
+// ---- The order-key window ---------------------------------------------
+
+// The default K over a long stream: seven passes over every document of
+// the generated corpus (21,000 documents), so the window churns as it
+// does on a long run.
+TEST(DetectorOracleTest, TopKLockstepOverLongCorpusStream) {
+  const SharedContext context =
+      test::MakeSharedContext(RelationId::kPersonCareer);
+  std::vector<LabeledExample> stream;
+  for (DocId doc = 0; doc < context.word_features->size(); ++doc) {
+    stream.push_back({(*context.word_features)[doc],
+                      context.outcomes->useful(doc) ? 1 : -1});
+  }
+  constexpr int kLongPasses = 7;
+  ASSERT_GE(kLongPasses * stream.size(), 20000u);
+  RunTopKLockstep(stream, kLongPasses, TopKOptions{.k = 200});
+}
+
+// One to four random features of [0, dim) with values in (0.25, 1].
+SparseVector RandomVector(Rng& rng, uint32_t dim) {
+  std::vector<SparseVector::Entry> entries;
+  for (size_t n = 1 + rng.NextBounded(4); n > 0; --n) {
+    entries.emplace_back(static_cast<uint32_t>(rng.NextBounded(dim)),
+                         0.25f + 0.75f * static_cast<float>(rng.NextDouble()));
+  }
+  return Vec(std::move(entries));
+}
+
+// A forced step on x, re-keyed; then the index's list equals
+// TopKFeatures over the dense weights at every K of `ks`.
+void StepAndCheck(ElasticNetSgd& sgd, OrderKeyIndex& index,
+                  const SparseVector& x, double gradient,
+                  std::initializer_list<size_t> ks) {
+  sgd.ForcedStep(x, gradient);
+  index.Rekey(sgd, x);
+  const WeightVector dense = sgd.DenseWeights();
+  for (size_t k : ks) {
+    ExpectSameList(index.TopK(sgd, k), TopKFeatures(dense, k));
+  }
+}
+
+// At K = 2 the window keeps 4 to 8 keys. A query at K = 40 cannot stop
+// inside it, so it rebuilds the window, and later queries at both K read
+// the wider one.
+TEST(DetectorOracleTest, WindowRebuildsForAKLargerThanIt) {
+  ElasticNetSgd sgd(test::kDenseSideClassifier);
+  OrderKeyIndex index;
+  Rng rng(61);
+  for (int step = 0; step < 300; ++step) {
+    StepAndCheck(sgd, index, RandomVector(rng, 150), rng.NextBool(0.5) ? 1 : -1,
+                 {2});
+  }
+  const size_t before = index.rebuilds();
+  ExpectSameList(index.TopK(sgd, 40), TopKFeatures(sgd.DenseWeights(), 40));
+  EXPECT_GT(index.rebuilds(), before);
+  for (int step = 0; step < 300; ++step) {
+    StepAndCheck(sgd, index, RandomVector(rng, 150), rng.NextBool(0.5) ? 1 : -1,
+                 {2, 40});
+  }
+}
+
+// Five features pushed to the top are pushed down together, through zero
+// and out the other side. On the way down their keys leave the small
+// window of K = 1 and 3, which then cannot prove a stop and is rebuilt;
+// once their weights flip sign and grow, their keys rise into it again.
+TEST(DetectorOracleTest, WindowRebuildsWhenTopWeightsShrinkAndFlip) {
+  ElasticNetSgd sgd(test::kDenseSideClassifier);
+  OrderKeyIndex index;
+  Rng rng(67);
+  for (int step = 0; step < 200; ++step) {
+    StepAndCheck(sgd, index, RandomVector(rng, 60), rng.NextBool(0.5) ? 1 : -1,
+                 {1});
+  }
+  const SparseVector tops =
+      Vec({{500, 1.0f}, {501, 0.9f}, {502, 0.8f}, {503, 0.7f}, {504, 0.6f}});
+  for (int step = 0; step < 40; ++step) {
+    StepAndCheck(sgd, index, tops, 1.0, {1});
+  }
+  const double peak = sgd.CurrentWeight(500);
+  const size_t before = index.rebuilds();
+  size_t flipped = 0;
+  while (sgd.CurrentWeight(500) > -peak) {
+    StepAndCheck(sgd, index, tops, -1.0, {1, 3});
+    flipped += sgd.CurrentWeight(504) < 0.0 ? 1 : 0;
+    if (::testing::Test::HasFailure()) return;
+  }
+  EXPECT_GT(index.rebuilds(), before);
+  EXPECT_GT(flipped, 0u);
+  EXPECT_EQ(index.TopK(sgd, 1)[0].id, 500u);  // back on top, negative
+}
+
+// The factor of a forced step on {id: 1} that sets feature id's weight to
+// exactly zero, or NaN when none is found: factors around the one that
+// cancels the decayed weight are tried on copies of the learner.
+double ZeroingGradient(const ElasticNetSgd& sgd, uint32_t id) {
+  const SparseVector x = Vec({{id, 1.0f}});
+  ElasticNetSgd decayed = sgd;
+  decayed.ForcedStep(SparseVector(), 0.0);
+  ElasticNetSgd unit = sgd;
+  unit.ForcedStep(x, 1.0);
+  const double weight = decayed.CurrentWeight(id);
+  double gradient = -weight / (unit.CurrentWeight(id) - weight);
+  for (int attempt = 0; attempt < 64; ++attempt) {
+    ElasticNetSgd trial = sgd;
+    trial.ForcedStep(x, gradient);
+    const double w = trial.CurrentWeight(id);
+    if (w == 0.0) return gradient;
+    gradient = std::nextafter(gradient, w > 0.0 ? -HUGE_VAL : HUGE_VAL);
+  }
+  return std::nan("");
+}
+
+// A top weight that turns NaN (key NaN, read as -inf) or exactly zero
+// (key -inf) leaves the window and is never listed; a window left without
+// a candidate is rebuilt.
+TEST(DetectorOracleTest, WindowDropsNaNAndZeroWeights) {
+  ElasticNetSgd sgd(test::kDenseSideClassifier);
+  OrderKeyIndex index;
+  Rng rng(71);
+  for (int step = 0; step < 200; ++step) {
+    StepAndCheck(sgd, index, RandomVector(rng, 60), rng.NextBool(0.5) ? 1 : -1,
+                 {1});
+  }
+  for (int step = 0; step < 40; ++step) {
+    StepAndCheck(sgd, index, Vec({{500, 1.0f}, {501, 0.9f}}), 1.0, {1});
+  }
+  const size_t before = index.rebuilds();
+  StepAndCheck(sgd, index, Vec({{500, std::nanf("")}}), 1.0, {1, 2});
+  EXPECT_TRUE(std::isnan(sgd.OrderKey(500)));
+  // Zeroes the new top feature; a few steps may pass before a factor
+  // lands exactly on zero.
+  bool zeroed = false;
+  for (int step = 0; step < 50 && !zeroed; ++step) {
+    const double gradient = ZeroingGradient(sgd, 501);
+    if (std::isnan(gradient)) {
+      StepAndCheck(sgd, index, SparseVector(), 0.0, {1, 2});
+      continue;
+    }
+    StepAndCheck(sgd, index, Vec({{501, 1.0f}}), gradient, {1, 2});
+    zeroed = true;
+  }
+  ASSERT_TRUE(zeroed);
+  EXPECT_EQ(sgd.CurrentWeight(501), 0.0);
+  EXPECT_EQ(sgd.OrderKey(501), -HUGE_VAL);
+  EXPECT_GT(index.rebuilds(), before);
+  for (const WeightedFeature& f : index.TopK(sgd, 100)) {
+    EXPECT_NE(f.id, 500u);
+    EXPECT_NE(f.id, 501u);
+  }
+}
+
+// Under fast forgetting, bursts of steps touch features and long quiet
+// stretches decay them through the subnormal range to zero. A subnormal
+// candidate turns the walk's early stop off, so the window (6 to 12 keys
+// at K = 3) cannot prove a stop and is rebuilt, and the list still equals
+// TopKFeatures.
+TEST(DetectorOracleTest, WindowRebuildsAroundSubnormalCandidates) {
+  ElasticNetSgd sgd(kFastDecay);
+  OrderKeyIndex index;
+  Rng rng(73);
+  size_t subnormal_tops = 0;
+  for (int step = 0; step < 2100; ++step) {
+    const SparseVector x =
+        step % 700 < 8 ? RandomVector(rng, 80) : SparseVector();
+    StepAndCheck(sgd, index, x, rng.NextBool(0.5) ? 1.0 : -1.0, {1, 3});
+    const std::vector<WeightedFeature> top = index.TopK(sgd, 3);
+    subnormal_tops += !top.empty() && top.back().weight < DBL_MIN ? 1 : 0;
+    if (::testing::Test::HasFailure()) return;
+  }
+  EXPECT_GT(subnormal_tops, 0u);
+  EXPECT_GT(index.rebuilds(), 0u);
+}
+
+// ---- The reference-list footrule --------------------------------------
+
+// One reference measures many lists, its scratch reused from call to
+// call: every distance is memcmp-equal to GeneralizedFootrule and to the
+// hash-map oracle. The lists include empty ones, repeated ids on either
+// side, lists disjoint from the reference, the reference itself, and
+// perturbations of it as the Top-K detector sees them.
+TEST(DetectorOracleTest, FootruleReferenceMatchesBothFootrules) {
+  Rng rng(79);
+  auto random_list = [&rng](size_t n, uint32_t base, uint32_t range) {
+    std::vector<WeightedFeature> list;
+    for (size_t i = 0; i < n; ++i) {
+      const double weight = rng.NextBool(0.1) ? 0.5 : rng.NextDouble();
+      list.push_back(
+          {base + static_cast<uint32_t>(rng.NextBounded(range)), weight});
+    }
+    return list;
+  };
+  auto perturbed = [&rng](std::vector<WeightedFeature> list) {
+    for (WeightedFeature& f : list) {
+      if (rng.NextBool(0.1)) {
+        f.id = 5000 + static_cast<uint32_t>(rng.NextBounded(50));
+      }
+      if (rng.NextBool(0.2)) f.weight *= 0.5 + rng.NextDouble();
+    }
+    if (list.size() > 1 && rng.NextBool(0.5)) {
+      std::swap(list[rng.NextBounded(list.size())],
+                list[rng.NextBounded(list.size())]);
+    }
+    return list;
+  };
+  size_t checks = 0;
+  auto check = [&checks](FootruleReference& reference,
+                         const std::vector<WeightedFeature>& a,
+                         const std::vector<WeightedFeature>& b) {
+    const double got = reference.Distance(b);
+    ASSERT_TRUE(BitEqual(got, GeneralizedFootrule(a, b))) << "check " << checks;
+    ASSERT_TRUE(BitEqual(got, test::DenseFootrule(a, b))) << "check " << checks;
+    ++checks;
+  };
+  for (int trial = 0; trial < 300; ++trial) {
+    // Short lists over a small id range repeat ids; long ones mostly not.
+    const bool small = trial % 2 == 0;
+    const auto a = small ? random_list(rng.NextBounded(25), 0, 30)
+                         : random_list(rng.NextBounded(200), 0, 100000);
+    FootruleReference reference(a);
+    check(reference, a, a);
+    check(reference, a, {});
+    check(reference, a, random_list(1 + rng.NextBounded(25), 1000000, 30));
+    for (int i = 0; i < 10; ++i) {
+      check(reference, a, perturbed(a));
+      check(reference, a,
+            small ? random_list(rng.NextBounded(25), 0, 30)
+                  : random_list(rng.NextBounded(200), 0, 100000));
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
+  const std::vector<WeightedFeature> dup = {{3, 1.0}, {3, 5.0}, {1, 2.0}};
+  FootruleReference empty;
+  check(empty, {}, {});
+  check(empty, {}, dup);
+  FootruleReference from_dup(dup);
+  check(from_dup, dup, dup);
+  check(from_dup, dup, {{1, 1.0}, {3, 1.0}});
+  check(from_dup, dup, {});
+  EXPECT_EQ(checks, 300u * 23u + 5u);
+}
+
 // ---- Feat-S -----------------------------------------------------------
 
 // Three passes over one relation's pool with one-class SVM options
@@ -278,6 +523,63 @@ TEST(DetectorOracleTest, FeatSLockstepOnFixturePools) {
     SCOPED_TRACE(GetRelation(relation).name);
     EXPECT_GE(RunFeatSLockstep(relation, options),
               PoolStream(relation).size());
+  }
+}
+
+// Budgets of one and two support vectors evict at every step once full.
+// Each document carries its own marker feature next to two shared ones,
+// so the shared features' postings list every support vector, and a
+// probe on a marker tells whether its support vector is still there. Over
+// the stream the first, a middle (budget 2) and the last support vector
+// are each evicted. After every Observe, Decision and IsInlier at margins
+// -inf, 0, 1, +inf and NaN match the merge-dot oracle.
+TEST(DetectorOracleTest, FeatSEvictionsMatchMergeDotOracle) {
+  for (size_t budget : {1u, 2u}) {
+    SCOPED_TRACE(budget);
+    const OneClassSvmOptions options = {
+        .gamma = 8.0, .lambda = 0.01, .budget = budget};
+    OneClassSvm product(options);
+    test::MergeDotOneClassSvm oracle(options);
+    Rng rng(83 + budget);
+    std::vector<uint32_t> support;  // markers, in support order
+    std::vector<size_t> evictions(budget + 1, 0);  // by support position
+    SparseVector previous;
+    for (uint32_t doc = 0; doc < 400; ++doc) {
+      const uint32_t marker = 100 + doc;
+      SparseVector x =
+          Vec({{0, 0.1f + 0.3f * static_cast<float>(rng.NextDouble())},
+               {1, 0.1f + 0.3f * static_cast<float>(rng.NextDouble())},
+               {marker, 1.0f}});
+      x.Normalize();
+      product.Observe(x);
+      oracle.Observe(x);
+      ASSERT_EQ(product.NumSupportVectors(), oracle.NumSupportVectors());
+      for (const SparseVector* probe : {&x, &previous}) {
+        const double want = oracle.Decision(*probe);
+        ASSERT_TRUE(BitEqual(product.Decision(*probe), want))
+            << "doc " << doc;
+        for (double margin : {-HUGE_VAL, 0.0, 1.0, HUGE_VAL, std::nan("")}) {
+          ASSERT_EQ(product.IsInlier(*probe, margin), want >= margin)
+              << "doc " << doc << ", margin " << margin;
+        }
+      }
+      previous = x;
+      // Every document lies far from the others, so it becomes a support
+      // vector; a marker whose support vector left decides near 0.
+      support.push_back(marker);
+      if (support.size() <= budget) continue;
+      for (size_t pos = 0; pos < support.size(); ++pos) {
+        if (oracle.Decision(Vec({{support[pos], 1.0f}})) < 1e-3) {
+          ++evictions[pos];
+          support.erase(support.begin() + static_cast<long>(pos));
+          break;
+        }
+      }
+      ASSERT_EQ(support.size(), budget) << "doc " << doc;
+    }
+    for (size_t pos = 0; pos <= budget; ++pos) {
+      EXPECT_GT(evictions[pos], 0u) << "position " << pos;
+    }
   }
 }
 

@@ -678,9 +678,9 @@ TEST(OneClassSvmTest, IsInlierMatchesDecisionAtEveryMargin) {
   EXPECT_EQ(checks, 300u * 8u);
 }
 
-// Decision and IsInlier scatter x into a dense array and clear it before
-// returning, also when IsInlier exits early: a later call must not see a
-// trace of an earlier one.
+// Decision and IsInlier accumulate x's dot products with the support
+// vectors afresh on every call, also after IsInlier exits early: a later
+// call must not see a trace of an earlier one.
 TEST(OneClassSvmTest, CallsLeaveNoScatterBehind) {
   OneClassSvm svm({.gamma = 0.5, .lambda = 0.01, .budget = 8});
   for (uint32_t i = 0; i < 6; ++i) {
@@ -698,6 +698,26 @@ TEST(OneClassSvmTest, CallsLeaveNoScatterBehind) {
     svm.IsInlier(x, 1e-3);
     EXPECT_TRUE(BitEqual(svm.Decision(y), want));
   }
+}
+
+// A budget of one keeps a single support vector, and an evicted one takes
+// its postings with it: once slots have been freed and reused, a document
+// that shares features only with evicted support vectors decides bit for
+// bit like one that shares none. The narrow kernel makes every document
+// a new support vector.
+TEST(OneClassSvmTest, EvictedSupportVectorsLeaveNoPostings) {
+  OneClassSvm svm({.gamma = 8.0, .lambda = 0.01, .budget = 1});
+  for (uint32_t i = 0; i < 20; ++i) {
+    svm.Observe(Vec({{2 * i, 1.0f}, {2 * i + 1, 0.5f}}));
+    EXPECT_EQ(svm.NumSupportVectors(), 1u);
+  }
+  // The survivor is one of the last two documents; x shares nothing with
+  // either, so sv·x is 0 and f(x) = α·exp(-γ(‖sv‖² + ‖x‖²)).
+  const SparseVector x = Vec({{0, 1.0f}, {3, 1.0f}});
+  const double alpha_kernel_max = svm.Decision(x);
+  EXPECT_GT(alpha_kernel_max, 0.0);
+  const SparseVector far = Vec({{900, 1.0f}, {901, 1.0f}});
+  EXPECT_TRUE(BitEqual(svm.Decision(far), alpha_kernel_max));
 }
 
 // ---- Feature selection ------------------------------------------------------
@@ -751,6 +771,31 @@ TEST(FootruleTest, Symmetric) {
   const std::vector<WeightedFeature> a = {{0, 3.0}, {1, 1.0}, {5, 0.5}};
   const std::vector<WeightedFeature> b = {{1, 2.0}, {7, 1.5}, {0, 0.5}};
   EXPECT_NEAR(GeneralizedFootrule(a, b), GeneralizedFootrule(b, a), 1e-12);
+}
+
+// A reference measures list after list with reused scratch arrays; each
+// distance equals GeneralizedFootrule's from a fresh reference, and the
+// default reference is the empty list.
+TEST(FootruleTest, ReusedReferenceMatchesGeneralizedFootrule) {
+  Rng rng(71);
+  auto random_list = [&rng]() {
+    std::vector<WeightedFeature> list;
+    for (size_t i = rng.NextBounded(15); i > 0; --i) {
+      list.push_back({static_cast<uint32_t>(rng.NextBounded(20)),
+                      0.01 + rng.NextDouble()});
+    }
+    return list;
+  };
+  const std::vector<WeightedFeature> a = {{4, 3.0}, {9, 1.0}, {1, 0.5}};
+  FootruleReference reference(a);
+  FootruleReference empty;
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::vector<WeightedFeature> b = random_list();
+    EXPECT_TRUE(BitEqual(reference.Distance(b), GeneralizedFootrule(a, b)));
+    EXPECT_TRUE(BitEqual(empty.Distance(b), GeneralizedFootrule({}, b)));
+  }
+  EXPECT_EQ(empty.Distance({}), 0.0);
+  EXPECT_EQ(reference.Distance(a), 0.0);
 }
 
 TEST(FootruleTest, DuplicateIdsKeepTheirFirstOccurrence) {
@@ -819,7 +864,7 @@ void ExpectSameList(const std::vector<WeightedFeature>& got,
 
 TEST(OrderKeyIndexTest, EmptyIndexListsNothing) {
   const ElasticNetSgd sgd(kPureL2);
-  const OrderKeyIndex index;
+  OrderKeyIndex index;
   EXPECT_TRUE(index.TopK(sgd, 0).empty());
   EXPECT_TRUE(index.TopK(sgd, 5).empty());
 }
@@ -884,6 +929,37 @@ TEST(OrderKeyIndexTest, MatchesTopKFeaturesUnderFastForgetting) {
       ExpectSameList(index.TopK(sgd, k), TopKFeatures(dense, k));
     }
   });
+}
+
+// Below twice K's worth of keyed features the window holds every key, so
+// every walk ends inside it and no query rebuilds it.
+TEST(OrderKeyIndexTest, WindowHoldingEveryKeyNeverRebuilds) {
+  ElasticNetSgd sgd(kPureL2);
+  OrderKeyIndex index;
+  Rng rng(61);
+  RandomSteps(rng, 40, 200, [&](const SparseVector& x, double g) {
+    sgd.ForcedStep(x, g);
+    index.Rekey(sgd, x);
+    ExpectSameList(index.TopK(sgd, 25), TopKFeatures(sgd.DenseWeights(), 25));
+  });
+  EXPECT_EQ(index.rebuilds(), 0u);
+}
+
+// Once the window is trimmed to the highest keys, queries at a fixed K
+// rebuild it only when a walk cannot stop inside it, which a stream of
+// gentle steps over many features does rarely.
+TEST(OrderKeyIndexTest, TrimmedWindowRebuildsRarely) {
+  ElasticNetSgd sgd(kPureL2);
+  OrderKeyIndex index;
+  Rng rng(67);
+  size_t queries = 0;
+  RandomSteps(rng, 400, 1500, [&](const SparseVector& x, double g) {
+    sgd.ForcedStep(x, g);
+    index.Rekey(sgd, x);
+    ExpectSameList(index.TopK(sgd, 5), TopKFeatures(sgd.DenseWeights(), 5));
+    ++queries;
+  });
+  EXPECT_LT(index.rebuilds(), queries / 10);
 }
 
 // With an ℓ1 share the keys no longer rank the weights, so TopK refuses
