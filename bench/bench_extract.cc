@@ -10,7 +10,6 @@
 //
 //   bench_extract [--threads=1,2,4,8] [--out=BENCH_extract.json]
 //                 [--trace=trace.json] [--ledger=run.jsonl]
-//                 [--metrics-out=metrics.prom]
 //
 // With --trace, an extra overhead smoke runs after the thread sweep:
 // two-thread runs with the tracer off vs on, in blocks of one off-first
@@ -27,10 +26,6 @@
 // the ratio lands as "recorder_overhead_ratio" (CI gates it at <= 1.03).
 // Runs are re-checked byte-identical either way — the recorder is a
 // passive observer.
-//
-// With --metrics-out, the serial run's metrics snapshot is rendered as
-// Prometheus text exposition to the given path (validated by
-// tools/report.py --validate-prom).
 //
 // Environment knobs (bench_common.h): IE_BENCH_DOCS (default here: 10000).
 //
@@ -129,7 +124,6 @@ int main(int argc, char** argv) {
   std::string out_path = "BENCH_extract.json";
   std::string trace_path;
   std::string ledger_path;
-  std::string metrics_out_path;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--threads=", 0) == 0) {
@@ -140,8 +134,6 @@ int main(int argc, char** argv) {
       trace_path = arg.substr(8);
     } else if (arg.rfind("--ledger=", 0) == 0) {
       ledger_path = arg.substr(9);
-    } else if (arg.rfind("--metrics-out=", 0) == 0) {
-      metrics_out_path = arg.substr(14);
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
       return 2;
@@ -285,20 +277,6 @@ int main(int argc, char** argv) {
                  "min-block cpu ratio=%.3f (ledger -> %s)\n",
                  overhead.best_off, overhead.best_on, recorder_overhead_ratio,
                  ledger_path.c_str());
-  }
-
-  // Prometheus exposition of the serial run's metrics snapshot.
-  if (!metrics_out_path.empty()) {
-    std::FILE* prom = std::fopen(metrics_out_path.c_str(), "w");
-    if (prom == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", metrics_out_path.c_str());
-      return 2;
-    }
-    const std::string text = serial_metrics.ToPrometheus();
-    std::fwrite(text.data(), 1, text.size(), prom);
-    std::fclose(prom);
-    std::fprintf(stderr, "[bench_extract] metrics exposition -> %s\n",
-                 metrics_out_path.c_str());
   }
 
   std::FILE* out = std::fopen(out_path.c_str(), "w");

@@ -107,15 +107,19 @@ void PutIdList(std::vector<uint8_t>* out, const std::vector<DocId>& ids) {
   std::memcpy(out->data() + at, ids.data(), ids.size() * sizeof(DocId));
 }
 
-bool GetIdList(ByteReader* r, std::vector<DocId>* ids) {
+/// Reads one id list; false on underrun or an id at or above `num_docs`.
+bool GetIdList(ByteReader* r, uint64_t num_docs, std::vector<DocId>* ids) {
   const uint64_t count = r->U64();
-  if (r->Remaining() < count * sizeof(DocId)) {
+  if (count > r->Remaining() / sizeof(DocId)) {
     r->ok = false;
     return false;
   }
   ids->resize(count);
   std::memcpy(ids->data(), r->p, count * sizeof(DocId));
   r->p += count * sizeof(DocId);
+  for (DocId id : *ids) {
+    if (id >= num_docs) return false;
+  }
   return true;
 }
 
@@ -354,15 +358,15 @@ StatusOr<CorpusReader> CorpusReader::Open(const std::string& path) {
       vocab_pos < splits_pos || vocab_pos > footer_pos) {
     return Corrupt("section order");
   }
-  if (offsets_pos + rep.num_docs * sizeof(uint64_t) > splits_pos) {
+  if (rep.num_docs > (splits_pos - offsets_pos) / sizeof(uint64_t)) {
     return Corrupt("offset table out of range");
   }
   rep.offsets = rep.data + offsets_pos;
 
   ByteReader splits{rep.data + splits_pos, rep.data + vocab_pos};
-  if (!GetIdList(&splits, &rep.splits.train) ||
-      !GetIdList(&splits, &rep.splits.dev) ||
-      !GetIdList(&splits, &rep.splits.test)) {
+  if (!GetIdList(&splits, rep.num_docs, &rep.splits.train) ||
+      !GetIdList(&splits, rep.num_docs, &rep.splits.dev) ||
+      !GetIdList(&splits, rep.num_docs, &rep.splits.test)) {
     return Corrupt("splits section");
   }
 
@@ -394,14 +398,19 @@ Status CorpusReader::ReadDoc(DocId id, Document* doc,
   std::memcpy(&len, rep.data + off, sizeof(len));
   if (off + sizeof(len) + len > rep.size) return Corrupt("record length");
 
+  // Every id, span and enum value is range-checked here, so a corrupted
+  // file fails with a Status rather than handing out values that index
+  // past the vocabulary, a sentence or an enum.
   ByteReader r{rep.data + off + sizeof(len), rep.data + off + sizeof(len) + len};
   doc->id = r.U32();
+  if (doc->id != id) return Corrupt("record doc id");
   const uint32_t num_sentences = r.U32();
   if (num_sentences > r.Remaining() / sizeof(uint32_t)) {
     return Corrupt("sentence count");
   }
   doc->sentences.clear();
   doc->sentences.resize(num_sentences);
+  const size_t vocab_size = rep.vocab->size();
   for (Sentence& sentence : doc->sentences) {
     const uint32_t num_tokens = r.U32();
     if (num_tokens > r.Remaining() / sizeof(TokenId)) {
@@ -410,6 +419,9 @@ Status CorpusReader::ReadDoc(DocId id, Document* doc,
     sentence.tokens.resize(num_tokens);
     std::memcpy(sentence.tokens.data(), r.p, num_tokens * sizeof(TokenId));
     r.Skip(num_tokens * sizeof(TokenId));
+    for (TokenId token : sentence.tokens) {
+      if (token >= vocab_size) return Corrupt("token id past the vocabulary");
+    }
   }
   if (ann == nullptr) return r.ok ? Status::OK() : Corrupt("record payload");
 
@@ -425,8 +437,14 @@ Status CorpusReader::ReadDoc(DocId id, Document* doc,
     m.sentence = r.U32();
     m.begin = r.U32();
     m.end = r.U32();
-    m.type = static_cast<EntityType>(r.U32());
+    const uint32_t type = r.U32();
     m.value = r.Str();
+    if (m.sentence >= num_sentences || m.begin > m.end ||
+        m.end > doc->sentences[m.sentence].tokens.size()) {
+      return Corrupt("mention span");
+    }
+    if (type >= kNumEntityTypes) return Corrupt("entity type");
+    m.type = static_cast<EntityType>(type);
     ann->mentions.push_back(std::move(m));
   }
   const uint32_t num_tuples = r.U32();
@@ -436,10 +454,13 @@ Status CorpusReader::ReadDoc(DocId id, Document* doc,
   ann->tuples.reserve(num_tuples);
   for (uint32_t i = 0; i < num_tuples; ++i) {
     GoldTuple t;
-    t.relation = static_cast<RelationId>(r.U32());
+    const uint32_t relation = r.U32();
     t.sentence = r.U32();
     t.attr1 = r.Str();
     t.attr2 = r.Str();
+    if (relation >= kNumRelations) return Corrupt("relation");
+    if (t.sentence >= num_sentences) return Corrupt("tuple sentence");
+    t.relation = static_cast<RelationId>(relation);
     ann->tuples.push_back(std::move(t));
   }
   return r.ok ? Status::OK() : Corrupt("record payload");

@@ -681,18 +681,4 @@ Corpus GenerateCorpus(const GeneratorOptions& options) {
   return corpus;
 }
 
-StreamedCorpusInfo GenerateCorpusStreaming(const GeneratorOptions& options,
-                                           const DocumentVisitor& visit) {
-  StreamingCorpusGenerator gen(options);
-  Document doc;
-  DocAnnotations ann;
-  while (gen.Next(&doc, &ann)) {
-    visit(std::move(doc), std::move(ann));
-  }
-  StreamedCorpusInfo info;
-  info.vocab = gen.shared_vocab();
-  info.splits = gen.MakeSplits();
-  return info;
-}
-
 }  // namespace ie

@@ -9,7 +9,6 @@
 
 #include <array>
 #include <cstdint>
-#include <functional>
 #include <memory>
 
 #include "corpus/corpus.h"
@@ -96,15 +95,5 @@ class StreamingCorpusGenerator {
   class Impl;
   std::unique_ptr<Impl> impl_;
 };
-
-/// Visitor-style convenience over StreamingCorpusGenerator: calls `visit`
-/// once per document in id order, then returns the vocabulary and splits.
-struct StreamedCorpusInfo {
-  std::shared_ptr<Vocabulary> vocab;
-  CorpusSplits splits;
-};
-using DocumentVisitor = std::function<void(Document&&, DocAnnotations&&)>;
-StreamedCorpusInfo GenerateCorpusStreaming(const GeneratorOptions& options,
-                                           const DocumentVisitor& visit);
 
 }  // namespace ie

@@ -38,11 +38,14 @@ std::vector<ExtractedTuple> ExtractionSystem::Process(
 
 namespace {
 
+/// Candidate cap for the trained relation classifiers.
+constexpr size_t kMaxRelationCandidates = 4000;
+
 // Collects RE training candidates from gold mentions, keeping all positives
-// and subsampling negatives to roughly 2× the positive count.
+// and subsampling negatives to roughly 2× the positive count, at most
+// kMaxRelationCandidates in all.
 void CollectRelationTrainingData(const Corpus& corpus,
-                                 const RelationSpec& spec,
-                                 size_t max_candidates, uint64_t seed,
+                                 const RelationSpec& spec, uint64_t seed,
                                  std::vector<RelationCandidate>* candidates,
                                  std::vector<int>* labels) {
   Rng rng(seed);
@@ -74,14 +77,14 @@ void CollectRelationTrainingData(const Corpus& corpus,
     candidates->push_back(std::move(c));
     labels->push_back(-1);
   }
-  if (candidates->size() > max_candidates) {
+  if (candidates->size() > kMaxRelationCandidates) {
     // Shuffle jointly, then truncate.
     std::vector<size_t> order(candidates->size());
     for (size_t i = 0; i < order.size(); ++i) order[i] = i;
     rng.Shuffle(order);
     std::vector<RelationCandidate> cc;
     std::vector<int> ll;
-    for (size_t i = 0; i < max_candidates; ++i) {
+    for (size_t i = 0; i < kMaxRelationCandidates; ++i) {
       cc.push_back(std::move((*candidates)[order[i]]));
       ll.push_back((*labels)[order[i]]);
     }
@@ -95,8 +98,8 @@ std::unique_ptr<SubsequenceKernelRelationExtractor> TrainKernelExtractor(
     const ExtractorTrainingOptions& options) {
   std::vector<RelationCandidate> candidates;
   std::vector<int> labels;
-  CollectRelationTrainingData(corpus, spec, options.max_relation_candidates,
-                              options.seed + 5, &candidates, &labels);
+  CollectRelationTrainingData(corpus, spec, options.seed + 5, &candidates,
+                              &labels);
   auto extractor = std::make_unique<SubsequenceKernelRelationExtractor>();
   extractor->Train(candidates, labels, options.seed + 6);
   return extractor;
@@ -135,9 +138,8 @@ std::unique_ptr<ExtractionSystem> TrainExtractionSystem(
           std::make_unique<PatternNer>(lex.org_suffixes, vocab.get()));
       std::vector<RelationCandidate> candidates;
       std::vector<int> labels;
-      CollectRelationTrainingData(training, spec,
-                                  options.max_relation_candidates,
-                                  options.seed + 2, &candidates, &labels);
+      CollectRelationTrainingData(training, spec, options.seed + 2,
+                                  &candidates, &labels);
       auto svm = std::make_unique<LinearSvmRelationExtractor>();
       svm->Train(candidates, labels, /*epochs=*/6, options.seed + 3);
       re = std::move(svm);

@@ -48,8 +48,6 @@ class ExtractionSystem {
 struct ExtractorTrainingOptions {
   size_t training_documents = 1200;
   uint64_t seed = 97;
-  /// Candidate cap for kernel-based relation classifiers.
-  size_t max_relation_candidates = 4000;
 };
 
 /// Trains the extraction system for one relation. Training documents are

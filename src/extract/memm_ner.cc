@@ -20,23 +20,32 @@ inline uint32_t HashFeature(uint32_t kind, uint64_t value, uint32_t mask) {
 
 constexpr uint64_t kBoundary = 0xfffffffffffffffULL;
 
+constexpr uint32_t kHashBits = 18;  // feature space = 2^kHashBits per label
+constexpr uint32_t kMask = (1u << kHashBits) - 1;
+constexpr int kEpochs = 4;
+constexpr double kLearningRate = 0.2;
+
 }  // namespace
+
+MemmNer::MemmNer(EntityType type, const Vocabulary* vocab)
+    : SequenceTaggerNer(type, vocab),
+      weights_(kNumBioLabels, std::vector<float>(1u << kHashBits, 0.0f)) {}
 
 void MemmNer::CollectFeatures(const Sentence& sentence, size_t pos,
                               uint8_t prev_label,
                               std::vector<uint32_t>& features) const {
   features.clear();
   const auto& tokens = sentence.tokens;
-  features.push_back(HashFeature(0, tokens[pos], mask_));  // current word
+  features.push_back(HashFeature(0, tokens[pos], kMask));  // current word
   features.push_back(HashFeature(
-      1, pos > 0 ? tokens[pos - 1] : kBoundary, mask_));   // previous word
+      1, pos > 0 ? tokens[pos - 1] : kBoundary, kMask));   // previous word
   features.push_back(HashFeature(
-      2, pos + 1 < tokens.size() ? tokens[pos + 1] : kBoundary, mask_));
-  features.push_back(HashFeature(3, prev_label, mask_));   // previous label
-  features.push_back(HashFeature(4, 1, mask_));            // bias
+      2, pos + 1 < tokens.size() ? tokens[pos + 1] : kBoundary, kMask));
+  features.push_back(HashFeature(3, prev_label, kMask));   // previous label
+  features.push_back(HashFeature(4, 1, kMask));            // bias
   // Conjunction: previous label × current word (Markov dependency).
   features.push_back(HashFeature(
-      5, (static_cast<uint64_t>(prev_label) << 32) | tokens[pos], mask_));
+      5, (static_cast<uint64_t>(prev_label) << 32) | tokens[pos], kMask));
 }
 
 void MemmNer::Scores(const std::vector<uint32_t>& features,
@@ -54,9 +63,9 @@ void MemmNer::Train(const std::vector<TaggedSentence>& data, uint64_t seed) {
   std::iota(order.begin(), order.end(), 0);
   std::vector<uint32_t> features;
 
-  for (int epoch = 0; epoch < options_.epochs; ++epoch) {
+  for (int epoch = 0; epoch < kEpochs; ++epoch) {
     rng.Shuffle(order);
-    const double eta = options_.learning_rate / (1.0 + epoch);
+    const double eta = kLearningRate / (1.0 + epoch);
     for (size_t idx : order) {
       const TaggedSentence& ts = data[idx];
       uint8_t prev = kO;

@@ -11,21 +11,9 @@
 
 namespace ie {
 
-struct MemmOptions {
-  uint32_t hash_bits = 18;  // feature space = 2^hash_bits per label
-  int epochs = 4;
-  double learning_rate = 0.2;
-  double l2 = 1e-6;
-};
-
 class MemmNer : public SequenceTaggerNer {
  public:
-  MemmNer(EntityType type, const Vocabulary* vocab, MemmOptions options = {})
-      : SequenceTaggerNer(type, vocab),
-        options_(options),
-        mask_((1u << options.hash_bits) - 1),
-        weights_(kNumBioLabels,
-                 std::vector<float>(1u << options.hash_bits, 0.0f)) {}
+  MemmNer(EntityType type, const Vocabulary* vocab);
 
   void Train(const std::vector<TaggedSentence>& data, uint64_t seed = 23);
 
@@ -41,8 +29,6 @@ class MemmNer : public SequenceTaggerNer {
   void Scores(const std::vector<uint32_t>& features,
               double scores[kNumBioLabels]) const;
 
-  MemmOptions options_;
-  uint32_t mask_;
   std::vector<std::vector<float>> weights_;  // [label][hashed feature]
 };
 

@@ -8,6 +8,9 @@ namespace ie {
 
 namespace {
 
+// Cap on the between-entity tokens the subsequence kernel sees.
+constexpr uint32_t kMaxBetween = 8;
+
 inline uint32_t HashFeature(uint32_t kind, uint64_t value) {
   uint64_t h = static_cast<uint64_t>(kind) * 0x9e3779b97f4a7c15ULL ^
                (value + 0xd6e8feb86659fd93ULL);
@@ -151,7 +154,7 @@ std::vector<TokenId> SubsequenceKernelRelationExtractor::CandidateSequence(
   }
   uint32_t between_count = 0;
   for (uint32_t i = between_begin;
-       i < between_end && between_count < options_.max_between;
+       i < between_end && between_count < kMaxBetween;
        ++i, ++between_count) {
     seq.push_back(tokens[i]);
   }

@@ -86,7 +86,6 @@ class SubsequenceKernelRelationExtractor : public RelationExtractor {
     size_t max_subseq_len = 2; // subsequence length cap
     size_t budget = 96;        // max support vectors
     size_t window = 2;         // context tokens kept on each side
-    size_t max_between = 8;    // between-token cap
     int epochs = 3;
   };
 

@@ -10,6 +10,13 @@
 
 namespace ie {
 
+namespace {
+
+/// Cap on labeled documents kept for A-FC's query refreshes.
+constexpr size_t kMaxLabeledKept = 4000;
+
+}  // namespace
+
 PipelineResult FactCrawlPipeline::Run(const SharedContext& context,
                                       const FactCrawlConfig& config) {
   IE_CHECK(context.corpus != nullptr && context.pool != nullptr &&
@@ -31,7 +38,7 @@ PipelineResult FactCrawlPipeline::Run(const SharedContext& context,
     result.processing_order.push_back(id);
     result.processed_useful.push_back(useful ? 1 : 0);
     processed.insert(id);
-    if (labeled.size() < config.max_labeled_kept) {
+    if (labeled.size() < kMaxLabeledKept) {
       labeled.push_back(
           {(*context.word_features)[id], useful ? 1 : -1});
     }

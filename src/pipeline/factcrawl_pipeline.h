@@ -23,8 +23,6 @@ struct FactCrawlConfig {
   size_t rerank_interval = 100;
   /// A-FC: query refresh happens on every k-th re-rank; 0 never refreshes.
   size_t refresh_every_reranks = 5;
-  /// Cap on labeled documents kept for query refreshes.
-  size_t max_labeled_kept = 4000;
 };
 
 class FactCrawlPipeline {

@@ -49,8 +49,8 @@ struct PipelineResult {
   double ranking_cpu_seconds = 0.0;
 
   /// This run's delta of the process-wide metrics registry
-  /// (common/metrics.h): the counters and gauges the IE_METRIC_* macros
-  /// recorded during the run.
+  /// (common/metrics.h): the counters the IE_METRIC_* macros recorded
+  /// during the run.
   MetricsSnapshot metrics;
 
   /// Re-rank engine telemetry (RerankStats, pipeline/rerank_engine.h):

@@ -4,8 +4,8 @@
 // recorder) is owned by the run — ExtractionSession, private to
 // pipeline.cc — and every read-only input lives in SharedContext
 // (pipeline/pipeline.h). The factories are split out of the run so other
-// loops (the FactCrawl/QXtract baselines, a replay harness) build the
-// same components the run builds.
+// loops (the FactCrawl baseline, a replay harness) build the same
+// components the run builds.
 #pragma once
 
 #include <memory>

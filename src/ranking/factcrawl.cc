@@ -7,6 +7,15 @@
 
 namespace ie {
 
+namespace {
+
+/// β of the F-measure; < 1 weights precision over recall.
+constexpr double kBeta = 0.5;
+/// Queries learned per generation method from the labeled sample.
+constexpr size_t kQueriesPerMethod = 15;
+
+}  // namespace
+
 void FactCrawl::AddQuery(const std::string& term, QueryMethod method) {
   if (!used_terms_.insert(term).second) return;  // dedupe across methods
   queries_.push_back({term, method, 0, 0, 0, 0});
@@ -30,8 +39,7 @@ void FactCrawl::LearnInitialQueries(
   for (size_t m = 0; m < kNumQueryMethods; ++m) {
     const auto method = static_cast<QueryMethod>(m);
     for (const std::string& term :
-         LearnQueries(sample, *vocab_, method, options_.queries_per_method,
-                      seed + m)) {
+         LearnQueries(sample, *vocab_, method, kQueriesPerMethod, seed + m)) {
       AddQuery(term, method);
     }
   }
@@ -68,7 +76,7 @@ double FactCrawl::FBeta(const QueryStats& q,
       total_useful_estimate > 0.0
           ? std::min(1.0, useful / total_useful_estimate)
           : 0.0;
-  const double b2 = options_.beta * options_.beta;
+  const double b2 = kBeta * kBeta;
   const double denom = b2 * precision + recall;
   if (denom == 0.0) return 0.0;
   return (1.0 + b2) * precision * recall / denom;

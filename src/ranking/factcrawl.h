@@ -22,8 +22,6 @@
 namespace ie {
 
 struct FactCrawlOptions {
-  /// β of the F-measure; < 1 weights precision over recall.
-  double beta = 0.5;
   /// Documents retrieved and run through the extractor per query during
   /// the one-time quality-estimation step (this is charged as extraction
   /// effort by the pipeline).
@@ -33,7 +31,6 @@ struct FactCrawlOptions {
   /// scaled to 1% of the pool so FC keeps its scale-relative coverage
   /// (leaving most of the pool unretrieved, hence randomly ordered).
   size_t retrieved_per_query = 0;
-  size_t queries_per_method = 15;
   /// A-FC: terms added per query refresh.
   size_t new_queries_per_refresh = 5;
 };

@@ -7,6 +7,14 @@
 
 namespace ie {
 
+namespace {
+
+/// Per-class document budget per list (paper: 5000; sparse relations
+/// yield fewer useful documents — all available are used).
+constexpr size_t kDocsPerClass = 5000;
+
+}  // namespace
+
 std::vector<std::vector<std::string>> LearnCqsQueryLists(
     const Corpus& aux, const ExtractionOutcomes& outcomes,
     const Featurizer& featurizer, const CqsLearningOptions& options) {
@@ -20,13 +28,12 @@ std::vector<std::vector<std::string>> LearnCqsQueryLists(
   for (size_t list = 0; list < options.num_lists; ++list) {
     rng.Shuffle(useful);
     rng.Shuffle(useless);
-    const size_t n_pos = std::min(options.docs_per_class, useful.size());
+    const size_t n_pos = std::min(kDocsPerClass, useful.size());
     // Keep classes of comparable size even when useful docs are scarce
-    // (sparse relations yield far fewer than docs_per_class positives).
+    // (sparse relations yield far fewer than kDocsPerClass positives).
     const size_t n_neg = std::min(
         useless.size(),
-        std::min(options.docs_per_class,
-                 std::max<size_t>(4 * n_pos, 64)));
+        std::min(kDocsPerClass, std::max<size_t>(4 * n_pos, 64)));
 
     std::vector<LabeledExample> sample;
     sample.reserve(n_pos + n_neg);

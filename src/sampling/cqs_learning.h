@@ -15,9 +15,6 @@ namespace ie {
 
 struct CqsLearningOptions {
   size_t num_lists = 5;
-  /// Per-class document budget per list (paper: 5000; sparse relations
-  /// yield fewer useful documents — all available are used).
-  size_t docs_per_class = 5000;
   size_t terms_per_list = 20;
   uint64_t seed = 61;
 };

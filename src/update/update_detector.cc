@@ -42,7 +42,6 @@ bool TopKDetector::Observe(const SparseVector& features, bool useful,
   IE_METRIC_COUNT("detector.checks");
   last_distance_ =
       reference_.Distance(index_.TopK(side_.learner(), options_.k));
-  IE_METRIC_GAUGE_SET("detector.topk.footrule", last_distance_);
   IE_TRACE_COUNTER("detector.topk.footrule", last_distance_);
   return last_distance_ > options_.tau;
 }
@@ -79,7 +78,6 @@ bool ModCDetector::Observe(const SparseVector& features, bool useful,
   last_angle_ =
       std::acos(std::clamp(cosine, -1.0, 1.0)) * 180.0 / M_PI;
   IE_METRIC_COUNT("detector.checks");
-  IE_METRIC_GAUGE_SET("detector.modc.angle_degrees", last_angle_);
   IE_TRACE_COUNTER("detector.modc.angle_degrees", last_angle_);
   return last_angle_ > options_.alpha_degrees;
 }
@@ -134,7 +132,6 @@ bool FeatSDetector::Observe(const SparseVector& features, bool useful,
                    static_cast<double>(recent_inlier_.size());
   last_shift_ = 1.0 - s;
   IE_METRIC_COUNT("detector.checks");
-  IE_METRIC_GAUGE_SET("detector.feats.shift", last_shift_);
   IE_TRACE_COUNTER("detector.feats.shift", last_shift_);
   return last_shift_ > options_.threshold;
 }

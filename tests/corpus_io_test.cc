@@ -1,14 +1,20 @@
 // Streaming corpus generation + on-disk format round-trip (DESIGN.md §13):
 // the streaming generator must be byte-identical to batch GenerateCorpus,
-// and write → mmap-read must reproduce every document, annotation, split
-// and vocabulary term exactly.
+// write → mmap-read must reproduce every document, annotation, split and
+// vocabulary term exactly, and a corrupted file must either fail with a
+// Status or load only in-range values.
 #include "corpus/corpus_io.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
 #include "corpus/generator.h"
 
 namespace ie {
@@ -82,24 +88,6 @@ TEST(StreamingGeneratorTest, ByteIdenticalToBatchGeneration) {
   }
 }
 
-TEST(StreamingGeneratorTest, VisitorConvenienceCoversAllDocuments) {
-  size_t visits = 0;
-  DocId last_id = 0;
-  const StreamedCorpusInfo info =
-      GenerateCorpusStreaming(SmallOptions(), [&](Document&& doc,
-                                                  DocAnnotations&&) {
-        EXPECT_EQ(doc.id, visits);
-        last_id = doc.id;
-        ++visits;
-      });
-  EXPECT_EQ(visits, 300u);
-  EXPECT_EQ(last_id, 299u);
-  EXPECT_EQ(info.splits.train.size() + info.splits.dev.size() +
-                info.splits.test.size(),
-            300u);
-  EXPECT_GT(info.vocab->size(), 0u);
-}
-
 TEST(CorpusIoTest, WriteReadRoundTrip) {
   const std::string path = TmpPath("roundtrip.iecp");
   const auto written = WriteGeneratedCorpus(SmallOptions(), path);
@@ -170,6 +158,118 @@ TEST(CorpusIoTest, WriterEnforcesSequentialIds) {
   EXPECT_TRUE(writer->Append(doc, DocAnnotations{}).ok());
   EXPECT_TRUE(writer->Append(doc, DocAnnotations{}).IsInvalidArgument());
   EXPECT_EQ(writer->num_docs(), 1u);
+}
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+void WriteBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Every value a loaded corpus hands out is in range: token ids within the
+/// vocabulary, mention spans within their sentence, tuple sentences within
+/// their document, enum values below their counts, split ids below the
+/// document count. Returns the first violation, or "" when there is none.
+std::string FirstOutOfRangeValue(const Corpus& corpus) {
+  for (DocId id = 0; id < corpus.size(); ++id) {
+    const Document& doc = corpus.doc(id);
+    for (const Sentence& sentence : doc.sentences) {
+      for (TokenId token : sentence.tokens) {
+        if (token >= corpus.vocab().size()) return "token id";
+      }
+    }
+    const DocAnnotations& ann = corpus.annotations(id);
+    for (const EntityMention& m : ann.mentions) {
+      if (m.sentence >= doc.sentences.size() || m.begin > m.end ||
+          m.end > doc.sentences[m.sentence].tokens.size()) {
+        return "mention span";
+      }
+      if (static_cast<size_t>(m.type) >= kNumEntityTypes) {
+        return "entity type";
+      }
+    }
+    for (const GoldTuple& t : ann.tuples) {
+      if (t.sentence >= doc.sentences.size()) return "tuple sentence";
+      if (static_cast<size_t>(t.relation) >= kNumRelations) return "relation";
+    }
+  }
+  for (const std::vector<DocId>* ids :
+       {&corpus.splits().train, &corpus.splits().dev, &corpus.splits().test}) {
+    for (DocId split_id : *ids) {
+      if (split_id >= corpus.size()) return "split doc id";
+    }
+  }
+  return "";
+}
+
+// Deterministic mutation sweep over a small written corpus: single-bit
+// flips anywhere in the file, and every tenth mutant a truncation, after
+// two targeted flips of high count bits whose products with the element
+// size wrap a u64. Each mutant either fails to load with a Status or
+// loads a corpus whose every value is in range (values that are in range
+// but wrong are left to section checksums).
+TEST(CorpusIoTest, MutantsFailOrLoadInRangeValues) {
+  GeneratorOptions options;
+  options.num_documents = 30;
+  options.seed = 5;
+  const std::string source = TmpPath("mutation_source.iecp");
+  ASSERT_TRUE(WriteGeneratedCorpus(options, source).ok());
+  const std::string original = ReadBytes(source);
+  ASSERT_FALSE(original.empty());
+  {
+    auto clean = ReadCorpusFile(source);
+    ASSERT_TRUE(clean.ok()) << clean.status().ToString();
+    ASSERT_EQ(FirstOutOfRangeValue(*clean), "");
+  }
+
+  auto flip = [](std::string* bytes, uint64_t bit) {
+    (*bytes)[bit / 8] = static_cast<char>(
+        static_cast<unsigned char>((*bytes)[bit / 8]) ^ (1u << (bit % 8)));
+  };
+  // The header's doc count is the u64 at byte 8; the train split's count
+  // is the first u64 of the splits section, whose position is the second
+  // u64 of the footer (located by the header's u64 at byte 16).
+  uint64_t footer_pos = 0;
+  uint64_t splits_pos = 0;
+  std::memcpy(&footer_pos, original.data() + 16, sizeof(footer_pos));
+  std::memcpy(&splits_pos, original.data() + footer_pos + 8,
+              sizeof(splits_pos));
+  const std::vector<uint64_t> targeted_bits = {8 * 8 + 61,
+                                               splits_pos * 8 + 62};
+
+  const std::string path = TmpPath("mutant.iecp");
+  Rng rng(20261018);
+  size_t rejected = 0;
+  size_t loaded = 0;
+  const size_t num_targeted = targeted_bits.size();
+  for (size_t mutant = 0; mutant < num_targeted + 400; ++mutant) {
+    std::string bytes = original;
+    if (mutant < num_targeted) {
+      flip(&bytes, targeted_bits[mutant]);
+    } else if ((mutant - num_targeted) % 10 == 9) {
+      bytes.resize(rng.NextBounded(bytes.size()));
+    } else {
+      flip(&bytes, rng.NextBounded(bytes.size() * 8));
+    }
+    WriteBytes(path, bytes);
+    const auto corpus = ReadCorpusFile(path);
+    if (!corpus.ok()) {
+      ++rejected;
+      continue;
+    }
+    EXPECT_GE(mutant, num_targeted) << "a wrapped count loaded";
+    ++loaded;
+    EXPECT_EQ(FirstOutOfRangeValue(*corpus), "") << "mutant " << mutant;
+  }
+  // Both outcomes occur, so the sweep exercises the checks and the loads.
+  EXPECT_GT(rejected, 0u);
+  EXPECT_GT(loaded, 0u);
+  std::remove(path.c_str());
+  std::remove(source.c_str());
 }
 
 TEST(CorpusIoTest, GarbageFileRejected) {

@@ -21,8 +21,8 @@
 // Feat-S cases must fire at least one update, so their pins cover the
 // detector's statistic. The search-access matrix pins PH and PC under
 // Wind-F and Mod-C, once with live extraction, which must reproduce its
-// cached-outcome twin. The baselines (FC, A-FC, QXtract) have no thread
-// axis: their layer 1 is a repeat of the same run, and layer 2 pins them
+// cached-outcome twin. The baselines (FC, A-FC) have no thread axis:
+// their layer 1 is a repeat of the same run, and layer 2 pins them
 // over both samplers, plus three runs (FC and A-FC on PC, A-FC at a short
 // re-rank cadence) that pin FactCrawl's score precision and tie-break.
 #include <gtest/gtest.h>
@@ -39,7 +39,6 @@
 #include "common/string_util.h"
 #include "pipeline/factcrawl_pipeline.h"
 #include "pipeline/pipeline.h"
-#include "pipeline/qxtract_pipeline.h"
 #include "test_util.h"
 
 namespace ie {
@@ -326,7 +325,7 @@ INSTANTIATE_TEST_SUITE_P(
       return SearchCaseName(info.param);
     });
 
-enum class Baseline { kFC, kAFC, kQXtract };
+enum class Baseline { kFC, kAFC };
 
 const char* BaselineName(Baseline baseline) {
   switch (baseline) {
@@ -334,8 +333,6 @@ const char* BaselineName(Baseline baseline) {
       return "FC";
     case Baseline::kAFC:
       return "AFC";
-    case Baseline::kQXtract:
-      return "QXtract";
   }
   return "?";
 }
@@ -377,13 +374,6 @@ void PrintTo(const BaselineCase& param, std::ostream* os) {
 
 PipelineResult RunBaseline(const SharedContext& context,
                            const BaselineCase& param) {
-  if (param.baseline == Baseline::kQXtract) {
-    QXtractConfig config;
-    config.sampler = param.sampler;
-    config.sample_size = 120;
-    config.seed = param.seed;
-    return QXtractPipeline::Run(context, config);
-  }
   FactCrawlConfig config;
   config.adaptive = param.baseline == Baseline::kAFC;
   config.sampler = param.sampler;
@@ -434,14 +424,6 @@ INSTANTIATE_TEST_SUITE_P(
                      "20630e325143c2e5"},
         BaselineCase{Baseline::kAFC, SamplerKind::kCQS, 7,
                      "28d010a733b94079"},
-        BaselineCase{Baseline::kQXtract, SamplerKind::kSRS, 1,
-                     "3c9465b25ff732e2"},
-        BaselineCase{Baseline::kQXtract, SamplerKind::kSRS, 7,
-                     "d99f2332bd9dce50"},
-        BaselineCase{Baseline::kQXtract, SamplerKind::kCQS, 1,
-                     "6b9743e370965a94"},
-        BaselineCase{Baseline::kQXtract, SamplerKind::kCQS, 7,
-                     "463342d9842a3720"},
         // Runs whose order a float-score or insertion-slot tie-break
         // (instead of stable_sort's previous rank) would change.
         BaselineCase{Baseline::kFC, SamplerKind::kSRS, 1,

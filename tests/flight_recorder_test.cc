@@ -1,7 +1,6 @@
-// Tests for the pipeline flight recorder (DESIGN.md §15): Prometheus text
-// exposition of a metrics snapshot, the PipelineRecorder's JSONL ledger,
-// and the recorder's pipeline integration (per-line invariants over a
-// real run's ledger, passivity).
+// Tests for the pipeline flight recorder (DESIGN.md §15): the
+// PipelineRecorder's JSONL ledger and the recorder's pipeline integration
+// (per-line invariants over a real run's ledger, passivity).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -10,7 +9,6 @@
 #include <string>
 #include <vector>
 
-#include "common/metrics.h"
 #include "pipeline/pipeline.h"
 #include "pipeline/recorder.h"
 #include "test_util.h"
@@ -30,20 +28,6 @@ std::string TempPath(const char* name) {
       ::testing::UnitTest::GetInstance()->current_test_info();
   return ::testing::TempDir() + info->test_suite_name() + "_" + info->name() +
          "_" + name;
-}
-
-// ---- Prometheus exposition ---------------------------------------------
-
-TEST(PrometheusExportTest, RendersCounterAndGaugeFamilies) {
-  MetricsSnapshot snapshot;
-  snapshot.counters.emplace_back("pipeline.docs", 42);
-  snapshot.gauges.emplace_back("detector.angle", 1.5);
-
-  EXPECT_EQ(snapshot.ToPrometheus(),
-            "# TYPE ie_pipeline_docs counter\n"
-            "ie_pipeline_docs 42\n"
-            "# TYPE ie_detector_angle gauge\n"
-            "ie_detector_angle 1.5\n");
 }
 
 // ---- PipelineRecorder ledger -------------------------------------------

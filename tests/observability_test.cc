@@ -46,7 +46,7 @@ std::string TempPath(const char* name) {
          "_" + name;
 }
 
-// ---- Counter / Gauge ---------------------------------------------------
+// ---- Counter -----------------------------------------------------------
 
 TEST(MetricsInstrumentTest, CounterAccumulates) {
   Counter counter;
@@ -56,14 +56,6 @@ TEST(MetricsInstrumentTest, CounterAccumulates) {
   EXPECT_EQ(counter.value(), 42u);
 }
 
-TEST(MetricsInstrumentTest, GaugeKeepsLastValue) {
-  Gauge gauge;
-  EXPECT_DOUBLE_EQ(gauge.value(), 0.0);
-  gauge.Set(3.5);
-  gauge.Set(-1.25);
-  EXPECT_DOUBLE_EQ(gauge.value(), -1.25);
-}
-
 // ---- Registry + snapshot ----------------------------------------------
 
 TEST(MetricsRegistryTest, SameNameSameInstrument) {
@@ -71,51 +63,41 @@ TEST(MetricsRegistryTest, SameNameSameInstrument) {
   Counter& a = registry.GetCounter("test.counter");
   Counter& b = registry.GetCounter("test.counter");
   EXPECT_EQ(&a, &b);
-  EXPECT_NE(&registry.GetGauge("test.x"), &registry.GetGauge("test.y"));
 }
 
 TEST(MetricsRegistryTest, SnapshotIsSortedAndDeterministic) {
   MetricsRegistry registry;
   registry.GetCounter("z.last").Add(3);
   registry.GetCounter("a.first").Add(1);
-  registry.GetGauge("m.middle").Set(0.5);
   const MetricsSnapshot s1 = registry.Snapshot();
   const MetricsSnapshot s2 = registry.Snapshot();
   ASSERT_EQ(s1.counters.size(), 2u);
   EXPECT_EQ(s1.counters[0].first, "a.first");
   EXPECT_EQ(s1.counters[1].first, "z.last");
   EXPECT_EQ(s1.counters, s2.counters);  // no writers between snapshots
-  EXPECT_EQ(s1.gauges, s2.gauges);
   EXPECT_EQ(s1.CounterOr("z.last"), 3u);
   EXPECT_EQ(s1.CounterOr("missing", 7u), 7u);
-  EXPECT_DOUBLE_EQ(s1.GaugeOr("m.middle"), 0.5);
 }
 
-TEST(MetricsSnapshotTest, DeltaSubtractsCountersKeepsEndGauges) {
+TEST(MetricsSnapshotTest, DeltaSubtractsCounters) {
   MetricsRegistry registry;
   registry.GetCounter("c").Add(10);
-  registry.GetGauge("g").Set(1.0);
   const MetricsSnapshot start = registry.Snapshot();
 
   registry.GetCounter("c").Add(5);
   registry.GetCounter("new").Add(2);  // absent at start: passes through
-  registry.GetGauge("g").Set(4.0);
   const MetricsSnapshot delta = registry.Snapshot().DeltaSince(start);
 
   EXPECT_EQ(delta.CounterOr("c"), 5u);
   EXPECT_EQ(delta.CounterOr("new"), 2u);
-  EXPECT_DOUBLE_EQ(delta.GaugeOr("g"), 4.0);  // last value, not a difference
 }
 
 TEST(MetricsSnapshotTest, JsonContainsAllSections) {
   MetricsRegistry registry;
   registry.GetCounter("runs").Add(1);
-  registry.GetGauge("angle").Set(2.5);
   const std::string json = registry.Snapshot().ToJson();
   EXPECT_NE(json.find("\"counters\""), std::string::npos);
   EXPECT_NE(json.find("\"runs\": 1"), std::string::npos);
-  EXPECT_NE(json.find("\"gauges\""), std::string::npos);
-  EXPECT_NE(json.find("\"angle\": 2.5"), std::string::npos);
   // Balanced braces (cheap well-formedness guard; tools/check_trace.py
   // does full JSON parsing for traces).
   EXPECT_EQ(CountOccurrences(json, "{"), CountOccurrences(json, "}"));
@@ -128,10 +110,8 @@ TEST(MetricsMacroTest, MacrosRecordIntoGlobalRegistry) {
       MetricsRegistry::Global().Snapshot().CounterOr("test.macro_counter");
   IE_METRIC_COUNT("test.macro_counter");
   IE_METRIC_COUNT_N("test.macro_counter", 4);
-  IE_METRIC_GAUGE_SET("test.macro_gauge", 1.5);
   const MetricsSnapshot snapshot = MetricsRegistry::Global().Snapshot();
   EXPECT_EQ(snapshot.CounterOr("test.macro_counter"), before + 5);
-  EXPECT_DOUBLE_EQ(snapshot.GaugeOr("test.macro_gauge"), 1.5);
 }
 
 // ---- Tracer ------------------------------------------------------------
@@ -339,7 +319,6 @@ TEST(ObservabilityStress, RegistryAndTracerFromWorkQueueWorkers) {
       while (queue.Pop(&item)) {
         IE_TRACE_SCOPE("stress.item");
         IE_METRIC_COUNT("stress.items");
-        IE_METRIC_GAUGE_SET("stress.last_item", item);
         IE_TRACE_COUNTER("stress.queue_depth", queue.size());
         consumed.fetch_add(1, std::memory_order_relaxed);
       }

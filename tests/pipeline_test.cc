@@ -9,7 +9,6 @@
 
 #include "eval/experiment.h"
 #include "pipeline/factcrawl_pipeline.h"
-#include "pipeline/qxtract_pipeline.h"
 #include "test_util.h"
 
 namespace ie {
@@ -312,13 +311,6 @@ TEST(PipelineTest, DuplicatedPoolIdsCountAndProcessOnce) {
     config.sample_size = 120;
     config.seed = 5;
     check(FactCrawlPipeline::Run(context, config));
-  }
-  {
-    SCOPED_TRACE("QXtract");
-    QXtractConfig config;
-    config.sample_size = 120;
-    config.seed = 5;
-    check(QXtractPipeline::Run(context, config));
   }
 }
 

@@ -67,7 +67,7 @@ ctest --test-dir build-default -R '^headercheck\.' -j "$JOBS"
 
 step "golden-hash determinism matrix (rankers x detectors x seeds x threads, baselines, detector lockstep)"
 # Byte-stable digests across extract_threads {1,2,8} plus pinned golden
-# constants, and the pinned FC/A-FC/QXtract baselines; see DESIGN.md §12
+# constants, and the pinned FC/A-FC baselines; see DESIGN.md §12
 # for the re-pin procedure. DetectorOracleTest holds the incremental
 # Top-K and Feat-S statistics and Mod-C's angle bit-equal to their dense
 # oracles (DESIGN.md §17, §18); LearnerOracleTest holds the memoized
@@ -96,13 +96,11 @@ step "bench_extract smoke (speculative extraction executor + tracing)"
 # measure overhead against untraced runs (process-CPU ratios, in blocks of
 # one off-first and one on-first pair; the gated value is the smallest
 # block's geometric mean); --ledger does the same for the flight
-# recorder (serial runs, JSONL run ledger);
-# --metrics-out renders the serial run's Prometheus exposition.
+# recorder (serial runs, JSONL run ledger).
 IE_BENCH_DOCS=4000 ./build-default/bench/bench_extract \
     --threads=1,2 --out=build-default/BENCH_extract.json \
     --trace=build-default/trace_extract.json \
-    --ledger=build-default/ledger_extract.jsonl \
-    --metrics-out=build-default/metrics_extract.prom
+    --ledger=build-default/ledger_extract.jsonl
 
 step "bench_index smoke (streaming corpus + compact index scale path)"
 # One small tier end-to-end: stream-generate to the on-disk corpus format,
@@ -139,11 +137,11 @@ python3 tools/lint.py --treat-as-src src/index src/corpus/corpus_io.cc \
     tests/index_oracle.h bench/bench_index.cc
 
 step "detlint over the observability exporters (export-path discipline)"
-# The ledger writer and Prometheus renderer are machine-parsed export
+# The ledger writer and the bench JSON writers are machine-parsed export
 # paths: every float they emit must go through the Format*/AppendJson*
 # helpers (locale-independent, shortest round-trip).
-python3 tools/lint.py --treat-as-src src/common/metrics_export.cc \
-    src/pipeline/recorder.cc bench/bench_extract.cc bench/bench_featurize.cc
+python3 tools/lint.py --treat-as-src src/pipeline/recorder.cc \
+    bench/bench_extract.cc bench/bench_featurize.cc
 
 step "trace validation (tools/check_trace.py)"
 # The exported trace must be well-formed, balanced, and monotonic, and
@@ -161,13 +159,11 @@ step "flight-recorder ledger validation (tools/report.py)"
 # monotone cumulative counters, executor identity, phase ordering, footer
 # consistency) — and so must a byte-truncated copy, proving the crash-safe
 # append-per-line property actually yields parseable partial files. The
-# Prometheus exposition round-trips its own validator, and the report/diff
-# renderers must run clean on real data.
+# report/diff renderers must run clean on real data.
 python3 tools/report.py --validate build-default/ledger_extract.jsonl
 head -c 2048 build-default/ledger_extract.jsonl \
     > build-default/ledger_truncated.jsonl
 python3 tools/report.py --validate build-default/ledger_truncated.jsonl
-python3 tools/report.py --validate-prom build-default/metrics_extract.prom
 python3 tools/report.py --report build-default/ledger_extract.jsonl \
     > /dev/null
 python3 tools/report.py --diff build-default/ledger_extract.jsonl \

@@ -18,9 +18,6 @@ Modes (exactly one):
   --report LEDGER         learning curve, phase breakdown, update log,
                           latency totals (ASCII, stdout)
   --diff A B              side-by-side comparison of two runs
-  --validate-prom FILE    check a Prometheus text exposition written by
-                          MetricsSnapshot::ToPrometheus /
-                          bench --metrics-out
 
 Exit status: 0 OK, 1 findings, 2 usage/internal error.
 """
@@ -316,84 +313,6 @@ def diff(path_a, path_b):
     return 0
 
 
-def validate_prom(path):
-    """Checks a Prometheus text exposition (MetricsSnapshot::ToPrometheus).
-
-    Rules: every sample's metric family has a preceding # TYPE line (no
-    duplicates); values parse as floats; histogram bucket counts are
-    cumulative non-decreasing with an le="+Inf" bucket equal to _count.
-    """
-    findings = []
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            lines = f.read().split("\n")
-    except OSError as e:
-        return ["%s: unreadable: %s" % (path, e)]
-    types = {}
-    buckets = {}  # family -> list of (le, count)
-    counts = {}  # family -> _count value
-    for n, line in enumerate(lines, start=1):
-        if not line:
-            continue
-        where = "%s:%d" % (path, n)
-        if line.startswith("#"):
-            parts = line.split()
-            if len(parts) >= 4 and parts[1] == "TYPE":
-                family, kind = parts[2], parts[3]
-                if family in types:
-                    findings.append("%s: duplicate TYPE for %s" %
-                                    (where, family))
-                types[family] = kind
-            continue
-        name, _, value = line.rpartition(" ")
-        label = ""
-        if "{" in name:
-            name, _, label = name.partition("{")
-            label = label.rstrip("}")
-        try:
-            value = float(value)
-        except ValueError:
-            findings.append("%s: non-numeric value %r" % (where, value))
-            continue
-        family = name
-        for suffix in ("_bucket", "_sum", "_count"):
-            if name.endswith(suffix) and name[:-len(suffix)] in types:
-                family = name[:-len(suffix)]
-        if family not in types:
-            findings.append("%s: sample %r without TYPE line" %
-                            (where, name))
-            continue
-        if name.endswith("_bucket") and types.get(family) == "histogram":
-            le = None
-            for part in label.split(","):
-                k, _, v = part.partition("=")
-                if k == "le":
-                    le = v.strip('"')
-            if le is None:
-                findings.append("%s: bucket without le label" % where)
-            else:
-                buckets.setdefault(family, []).append((le, value))
-        elif name.endswith("_count") and types.get(family) == "histogram":
-            counts[family] = value
-    for family, series in sorted(buckets.items()):
-        prev = -1.0
-        saw_inf = False
-        for le, value in series:
-            if value < prev:
-                findings.append("%s: %s bucket counts decrease at le=%s" %
-                                (path, family, le))
-            prev = value
-            if le == "+Inf":
-                saw_inf = True
-                if family in counts and value != counts[family]:
-                    findings.append(
-                        "%s: %s +Inf bucket %s != _count %s" %
-                        (path, family, fmt(value), fmt(counts[family])))
-        if not saw_inf:
-            findings.append("%s: %s has no +Inf bucket" % (path, family))
-    return findings
-
-
 def main(argv):
     parser = argparse.ArgumentParser(
         description="Validate, render, or diff flight-recorder run ledgers.")
@@ -401,21 +320,19 @@ def main(argv):
     mode.add_argument("--validate", metavar="LEDGER")
     mode.add_argument("--report", metavar="LEDGER")
     mode.add_argument("--diff", nargs=2, metavar=("A", "B"))
-    mode.add_argument("--validate-prom", metavar="FILE")
     args = parser.parse_args(argv)
 
     if args.report:
         return report(args.report)
     if args.diff:
         return diff(args.diff[0], args.diff[1])
-    findings = (validate(args.validate) if args.validate
-                else validate_prom(args.validate_prom))
+    findings = validate(args.validate)
     for finding in findings:
         print(finding, file=sys.stderr)
     if findings:
         print("report: %d finding(s)" % len(findings), file=sys.stderr)
         return 1
-    print("report: %s OK" % (args.validate or args.validate_prom))
+    print("report: %s OK" % args.validate)
     return 0
 
 
