@@ -1,13 +1,14 @@
 // Perf trajectory for the per-document featurizer (DESIGN.md §14): the
-// production arena Featurizer against a faithful in-bench copy of the
-// pre-arena implementation (unordered_map count table, heap-vector entry
+// production Featurizer (open-addressed count table and entry staging in
+// reused per-thread scratch) against a faithful in-bench copy of the
+// original implementation (unordered_map count table, heap-vector entry
 // staging), single-threaded, timed in thread CPU seconds with the two
 // sides interleaved rep by rep in order-balanced pairs.
 //
 // Emits JSON for CI trend tracking (tools/bench_trend.py) with one
 // acceptance gate:
-//   featurize speedup >= 1.5x  (arena featurizer vs the unordered_map
-//                               reference)
+//   featurize speedup >= 1.5x  (production featurizer vs the
+//                               unordered_map reference)
 // and a mandatory bitwise-identity check: the optimized featurizer must
 // reproduce the reference feature for feature, bit for bit.
 //
@@ -32,7 +33,7 @@ using namespace ie::bench;
 
 namespace {
 
-// The pre-arena Featurizer hot loop: unordered_map count accumulation,
+// The original Featurizer hot loop: unordered_map count accumulation,
 // heap-vector entry staging, FromUnsorted.
 SparseVector RefFeaturize(const Document& doc) {
   std::unordered_map<uint32_t, float> counts;
@@ -52,8 +53,8 @@ SparseVector RefFeaturize(const Document& doc) {
 
 struct FeaturizeResult {
   size_t docs = 0;
-  double reference_us = 0.0;  // per document
-  double arena_us = 0.0;      // per document
+  double reference_us = 0.0;   // per document
+  double production_us = 0.0;  // per document
   double speedup = 0.0;
   bool identical = false;
 };
@@ -74,16 +75,16 @@ double CpuSeconds(Fn&& fn) {
 
 struct Interleaved {
   double best_reference = 0.0;  // seconds, fastest run per side
-  double best_arena = 0.0;
+  double best_production = 0.0;
   double median_ratio = 0.0;    // median rep score
 };
 
-/// The reference and the arena side timed rep by rep: each rep runs one
-/// reference-first and one arena-first pair, so host drift and the warmer
-/// second slot land on both sides alike. A rep scores the geometric mean
-/// of its two reference/arena ratios.
-template <typename Ref, typename Arena>
-Interleaved TimeInterleaved(int reps, Ref&& reference, Arena&& arena) {
+/// The reference and the production side timed rep by rep: each rep runs
+/// one reference-first and one production-first pair, so host drift and
+/// the warmer second slot land on both sides alike. A rep scores the
+/// geometric mean of its two reference/production ratios.
+template <typename Ref, typename Prod>
+Interleaved TimeInterleaved(int reps, Ref&& reference, Prod&& production) {
   Interleaved out;
   const auto keep_best = [](double* best, double seconds) {
     if (*best == 0.0 || seconds < *best) *best = seconds;
@@ -91,14 +92,14 @@ Interleaved TimeInterleaved(int reps, Ref&& reference, Arena&& arena) {
   std::vector<double> scores;
   for (int r = 0; r < reps; ++r) {
     const double ref_first = CpuSeconds(reference);
-    const double arena_second = CpuSeconds(arena);
-    const double arena_first = CpuSeconds(arena);
+    const double prod_second = CpuSeconds(production);
+    const double prod_first = CpuSeconds(production);
     const double ref_second = CpuSeconds(reference);
     keep_best(&out.best_reference, std::min(ref_first, ref_second));
-    keep_best(&out.best_arena, std::min(arena_first, arena_second));
-    if (arena_first > 0.0 && arena_second > 0.0) {
-      scores.push_back(std::sqrt((ref_first / arena_second) *
-                                 (ref_second / arena_first)));
+    keep_best(&out.best_production, std::min(prod_first, prod_second));
+    if (prod_first > 0.0 && prod_second > 0.0) {
+      scores.push_back(std::sqrt((ref_first / prod_second) *
+                                 (ref_second / prod_first)));
     }
   }
   if (!scores.empty()) {
@@ -117,8 +118,8 @@ FeaturizeResult RunFeaturizeTrajectory(Harness& harness, int reps) {
   const size_t num_docs = std::min<size_t>(2000, pool.size());
   const Featurizer& featurizer = harness.featurizer();
 
-  // Bitwise-equivalence check (untimed): the arena path must reproduce the
-  // unordered_map path feature for feature, bit for bit.
+  // Bitwise-equivalence check (untimed): the production path must
+  // reproduce the unordered_map path feature for feature, bit for bit.
   bool identical = true;
   for (size_t i = 0; i < num_docs && identical; ++i) {
     const Document& doc = corpus.doc(pool[i]);
@@ -164,13 +165,14 @@ FeaturizeResult RunFeaturizeTrajectory(Harness& harness, int reps) {
   out.identical = identical;
   out.reference_us =
       timed.best_reference * 1e6 / static_cast<double>(num_docs);
-  out.arena_us = timed.best_arena * 1e6 / static_cast<double>(num_docs);
+  out.production_us =
+      timed.best_production * 1e6 / static_cast<double>(num_docs);
   out.speedup = timed.median_ratio;
   std::fprintf(stderr,
                "[bench_featurize] featurize over %zu docs: "
-               "reference=%.2fus/doc arena=%.2fus/doc speedup=%.2fx "
-               "identical=%s\n",
-               out.docs, out.reference_us, out.arena_us, out.speedup,
+               "reference=%.2fus/doc production=%.2fus/doc "
+               "speedup=%.2fx identical=%s\n",
+               out.docs, out.reference_us, out.production_us, out.speedup,
                out.identical ? "yes" : "NO");
   return out;
 }
@@ -216,9 +218,9 @@ int main(int argc, char** argv) {
                NumDocs(), result.identical ? "true" : "false");
   std::fprintf(out,
                "  \"featurize\": {\"docs\": %zu, "
-               "\"reference_us_per_doc\": %.3f, \"arena_us_per_doc\": %.3f, "
-               "\"speedup\": %.3f},\n",
-               result.docs, result.reference_us, result.arena_us,
+               "\"reference_us_per_doc\": %.3f, "
+               "\"production_us_per_doc\": %.3f, \"speedup\": %.3f},\n",
+               result.docs, result.reference_us, result.production_us,
                result.speedup);
   std::fprintf(out, "  \"gate_threshold\": %.2f,\n  \"gate\": \"%s\"\n}\n",
                kSpeedupGate, gate_passes ? "PASS" : "FAIL");

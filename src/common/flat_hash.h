@@ -1,20 +1,14 @@
-// Open-addressing hash tables for the interning hot paths (DESIGN.md §14).
+// Hashing for the interning hot paths (DESIGN.md §14): the splitmix64
+// mixer, a deterministic string hash, and FlatIdIndex, the Vocabulary's
+// open-addressing string -> id index. The featurizer's per-document count
+// table probes with the same mixer.
 //
-// Both tables use linear probing over a power-of-two capacity with a
-// splitmix64-mixed hash, and neither supports erase — the interning
-// workloads (Vocabulary term ids, per-document count accumulation) only
-// ever insert — so there are no tombstones and growth is a straight
-// re-insert of the live slots.
-//
-// Determinism: slot order depends on the hash function and insertion
-// history, exactly like std::unordered_map bucket order. Iteration is
-// therefore gated by the detlint `unordered-iteration` rule: go through
-// ie::ForEachSorted (overloaded below for FlatHashMap) or carry a
-//   // DETERMINISM: order-insensitive (<reason>)
-// waiver at the ForEach call site.
+// FlatIdIndex uses linear probing over a power-of-two capacity and
+// supports no erase — interning only ever inserts — so there are no
+// tombstones and growth is a straight re-insert of the live slots. It has
+// no iteration API, so its slot order cannot leak into any output.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <string_view>
@@ -44,122 +38,6 @@ inline uint64_t HashBytes(std::string_view s) {
     h *= 0x100000001b3ull;
   }
   return Mix64(h);
-}
-
-/// Flat open-addressing map from a trivially-copyable integer key to a
-/// small trivially-copyable value. No erase; Clear() keeps capacity.
-template <typename K, typename V>
-class FlatHashMap {
- public:
-  FlatHashMap() = default;
-
-  size_t size() const { return size_; }
-  bool empty() const { return size_ == 0; }
-  size_t capacity() const { return slots_.size(); }
-
-  /// Pointer to the value for `key`, or nullptr when absent.
-  const V* Find(K key) const {
-    if (slots_.empty()) return nullptr;
-    const size_t mask = slots_.size() - 1;
-    size_t i = Mix64(static_cast<uint64_t>(key)) & mask;
-    while (used_[i]) {
-      if (slots_[i].first == key) return &slots_[i].second;
-      i = (i + 1) & mask;
-    }
-    return nullptr;
-  }
-  V* Find(K key) {
-    // ARCH: const-escape (Meyers const/non-const overload dedup: *this is
-    // non-const here, so the cast only restores the caller's own access)
-    return const_cast<V*>(static_cast<const FlatHashMap*>(this)->Find(key));
-  }
-
-  /// Inserts {key, value} if absent; returns {pointer to stored value,
-  /// inserted}. Mirrors unordered_map::emplace: an existing mapping wins.
-  std::pair<V*, bool> Emplace(K key, V value) {
-    ReserveForOneMore();
-    const size_t mask = slots_.size() - 1;
-    size_t i = Mix64(static_cast<uint64_t>(key)) & mask;
-    while (used_[i]) {
-      if (slots_[i].first == key) return {&slots_[i].second, false};
-      i = (i + 1) & mask;
-    }
-    used_[i] = 1;
-    slots_[i] = {key, value};
-    ++size_;
-    return {&slots_[i].second, true};
-  }
-
-  /// Value for `key`, default-constructed and inserted when absent.
-  V& operator[](K key) { return *Emplace(key, V{}).first; }
-
-  /// Grows capacity so `n` mappings fit without rehashing.
-  void Reserve(size_t n) {
-    size_t cap = kMinCapacity;
-    while (cap * 3 < n * 4) cap *= 2;  // max load factor 3/4
-    if (cap > slots_.size()) Rehash(cap);
-  }
-
-  /// Drops all mappings but keeps capacity (no deallocation).
-  void Clear() {
-    std::fill(used_.begin(), used_.end(), uint8_t{0});
-    size_ = 0;
-  }
-
-  /// Calls fn(key, value) for every mapping in *slot* order — which is as
-  /// nondeterministic as unordered_map bucket order. The detlint
-  /// unordered-iteration rule gates call sites: use ie::ForEachSorted or
-  /// carry an order-insensitivity waiver.
-  template <typename Fn>
-  void ForEach(Fn&& fn) const {
-    for (size_t i = 0; i < slots_.size(); ++i) {
-      if (used_[i]) fn(slots_[i].first, slots_[i].second);
-    }
-  }
-
- private:
-  static constexpr size_t kMinCapacity = 16;
-
-  void ReserveForOneMore() {
-    if (slots_.empty()) {
-      Rehash(kMinCapacity);
-    } else if ((size_ + 1) * 4 > slots_.size() * 3) {
-      Rehash(slots_.size() * 2);
-    }
-  }
-
-  void Rehash(size_t new_capacity) {
-    std::vector<std::pair<K, V>> slots(new_capacity);
-    std::vector<uint8_t> used(new_capacity, 0);
-    const size_t mask = new_capacity - 1;
-    for (size_t i = 0; i < slots_.size(); ++i) {
-      if (!used_[i]) continue;
-      size_t j = Mix64(static_cast<uint64_t>(slots_[i].first)) & mask;
-      while (used[j]) j = (j + 1) & mask;
-      used[j] = 1;
-      slots[j] = slots_[i];
-    }
-    slots_ = std::move(slots);
-    used_ = std::move(used);
-  }
-
-  std::vector<std::pair<K, V>> slots_;
-  std::vector<uint8_t> used_;
-  size_t size_ = 0;
-};
-
-/// Calls fn(key, value) in ascending key order — the deterministic-iteration
-/// facade (common/ordered.h) overload for FlatHashMap.
-template <typename K, typename V, typename Fn>
-void ForEachSorted(const FlatHashMap<K, V>& map, Fn&& fn) {
-  std::vector<std::pair<K, V>> items;
-  items.reserve(map.size());
-  map.ForEach([&items](const K& key, const V& value) {
-    items.emplace_back(key, value);
-  });
-  std::sort(items.begin(), items.end(),
-            [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (const auto& [key, value] : items) fn(key, value);
 }
 
 /// Interning index over externally stored keys: maps a precomputed 64-bit

@@ -6,34 +6,11 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "common/string_util.h"
+
 namespace ie {
 
 namespace {
-
-void AppendEscaped(std::string* out, std::string_view s) {
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      case '\n':
-        *out += "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(c));
-          *out += buf;
-        } else {
-          *out += c;
-        }
-    }
-  }
-}
 
 void AppendUint(std::string* out, uint64_t v) {
   char buf[32];
@@ -76,9 +53,9 @@ void MetricsSnapshot::AppendJson(std::string* out, int indent) const {
   *out += pad1 + "\"counters\": {";
   for (size_t i = 0; i < counters.size(); ++i) {
     *out += i == 0 ? "\n" : ",\n";
-    *out += pad2 + "\"";
-    AppendEscaped(out, counters[i].first);
-    *out += "\": ";
+    *out += pad2;
+    AppendJsonString(out, counters[i].first);
+    *out += ": ";
     AppendUint(out, counters[i].second);
   }
   *out += counters.empty() ? "}\n" : "\n" + pad1 + "}\n";

@@ -1,8 +1,9 @@
 // Minimal data-parallel helper (paper Section 6 future work: "exploring
 // parallelization approaches that, combined with the ranking-based
-// approach ... can further speed up the execution"). Used by the pipeline
-// to parallelize bulk re-rank scoring; results are deterministic because
-// each index writes only its own slot.
+// approach ... can further speed up the execution"). Used to featurize
+// the pool (FeaturizePool) and to run the extractors over a corpus
+// (ExtractionOutcomes::Compute); results are deterministic because each
+// index writes only its own slot.
 #pragma once
 
 #include <algorithm>

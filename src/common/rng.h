@@ -116,9 +116,6 @@ class Rng {
   /// Reservoir-sample k items from [0, n). Returned indices are unsorted.
   std::vector<size_t> SampleWithoutReplacement(size_t n, size_t k);
 
-  /// Derive an independent child generator (for parallel/replicated runs).
-  Rng Fork() { return Rng(NextUint64()); }
-
  private:
   static uint64_t Rotl(uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));

@@ -1,6 +1,5 @@
 #include "common/string_util.h"
 
-#include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdarg>
@@ -20,35 +19,6 @@ std::vector<std::string_view> SplitString(std::string_view text,
     }
   }
   return out;
-}
-
-std::string JoinStrings(const std::vector<std::string>& pieces,
-                        std::string_view sep) {
-  std::string out;
-  for (size_t i = 0; i < pieces.size(); ++i) {
-    if (i > 0) out.append(sep);
-    out.append(pieces[i]);
-  }
-  return out;
-}
-
-std::string ToLowerAscii(std::string_view text) {
-  std::string out(text);
-  for (char& c : out) {
-    c = static_cast<char>(
-        std::tolower(static_cast<unsigned char>(c)));
-  }
-  return out;
-}
-
-bool StartsWith(std::string_view text, std::string_view prefix) {
-  return text.size() >= prefix.size() &&
-         text.substr(0, prefix.size()) == prefix;
-}
-
-bool EndsWith(std::string_view text, std::string_view suffix) {
-  return text.size() >= suffix.size() &&
-         text.substr(text.size() - suffix.size()) == suffix;
 }
 
 std::string StrFormat(const char* fmt, ...) {
@@ -104,6 +74,25 @@ std::string FormatJsonNumber(double value) {
   std::string out;
   AppendJsonNumber(&out, value);
   return out;
+}
+
+void AppendJsonString(std::string* out, std::string_view text) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  out->push_back('"');
+  for (const char c : text) {
+    const auto byte = static_cast<unsigned char>(c);
+    if (c == '"' || c == '\\') {
+      out->push_back('\\');
+      out->push_back(c);
+    } else if (byte < 0x20) {
+      out->append("\\u00");
+      out->push_back(kHex[byte >> 4]);
+      out->push_back(kHex[byte & 0xf]);
+    } else {
+      out->push_back(c);
+    }
+  }
+  out->push_back('"');
 }
 
 }  // namespace ie

@@ -10,16 +10,6 @@ namespace ie {
 std::vector<std::string_view> SplitString(std::string_view text,
                                           std::string_view delims);
 
-/// Join pieces with a separator.
-std::string JoinStrings(const std::vector<std::string>& pieces,
-                        std::string_view sep);
-
-/// ASCII lowercase copy.
-std::string ToLowerAscii(std::string_view text);
-
-bool StartsWith(std::string_view text, std::string_view prefix);
-bool EndsWith(std::string_view text, std::string_view suffix);
-
 /// printf-style formatting into a std::string.
 std::string StrFormat(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));
@@ -42,5 +32,10 @@ void AppendFormattedDouble(std::string* out, double value);
 /// are byte-identical to FormatDouble and round-trip exactly.
 std::string FormatJsonNumber(double value);
 void AppendJsonNumber(std::string* out, double value);
+
+/// Appends `text` as a quoted JSON string: `"` and `\` are backslash-
+/// escaped, every control character below 0x20 becomes `\u00XX`, and all
+/// other bytes (multi-byte UTF-8 included) pass through unchanged.
+void AppendJsonString(std::string* out, std::string_view text);
 
 }  // namespace ie

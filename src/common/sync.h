@@ -9,12 +9,7 @@
 //
 //   ie::Mutex mu_;
 //   int value_ GUARDED_BY(mu_);
-//   { MutexLock lock(mu_); ++value_; }            // exclusive
-//
-//   ie::SharedMutex smu_;
-//   Map map_ GUARDED_BY(smu_);
-//   { ReaderLock lock(smu_); map_.find(k); }      // shared read
-//   { WriterLock lock(smu_); map_.emplace(...); } // exclusive write
+//   { MutexLock lock(mu_); ++value_; }
 //
 //   ie::CondVar cv_;
 //   { MutexLock lock(mu_); while (!ready_) cv_.Wait(mu_); }
@@ -26,7 +21,6 @@
 
 #include <condition_variable>
 #include <mutex>
-#include <shared_mutex>
 
 #include "common/thread_annotations.h"
 
@@ -43,27 +37,10 @@ class CAPABILITY("mutex") Mutex {
 
   void Lock() ACQUIRE() { mu_.lock(); }
   void Unlock() RELEASE() { mu_.unlock(); }
-  bool TryLock() TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
   friend class CondVar;
   std::mutex mu_;
-};
-
-/// Reader/writer mutex for read-mostly state.
-class CAPABILITY("shared_mutex") SharedMutex {
- public:
-  SharedMutex() = default;
-  SharedMutex(const SharedMutex&) = delete;
-  SharedMutex& operator=(const SharedMutex&) = delete;
-
-  void Lock() ACQUIRE() { mu_.lock(); }
-  void Unlock() RELEASE() { mu_.unlock(); }
-  void LockShared() ACQUIRE_SHARED() { mu_.lock_shared(); }
-  void UnlockShared() RELEASE_SHARED() { mu_.unlock_shared(); }
-
- private:
-  std::shared_mutex mu_;
 };
 
 /// Scoped exclusive lock on an ie::Mutex.
@@ -77,34 +54,6 @@ class SCOPED_CAPABILITY MutexLock {
 
  private:
   Mutex& mu_;
-};
-
-/// Scoped shared (read) lock on an ie::SharedMutex.
-class SCOPED_CAPABILITY ReaderLock {
- public:
-  explicit ReaderLock(SharedMutex& mu) ACQUIRE_SHARED(mu) : mu_(mu) {
-    mu_.LockShared();
-  }
-  ~ReaderLock() RELEASE_GENERIC() { mu_.UnlockShared(); }
-
-  ReaderLock(const ReaderLock&) = delete;
-  ReaderLock& operator=(const ReaderLock&) = delete;
-
- private:
-  SharedMutex& mu_;
-};
-
-/// Scoped exclusive (write) lock on an ie::SharedMutex.
-class SCOPED_CAPABILITY WriterLock {
- public:
-  explicit WriterLock(SharedMutex& mu) ACQUIRE(mu) : mu_(mu) { mu_.Lock(); }
-  ~WriterLock() RELEASE() { mu_.Unlock(); }
-
-  WriterLock(const WriterLock&) = delete;
-  WriterLock& operator=(const WriterLock&) = delete;
-
- private:
-  SharedMutex& mu_;
 };
 
 /// Condition variable bound to ie::Mutex. Wait atomically releases and

@@ -7,8 +7,8 @@
 // so the annotations are free documentation there and the binary is
 // identical either way.
 //
-// The vocabulary, applied through the ie::Mutex / ie::SharedMutex wrappers
-// in common/sync.h:
+// The vocabulary, applied through the ie::Mutex / ie::CondVar wrappers in
+// common/sync.h:
 //
 //   GUARDED_BY(mu)       field may only be touched while `mu` is held
 //                        (shared suffices for reads, exclusive for writes)

@@ -19,7 +19,6 @@ class WallTimer {
                                          start_)
         .count();
   }
-  double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
 
  private:
   std::chrono::steady_clock::time_point start_;
@@ -35,7 +34,6 @@ class CpuTimer {
   void Restart() { start_ = Now(); }
 
   double ElapsedSeconds() const { return Now() - start_; }
-  double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
 
  private:
   static double Now() {

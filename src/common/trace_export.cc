@@ -17,29 +17,13 @@ namespace ie {
 
 namespace {
 
-void AppendEscaped(std::string* out, const char* s) {
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    if (c == '"' || c == '\\') {
-      out->push_back('\\');
-      out->push_back(c);
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", static_cast<unsigned>(c));
-      out->append(buf);
-    } else {
-      out->push_back(c);
-    }
-  }
-}
-
 void AppendEvent(std::string* out, const TraceEvent& ev, uint32_t tid,
                  bool* first) {
   if (!*first) out->append(",\n");
   *first = false;
-  out->append("  {\"name\": \"");
-  AppendEscaped(out, ev.name);
-  out->append("\", \"ph\": \"");
+  out->append("  {\"name\": ");
+  AppendJsonString(out, ev.name);
+  out->append(", \"ph\": \"");
   out->push_back(ev.phase);
   char buf[96];
   std::snprintf(buf, sizeof(buf), "\", \"ts\": %" PRIu64 ".%03u",

@@ -14,6 +14,14 @@ namespace ie {
 
 namespace {
 
+// Background topic model size and document shape.
+constexpr size_t kNumBackgroundTopics = 60;
+constexpr size_t kWordsPerTopic = 120;
+constexpr int kMinSentences = 8;
+constexpr int kMaxSentences = 22;
+constexpr int kMinTokensPerSentence = 7;
+constexpr int kMaxTokensPerSentence = 16;
+
 // Neutral connectors for co-occurrence negatives: both entity types appear
 // in one sentence without expressing the relation.
 const std::vector<std::string>& NeutralConnectors() {
@@ -49,8 +57,7 @@ class Generator {
         vocab_(options.shared_vocab ? options.shared_vocab
                                     : std::make_shared<Vocabulary>()) {
     topic_model_ = std::make_unique<TopicModel>(
-        vocab_.get(), options_.num_background_topics,
-        options_.words_per_topic, &rng_);
+        vocab_.get(), kNumBackgroundTopics, kWordsPerTopic, &rng_);
     BuildSubtopics();
     BuildAnchorTable();
   }
@@ -146,7 +153,7 @@ void Generator::BuildAnchorTable() {
   anchors_.clear();
   anchor_weights_.clear();
 
-  // Anchor mass per relation: sparse relations get (density × compensation);
+  // Anchor mass per relation: sparse relations get (density × scale);
   // dense relations get a fixed small anchor plus cross-topic planting that
   // tops density up to the Table 1 target.
   auto anchor_mass = [&](const RelationSpec& spec) {
@@ -156,8 +163,7 @@ void Generator::BuildAnchorTable() {
       return (spec.id == RelationId::kPersonCareer ? 0.040 : 0.030) *
              options_.density_scale * mult;
     }
-    return spec.paper_density * options_.recall_compensation *
-           options_.density_scale * mult;
+    return spec.paper_density * options_.density_scale * mult;
   };
 
   double used_mass = 0.0;
@@ -180,15 +186,13 @@ void Generator::BuildAnchorTable() {
     // Cross-topic planting probability for dense relations, solving
     //   target = anchor + (1 - anchor) * q   for q.
     if (spec.dense) {
-      const double target = spec.paper_density * options_.recall_compensation *
-                            options_.density_scale;
+      const double target = spec.paper_density * options_.density_scale;
       dense_plant_prob_[rel] =
           std::clamp((target - mass) / (1.0 - mass), 0.0, 1.0);
     } else {
       // A sliver of useful docs live off-topic (hurts keyword recall).
       offtopic_plant_prob_[rel] =
-          0.08 * spec.paper_density * options_.recall_compensation *
-          options_.density_scale;
+          0.08 * spec.paper_density * options_.density_scale;
     }
   }
 
@@ -349,8 +353,7 @@ void Generator::AppendTopicalWords(Sentence& s, const Topic& topic,
 Sentence Generator::FillerSentence(const Topic& topic) {
   Sentence s;
   const int len = static_cast<int>(
-      rng_.NextInt(options_.min_tokens_per_sentence,
-                   options_.max_tokens_per_sentence));
+      rng_.NextInt(kMinTokensPerSentence, kMaxTokensPerSentence));
   AppendTopicalWords(s, topic, len);
   // Relation trigger words are ordinary verbs ("hit", "joined", "went to")
   // that occur broadly in news text, so a trigger alone is a weak
@@ -484,7 +487,7 @@ void Generator::GenerateDocument(Document& doc, DocAnnotations& ann) {
   const Topic& topic = AnchorTopic(anchor);
 
   const int num_sentences = static_cast<int>(
-      rng_.NextInt(options_.min_sentences, options_.max_sentences));
+      rng_.NextInt(kMinSentences, kMaxSentences));
 
   // Base filler body.
   for (int i = 0; i < num_sentences; ++i) {

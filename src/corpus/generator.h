@@ -23,22 +23,8 @@ struct GeneratorOptions {
   double train_fraction = 0.054;
   double dev_fraction = 0.373;  // remainder is the test split
 
-  size_t num_background_topics = 60;
-  size_t words_per_topic = 120;
-
-  /// Document shape.
-  int min_sentences = 8;
-  int max_sentences = 22;
-  int min_tokens_per_sentence = 7;
-  int max_tokens_per_sentence = 16;
-
   /// Global scale on all relation densities (1.0 = Table 1 targets).
   double density_scale = 1.0;
-
-  /// Planted-density compensation for imperfect extractor recall (the
-  /// trained extractors achieve near-perfect document-level recall on the
-  /// synthetic corpus, so no inflation is needed by default).
-  double recall_compensation = 1.0;
 
   /// Per-relation multiplier on the subtopic anchor probability. Used to
   /// build dedicated high-density extractor-training corpora (the paper

@@ -188,13 +188,15 @@ FootruleReference::FootruleReference(const std::vector<WeightedFeature>& a)
     sum += a[i].weight;
   }
   by_rank_.resize(by_id_.size());
-  index_of_.Reserve(by_id_.size());
+  if (!by_id_.empty()) {
+    index_of_.assign(by_id_.back().id + size_t{1}, kAbsent);
+  }
   for (uint32_t i = 0; i < by_id_.size(); ++i) {
     Ranked& f = by_id_[i];
     f.rank = rank_of[f.rank];
     if (sum > 0.0) f.weight /= sum;
     by_rank_[f.rank] = i;
-    index_of_.Emplace(f.id, i);
+    index_of_[f.id] = i;
   }
 }
 
@@ -210,12 +212,13 @@ double FootruleReference::Distance(const std::vector<WeightedFeature>& b) {
   item_of_b_.resize(b.size());
   b_only_.clear();
   for (uint32_t j = 0; j < b.size(); ++j) {
-    const uint32_t* i = index_of_.Find(b[j].id);
-    if (i == nullptr) {
+    const uint32_t i =
+        b[j].id < index_of_.size() ? index_of_[b[j].id] : kAbsent;
+    if (i == kAbsent) {
       b_only_.emplace_back(b[j].id, j);
-    } else if (b_of_a_[*i] == kNone) {
-      b_of_a_[*i] = j;
-      item_of_b_[j] = *i;
+    } else if (b_of_a_[i] == kNone) {
+      b_of_a_[i] = j;
+      item_of_b_[j] = i;
     } else {
       item_of_b_[j] = kNone;
     }

@@ -10,7 +10,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/flat_hash.h"
 #include "learn/elastic_net_sgd.h"
 #include "text/sparse_vector.h"
 
@@ -87,8 +86,9 @@ class OrderKeyIndex {
 /// it. Weights are normalized to sum to 1 per list before comparison, so
 /// the distance is scale-free. A list's duplicate ids keep their first
 /// occurrence. The reference's id order, ranks and normalized weights are
-/// computed once, so a distance looks b's ids up in a and sorts only the
-/// ids that a lacks. Distance reuses scratch arrays, so it is non-const.
+/// computed once, with a table indexed by id, so a distance looks b's ids
+/// up in a by index and sorts only the ids that a lacks. Distance reuses
+/// scratch arrays, so it is non-const.
 class FootruleReference {
  public:
   /// The empty list.
@@ -105,9 +105,12 @@ class FootruleReference {
     double weight;  // normalized by the list's sum
   };
 
+  static constexpr uint32_t kAbsent = UINT32_MAX;
+
   std::vector<Ranked> by_id_;    // a's distinct ids, ascending
   std::vector<uint32_t> by_rank_;  // by_id_ index of each rank
-  FlatHashMap<uint32_t, uint32_t> index_of_;  // id -> by_id_ index
+  // by_id_ index of each id up to a's largest; kAbsent for an id a lacks.
+  std::vector<uint32_t> index_of_;
 
   // Scratch for Distance: one slot per entry of b, per by_id_ entry, and
   // per union item (a's ids, then b-only ids ascending).

@@ -7,7 +7,6 @@
 #include <unordered_set>
 #include <utility>
 
-#include "common/arena.h"
 #include "common/logging.h"
 #include "common/metrics.h"
 #include "common/parallel.h"
@@ -503,7 +502,7 @@ class ExtractionSession {
   }
 
   /// Completes this iteration's flight-recorder record (DESIGN.md §15)
-  /// from the detector, engine, executor and arena. The recorder is a
+  /// from the detector, engine and executor. The recorder is a
   /// passive observer: recorded and unrecorded runs are byte-identical
   /// (the golden-hash matrix runs recorder-on).
   void Record(IterationRecord record, DocId id, bool useful) {
@@ -523,7 +522,6 @@ class ExtractionSession {
     record.executor_misses = stats.misses;
     record.executor_cancelled = stats.cancelled;
     record.queue_depth = executor_.queue_depth();
-    record.arena_bytes = Arena::ProcessReservedBytes();
     recorder_.RecordIteration(std::move(record));
   }
 

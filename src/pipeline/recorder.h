@@ -3,8 +3,8 @@
 // IterationRecord across its collaborators — usefulness so far, the
 // detector's drift statistic and retrain decision, exact per-component
 // ‖Δw‖ at updates, the re-rank engine's scoring-pass count, executor
-// hit/wait/miss/cancel totals, speculative queue depth, and process arena
-// bytes — and the recorder writes it to a crash-safe JSONL run ledger
+// hit/wait/miss/cancel totals and speculative queue depth — and the
+// recorder writes it to a crash-safe JSONL run ledger
 // (one line per iteration, flushed per line, so a partial file is
 // parseable up to the crash point; schema in DESIGN.md §15, validated by
 // tools/report.py --validate).
@@ -60,9 +60,8 @@ struct IterationRecord {
   uint64_t executor_misses = 0;
   uint64_t executor_cancelled = 0;
   /// Speculative tasks queued behind the frontier right now (not
-  /// cumulative), and process-wide arena bytes reserved right now.
+  /// cumulative).
   uint64_t queue_depth = 0;
-  uint64_t arena_bytes = 0;
 };
 
 struct PipelineConfig;  // pipeline/pipeline.h

@@ -3,39 +3,46 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/arena.h"
 #include "common/flat_hash.h"
 
 namespace ie {
 
 namespace {
 
-// Per-thread featurization scratch: every transient of the per-document
-// hot loop (the open-addressed count table and the entry staging array) is
-// bump-allocated from this arena and recycled between documents, so
-// steady-state featurization never round-trips the global allocator — the
-// returned SparseVector's own arrays are the only per-doc allocations
-// left. thread_local because the speculative executor featurizes on
-// worker threads.
-Arena& ScratchArena() {
-  thread_local Arena arena;
-  return arena;
+// Per-thread featurization scratch, grown to the largest document seen and
+// reused between documents, so steady-state featurization never
+// round-trips the global allocator: the returned SparseVector's own arrays
+// are the only per-doc allocations left. thread_local because the
+// speculative executor featurizes on worker threads.
+struct FeaturizeScratch {
+  std::vector<uint32_t> keys;  // count table: feature id + 1; 0 = empty
+  std::vector<float> counts;
+  std::vector<SparseVector::Entry> entries;  // staging for FromEntrySpan
+};
+
+FeaturizeScratch& GetFeaturizeScratch() {
+  thread_local FeaturizeScratch scratch;
+  return scratch;
 }
 
-// Open-addressed feature-count accumulator over arena storage. Keys are
-// stored as id+1 so 0 marks an empty slot (feature id 0 is valid;
+// Open-addressed feature-count accumulator over the scratch arrays. Keys
+// are stored as id+1 so 0 marks an empty slot (feature id 0 is valid;
 // Vocabulary::kInvalidId is never interned). Capacity is sized per
 // document for a load factor of at most 1/2.
 struct CountTable {
-  uint32_t* keys;  // feature id + 1; 0 = empty
+  uint32_t* keys;
   float* counts;
   size_t mask;
 
-  CountTable(Arena& arena, size_t max_distinct) {
+  CountTable(FeaturizeScratch& scratch, size_t max_distinct) {
     size_t cap = 16;
     while (cap < max_distinct * 2) cap *= 2;
-    keys = arena.AllocateArray<uint32_t>(cap);
-    counts = arena.AllocateArray<float>(cap);
+    if (scratch.keys.size() < cap) {
+      scratch.keys.resize(cap);
+      scratch.counts.resize(cap);
+    }
+    keys = scratch.keys.data();
+    counts = scratch.counts.data();
     std::fill(keys, keys + cap, 0u);
     mask = cap - 1;
   }
@@ -62,23 +69,24 @@ struct CountTable {
 SparseVector Featurizer::FeaturizeImpl(
     const Document& doc,
     const std::vector<std::string>* attribute_values) const {
-  Arena& arena = ScratchArena();
-  arena.Reset();
+  FeaturizeScratch& scratch = GetFeaturizeScratch();
 
   size_t total_tokens = 0;
   for (const Sentence& sentence : doc.sentences) {
     total_tokens += sentence.tokens.size();
   }
   const size_t max_distinct = total_tokens + 1;
-  CountTable table(arena, max_distinct);
+  CountTable table(scratch, max_distinct);
   for (const Sentence& sentence : doc.sentences) {
     for (TokenId token : sentence.tokens) table.Bump(token);
   }
 
   const size_t max_entries =
       max_distinct + (attribute_values ? attribute_values->size() : 0);
-  SparseVector::Entry* entries =
-      arena.AllocateArray<SparseVector::Entry>(max_entries);
+  if (scratch.entries.size() < max_entries) {
+    scratch.entries.resize(max_entries);
+  }
+  SparseVector::Entry* entries = scratch.entries.data();
   size_t n = 0;
   // Slot-order visit of the count table. DETERMINISM: order-insensitive
   // (one entry per feature id, value independent of visit order;

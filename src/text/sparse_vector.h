@@ -69,9 +69,9 @@ class SparseVector {
   /// are summed, zero values dropped.
   static SparseVector FromUnsorted(std::vector<Entry> entries);
 
-  /// Same semantics over caller-owned (e.g. arena) storage, which is used
-  /// as sort scratch. The per-document featurization hot path builds its
-  /// staging array in an Arena and finishes through this overload.
+  /// Same semantics over caller-owned storage, which is used as sort
+  /// scratch. The per-document featurization hot path stages its entries
+  /// in a reused per-thread array and finishes through this overload.
   static SparseVector FromEntrySpan(Entry* data, size_t n);
 
   size_t size() const { return ids_.size(); }

@@ -3,10 +3,10 @@
 // mutable payload next to it still needs its own waiver and MUST fire.
 // Exactly one const-escape finding (the payload line).
 namespace ie {
-class SharedMutex {};
+class Mutex {};
 }  // namespace ie
 
 struct LazyTable {
-  mutable ie::SharedMutex mu;
+  mutable ie::Mutex mu;
   mutable long table = 0;
 };

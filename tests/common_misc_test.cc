@@ -3,6 +3,7 @@
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/logging.h"
@@ -44,26 +45,21 @@ TEST(SplitStringTest, NoDelimiter) {
   EXPECT_EQ(pieces[0], "abc");
 }
 
-TEST(JoinStringsTest, Joins) {
-  EXPECT_EQ(JoinStrings({"a", "b", "c"}, ", "), "a, b, c");
-  EXPECT_EQ(JoinStrings({}, ","), "");
-  EXPECT_EQ(JoinStrings({"x"}, ","), "x");
-}
-
-TEST(ToLowerAsciiTest, Lowercases) {
-  EXPECT_EQ(ToLowerAscii("HeLLo 123"), "hello 123");
-}
-
-TEST(StartsEndsWithTest, Basic) {
-  EXPECT_TRUE(StartsWith("attr:foo", "attr:"));
-  EXPECT_FALSE(StartsWith("at", "attr:"));
-  EXPECT_TRUE(EndsWith("file.cc", ".cc"));
-  EXPECT_FALSE(EndsWith("c", ".cc"));
-}
-
 TEST(StrFormatTest, Formats) {
   EXPECT_EQ(StrFormat("%d-%s", 7, "x"), "7-x");
   EXPECT_EQ(StrFormat("%.2f", 1.234), "1.23");
+}
+
+TEST(AppendJsonStringTest, EscapesQuotesBackslashesAndControls) {
+  std::string out = "x=";
+  AppendJsonString(&out, "a\"b\\c\nd\x01" "e");
+  EXPECT_EQ(out, "x=\"a\\\"b\\\\c\\u000ad\\u0001e\"");
+  out.clear();
+  AppendJsonString(&out, "\xc3\xa9t\xc3\xa9 \xe2\x86\x92 \xf0\x9f\x8c\x8b");
+  EXPECT_EQ(out, "\"\xc3\xa9t\xc3\xa9 \xe2\x86\x92 \xf0\x9f\x8c\x8b\"");
+  out.clear();
+  AppendJsonString(&out, "");
+  EXPECT_EQ(out, "\"\"");
 }
 
 // ---- stats -------------------------------------------------------------

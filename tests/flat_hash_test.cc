@@ -1,6 +1,6 @@
-// Tests for the open-addressing flat hash tables (common/flat_hash.h):
-// growth, erase-free semantics, collision chains, and randomized parity
-// against std::unordered_map on 100k keys.
+// Tests for the interning index and the mixer (common/flat_hash.h):
+// growth, shared-hash disambiguation, and randomized parity against
+// std::unordered_map on 100k keys.
 #include "common/flat_hash.h"
 
 #include <cstdint>
@@ -13,121 +13,6 @@
 
 namespace ie {
 namespace {
-
-TEST(FlatHashMapTest, EmptyMapFindsNothing) {
-  FlatHashMap<uint64_t, uint32_t> map;
-  EXPECT_EQ(map.size(), 0u);
-  EXPECT_TRUE(map.empty());
-  EXPECT_EQ(map.Find(0), nullptr);
-  EXPECT_EQ(map.Find(42), nullptr);
-}
-
-TEST(FlatHashMapTest, EmplaceFindRoundTrip) {
-  FlatHashMap<uint64_t, uint32_t> map;
-  auto [slot, inserted] = map.Emplace(7, 100);
-  EXPECT_TRUE(inserted);
-  EXPECT_EQ(*slot, 100u);
-  // Existing mapping wins, mirroring unordered_map::emplace.
-  auto [slot2, inserted2] = map.Emplace(7, 999);
-  EXPECT_FALSE(inserted2);
-  EXPECT_EQ(*slot2, 100u);
-  ASSERT_NE(map.Find(7), nullptr);
-  EXPECT_EQ(*map.Find(7), 100u);
-  EXPECT_EQ(map.size(), 1u);
-}
-
-TEST(FlatHashMapTest, GrowthPreservesAllMappings) {
-  FlatHashMap<uint32_t, uint32_t> map;
-  constexpr uint32_t kN = 10000;  // forces many doublings from capacity 16
-  for (uint32_t k = 0; k < kN; ++k) map.Emplace(k, k * 3);
-  EXPECT_EQ(map.size(), kN);
-  // Power-of-two capacity with load factor <= 3/4.
-  EXPECT_EQ(map.capacity() & (map.capacity() - 1), 0u);
-  EXPECT_GE(map.capacity() * 3, map.size() * 4);
-  for (uint32_t k = 0; k < kN; ++k) {
-    ASSERT_NE(map.Find(k), nullptr) << k;
-    EXPECT_EQ(*map.Find(k), k * 3);
-  }
-  EXPECT_EQ(map.Find(kN), nullptr);
-}
-
-TEST(FlatHashMapTest, CollidingKeysChainLinearly) {
-  // Keys an exact capacity apart collide after masking only if the mixer
-  // maps them there — instead craft collisions by brute force: find keys
-  // whose mixed hash shares the low bits, then verify probing resolves
-  // them all.
-  FlatHashMap<uint64_t, uint32_t> map;
-  map.Reserve(64);
-  const size_t mask = map.capacity() - 1;
-  std::vector<uint64_t> colliders;
-  const size_t want = Mix64(12345) & mask;
-  for (uint64_t k = 0; colliders.size() < 8; ++k) {
-    if ((Mix64(k) & mask) == want) colliders.push_back(k);
-  }
-  for (size_t i = 0; i < colliders.size(); ++i) {
-    map.Emplace(colliders[i], static_cast<uint32_t>(i));
-  }
-  EXPECT_EQ(map.size(), colliders.size());
-  for (size_t i = 0; i < colliders.size(); ++i) {
-    ASSERT_NE(map.Find(colliders[i]), nullptr);
-    EXPECT_EQ(*map.Find(colliders[i]), static_cast<uint32_t>(i));
-  }
-}
-
-TEST(FlatHashMapTest, ClearKeepsCapacityDropsMappings) {
-  FlatHashMap<uint32_t, float> map;
-  for (uint32_t k = 0; k < 100; ++k) map.Emplace(k, 1.0f);
-  const size_t cap = map.capacity();
-  map.Clear();
-  EXPECT_EQ(map.size(), 0u);
-  EXPECT_EQ(map.capacity(), cap);
-  for (uint32_t k = 0; k < 100; ++k) EXPECT_EQ(map.Find(k), nullptr);
-  map.Emplace(5, 2.5f);
-  EXPECT_EQ(*map.Find(5), 2.5f);
-}
-
-TEST(FlatHashMapTest, OperatorIndexDefaultConstructs) {
-  FlatHashMap<uint32_t, float> map;
-  map[3] += 1.0f;
-  map[3] += 1.0f;
-  EXPECT_EQ(*map.Find(3), 2.0f);
-}
-
-TEST(FlatHashMapTest, RandomizedParityVsUnorderedMap100k) {
-  FlatHashMap<uint64_t, uint32_t> flat;
-  std::unordered_map<uint64_t, uint32_t> reference;
-  Rng rng(20260808);
-  // Insert-if-absent over a key space with deliberate repeats, so both
-  // first-insert-wins semantics and probe chains get exercised.
-  for (size_t i = 0; i < 100000; ++i) {
-    const uint64_t key = rng.NextBounded(70000);
-    const uint32_t value = static_cast<uint32_t>(i);
-    flat.Emplace(key, value);
-    reference.emplace(key, value);
-  }
-  ASSERT_EQ(flat.size(), reference.size());
-  for (const auto& [key, value] : reference) {
-    ASSERT_NE(flat.Find(key), nullptr) << key;
-    EXPECT_EQ(*flat.Find(key), value) << key;
-  }
-  // Probe misses against keys never inserted.
-  for (size_t i = 0; i < 1000; ++i) {
-    const uint64_t absent = 1000000 + rng.NextBounded(1000000);
-    EXPECT_EQ(flat.Find(absent), nullptr);
-    EXPECT_EQ(reference.count(absent), 0u);
-  }
-}
-
-TEST(FlatHashMapTest, ForEachSortedVisitsAscendingKeys) {
-  FlatHashMap<uint32_t, uint32_t> map;
-  for (uint32_t k : {9u, 1u, 7u, 3u, 5u}) map.Emplace(k, k * 10);
-  std::vector<uint32_t> keys;
-  ForEachSorted(map, [&](uint32_t key, uint32_t value) {
-    EXPECT_EQ(value, key * 10);
-    keys.push_back(key);
-  });
-  EXPECT_EQ(keys, (std::vector<uint32_t>{1, 3, 5, 7, 9}));
-}
 
 TEST(FlatIdIndexTest, InterningParityVsUnorderedMap100k) {
   // Drive FlatIdIndex exactly as Vocabulary does: terms_ is the backing

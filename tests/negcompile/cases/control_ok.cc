@@ -1,8 +1,7 @@
 // CONTROL CASE — must COMPILE cleanly under -Wthread-safety[-beta]
-// -Werror. Exercises every wrapper (Mutex, SharedMutex, CondVar, scoped
-// locks, raw Lock/Unlock) with correct discipline; if this fails, the
-// harness flags would be broken and every violation "failure" below it
-// meaningless.
+// -Werror. Exercises every wrapper (Mutex, CondVar, the scoped lock, raw
+// Lock/Unlock) with correct discipline; if this fails, the harness flags
+// would be broken and every violation "failure" below it meaningless.
 #include "common/sync.h"
 
 namespace {
@@ -34,22 +33,10 @@ class Guarded {
     cv_.NotifyAll();
   }
 
-  int ReadShared() EXCLUDES(smu_) {
-    ie::ReaderLock lock(smu_);
-    return shared_value_;
-  }
-
-  void WriteShared(int v) EXCLUDES(smu_) {
-    ie::WriterLock lock(smu_);
-    shared_value_ = v;
-  }
-
  private:
   ie::Mutex mu_;
   ie::CondVar cv_;
   int value_ GUARDED_BY(mu_) = 0;
-  ie::SharedMutex smu_;
-  int shared_value_ GUARDED_BY(smu_) = 0;
 };
 
 }  // namespace
@@ -59,6 +46,5 @@ int main() {
   g.Increment();
   g.IncrementSplit();
   g.Signal();
-  g.WriteShared(2);
-  return g.WaitForPositive() + g.ReadShared();
+  return g.WaitForPositive();
 }

@@ -175,16 +175,5 @@ TEST(RngTest, SampleWithoutReplacementUniform) {
   }
 }
 
-TEST(RngTest, ForkProducesIndependentStream) {
-  Rng parent(15);
-  Rng child = parent.Fork();
-  // The child stream should not replicate the parent's continuation.
-  int equal = 0;
-  for (int i = 0; i < 50; ++i) {
-    equal += parent.NextUint64() == child.NextUint64();
-  }
-  EXPECT_LT(equal, 2);
-}
-
 }  // namespace
 }  // namespace ie

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include "text/document.h"
 #include "text/featurizer.h"
@@ -151,6 +154,36 @@ TEST_F(FeaturizerTest, AttributeFeatures) {
   EXPECT_GT(v.Get(vocab_.Lookup("tsunami")), 0.0f);
   EXPECT_EQ(v.Get(vocab_.Lookup("attr:tsunami")),
             v.Get(vocab_.Lookup("tsunami")));
+}
+
+// The per-thread scratch grows to the largest document seen and is reused:
+// a long document in between leaves stale slots in all three scratch
+// arrays, which must not leak into a later short or empty document.
+TEST_F(FeaturizerTest, ScratchReuseAfterLongDocument) {
+  Featurizer featurizer(&vocab_);
+  const Document short_doc = MakeDoc("storm storm surge hits the coast.");
+  std::string long_text;
+  for (int i = 0; i < 5000; ++i) {
+    long_text += "w" + std::to_string(i) + (i % 20 == 19 ? ". " : " ");
+  }
+  const Document long_doc = MakeDoc(long_text);
+  const std::vector<std::string> attributes = {"storm", "coast", "surge"};
+
+  const SparseVector first = featurizer.Featurize(short_doc);
+  const SparseVector long_v = featurizer.Featurize(long_doc, attributes);
+  const SparseVector again = featurizer.Featurize(short_doc);
+  const SparseVector empty = featurizer.Featurize(Document{});
+
+  EXPECT_EQ(long_v.size(), 5000u + attributes.size());
+  ASSERT_EQ(first.size(), 5u);
+  ASSERT_EQ(again.size(), first.size());
+  for (size_t i = 0; i < first.size(); ++i) {
+    EXPECT_EQ(again.id(i), first.id(i));
+  }
+  EXPECT_EQ(std::memcmp(again.values(), first.values(),
+                        first.size() * sizeof(float)),
+            0);
+  EXPECT_TRUE(empty.empty());
 }
 
 TEST_F(FeaturizerTest, AttributeFeatureIdStable) {

@@ -80,7 +80,7 @@ ctest --test-dir build-default \
     -R 'DeterminismGoldenTest|BaselineGoldenTest|SearchGoldenTest|DetectorOracleTest|LearnerOracleTest|KernelOracleTest|CrfOracleTest' \
     --output-on-failure -j "$JOBS"
 
-step "bench_featurize perf trajectory (arena featurizer)"
+step "bench_featurize perf trajectory"
 # Hand-timed production-vs-reference comparison (DESIGN.md §14) in the
 # pipeline's one feature format (1 + ln tf unigrams, l2-normalized):
 # re-proves bitwise-identical features and enforces the >=1.5x featurize

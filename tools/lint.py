@@ -19,16 +19,14 @@ Style / hygiene rules:
   naked-new            no naked new/delete in src/
   raw-mutex            no bare std:: sync primitives outside
                        src/common/sync.h — use the capability-annotated
-                       ie::Mutex/SharedMutex/CondVar wrappers (DESIGN.md
-                       §11)
+                       ie::Mutex/CondVar wrappers (DESIGN.md §11)
 
 Determinism rules (DESIGN.md §12) — the static side of the byte-identical
 output guarantee:
 
-  unordered-iteration  no range-for / .begin() / .ForEach() iteration
-                       over std::unordered_map/set or ie::FlatHashMap in
-                       src/ outside the facades src/common/ordered.h and
-                       src/common/flat_hash.h. Iterate via
+  unordered-iteration  no range-for / .begin() iteration over
+                       std::unordered_map/set in src/ outside the facade
+                       src/common/ordered.h. Iterate via
                        ie::ForEachSorted / SortedKeys / SortedItems, or
                        waive the site with `// DETERMINISM:
                        order-insensitive (<reason>)` on the same or
@@ -68,7 +66,7 @@ module layering and the shared-vs-session state split:
                        (<reason>)`.
   const-escape         no `const_cast` and no `mutable` members in src/.
                        `mutable` on the sync-facade primitives (ie::Mutex,
-                       SharedMutex, CondVar) is the sanctioned
+                       CondVar) is the sanctioned
                        synchronized-interior handle and is exempt; any
                        other site needs `// ARCH: const-escape (<reason>)`
                        naming why the mutation is unobservable (e.g. a
@@ -116,8 +114,7 @@ DEFAULT_PATHS = ("src", "tests", "bench", "examples")
 # construct may appear.
 RAW_RANDOM_ALLOWED = ("src/common/rng.h", "src/common/rng.cc")
 RAW_MUTEX_ALLOWED = ("src/common/sync.h",)
-UNORDERED_ITERATION_ALLOWED = ("src/common/ordered.h",
-                               "src/common/flat_hash.h")
+UNORDERED_ITERATION_ALLOWED = ("src/common/ordered.h",)
 
 NOLINT_RE = re.compile(r"//\s*NOLINT\(ie-([a-z-]+)\)")
 # Determinism waiver: reason is mandatory and must be non-empty — a bare
@@ -331,19 +328,15 @@ def _blank_template_args(text):
     return "".join(out)
 
 
-# FlatHashMap (src/common/flat_hash.h) exposes slot-order iteration via
-# ForEach(); slot order is as nondeterministic as unordered_map bucket
-# order, so its declarations are tracked by the same rule.
-_UNORDERED_DECL_RE = re.compile(r"\b(?:unordered_(?:map|set)|FlatHashMap)\s*<")
+_UNORDERED_DECL_RE = re.compile(r"\bunordered_(?:map|set)\s*<")
 _IDENT_RE = re.compile(r"[A-Za-z_]\w*")
 
 
 def collect_unordered_names(code):
     """Identifiers declared (anywhere in `code`) with a type mentioning
-    std::unordered_map/set or ie::FlatHashMap: variables, members,
-    parameters, and functions returning one. Used by the
-    unordered-iteration rule to recognize iteration sites without a real
-    type system."""
+    std::unordered_map/set: variables, members, parameters, and functions
+    returning one. Used by the unordered-iteration rule to recognize
+    iteration sites without a real type system."""
     names = set()
     # Statement-ish granularity: declarations end at ; = { or (.
     for statement in re.split(r"[;{}]", code):
@@ -590,11 +583,10 @@ class UnorderedIterationRule(Rule):
             if hit is not None:
                 findings.append((ctx.line_of_offset(m.start()), hit))
         # Explicit iteration entry points: name.begin() / name.cbegin()
-        # (iterator loops, algorithm calls, iterator-pair construction)
-        # and name.ForEach( — FlatHashMap's slot-order visitor.
+        # (iterator loops, algorithm calls, iterator-pair construction).
         begin_re = re.compile(
             r"\b(" + "|".join(re.escape(n) for n in sorted(names)) +
-            r")\s*\.\s*(?:c?begin|ForEach)\s*\(")
+            r")\s*\.\s*c?begin\s*\(")
         for m in begin_re.finditer(ctx.code):
             findings.append((ctx.line_of_offset(m.start()), m.group(1)))
         for line, name in sorted(set(findings)):
@@ -764,7 +756,7 @@ class ConstEscapeRule(Rule):
     # non-const by design, so a const reader must hold the primitive
     # mutable. Anything else guarded by it still needs its own waiver.
     SYNC_PRIMITIVE_RE = re.compile(
-        r"\bmutable\s+(?:ie\s*::\s*)?(?:Mutex|SharedMutex|CondVar)\b")
+        r"\bmutable\s+(?:ie\s*::\s*)?(?:Mutex|CondVar)\b")
     # Skip lambda mutability (`](...) mutable {`): it is capture-local
     # state, not a const-object escape.
     MUTABLE_MEMBER_RE = re.compile(r"(?<!\))\s*\bmutable\b")

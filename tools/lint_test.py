@@ -277,35 +277,6 @@ class UnorderedIterationTest(LintTestBase):
                 "bool has(int k) { return counts.find(k) != counts.end(); }\n")
         self.assertEqual(rules_for("src/k.cc", text), [])
 
-    def test_flat_hash_foreach_flagged(self):
-        text = ("ie::FlatHashMap<uint32_t, float> counts;\n"
-                "void f() {\n"
-                "  counts.ForEach([](uint32_t k, float v) { Use(k, v); });\n"
-                "}\n")
-        self.assertIn("unordered-iteration", rules_for("src/l.cc", text))
-
-    def test_flat_hash_foreach_waiver_suppresses(self):
-        text = ("ie::FlatHashMap<uint32_t, float> counts;\n"
-                "void f() {\n"
-                "  // DETERMINISM: order-insensitive (sums commutative tf)\n"
-                "  counts.ForEach([](uint32_t k, float v) { Use(k, v); });\n"
-                "}\n")
-        self.assertEqual(rules_for("src/m.cc", text), [])
-
-    def test_flat_hash_lookup_only_not_flagged(self):
-        text = ("ie::FlatHashMap<uint64_t, uint32_t> ids;\n"
-                "uint32_t get(uint64_t k) { return *ids.Find(k); }\n"
-                "void put(uint64_t k, uint32_t v) { ids.Emplace(k, v); }\n")
-        self.assertEqual(rules_for("src/n.cc", text), [])
-
-    def test_flat_hash_facade_header_allowed(self):
-        text = ("#pragma once\n"
-                "template <typename K, typename V, typename Fn>\n"
-                "void ForEachSorted(const FlatHashMap<K, V>& map, Fn&& fn) {\n"
-                "  map.ForEach([](const K& k, const V& v) { Stage(k, v); });\n"
-                "}\n")
-        self.assertEqual(rules_for("src/common/flat_hash.h", text), [])
-
     def test_foreach_on_untracked_name_not_flagged(self):
         text = ("OrderedVisitor visitor;\n"
                 "void f() { visitor.ForEach([](int k) { Use(k); }); }\n")
@@ -612,7 +583,7 @@ class ConstEscapeTest(LintTestBase):
         self.assertEqual(
             rules_for("src/m/x.h",
                       "#pragma once\nstruct C {\n"
-                      "  mutable ie::SharedMutex mu;\n"
+                      "  mutable ie::CondVar cv;\n"
                       "  mutable Mutex plain_mu;\n"
                       "};\n"),
             [])

@@ -4,7 +4,7 @@
 The pipeline's flight recorder (src/pipeline/recorder.cc, DESIGN.md §15)
 writes one JSON object per line:
 
-  {"type":"header","schema":2, ...run metadata...}
+  {"type":"header","schema":3, ...run metadata...}
   {"type":"iter","i":1, ...one iteration...}          x N, flushed per line
   {"type":"end", ...run totals...}                    absent if crashed
 
@@ -102,7 +102,7 @@ def validate(path):
     """Returns a list of findings for one ledger file.
 
     Invariants (beyond parseability):
-      header      schema == 2, present before any iteration
+      header      schema == 3, present before any iteration
       numbering   iter "i" strictly 1,2,3,... (the recorder assigns them)
       executor    hits + waits + misses == i (exactly one Take per doc)
       cumulative  monotone non-decreasing counters (CUMULATIVE)
@@ -118,7 +118,7 @@ def validate(path):
     ledger = parse_ledger(path, findings)
     if ledger.header is None:
         findings.append("%s: missing header line" % path)
-    elif ledger.header.get("schema") != 2:
+    elif ledger.header.get("schema") != 3:
         findings.append("%s: unsupported schema %r" %
                         (path, ledger.header.get("schema")))
 
@@ -137,7 +137,7 @@ def validate(path):
 
         for key in ("doc", "phase", "useful", "useful_total", "useful_rate",
                     "stat", "retrain", "full_rescores", "hits", "waits",
-                    "misses", "cancelled", "queue", "arena"):
+                    "misses", "cancelled", "queue"):
             if key not in obj:
                 findings.append("%s: missing field %r" % (where, key))
         phase = obj.get("phase")
@@ -249,7 +249,6 @@ def summarize(ledger):
         out["executor_misses"] = last.get("misses", 0)
         out["executor_cancelled"] = last.get("cancelled", 0)
         out["peak_queue_depth"] = max(o.get("queue", 0) for o in iters)
-        out["peak_arena_bytes"] = max(o.get("arena", 0) for o in iters)
         for phase in PHASES:
             n = sum(1 for o in iters if o.get("phase") == phase)
             if n:
