@@ -11,9 +11,7 @@
 // common/sync.h:
 //
 //   GUARDED_BY(mu)       field may only be touched while `mu` is held
-//                        (shared suffices for reads, exclusive for writes)
 //   REQUIRES(mu)         caller must already hold `mu` exclusively
-//   REQUIRES_SHARED(mu)  caller must hold `mu` at least shared
 //   ACQUIRE / RELEASE    function acquires/releases the capability
 //   EXCLUDES(mu)         caller must NOT hold `mu` (non-reentrancy)
 //   ACQUIRED_BEFORE/AFTER  static lock-ordering hints (checked under
@@ -39,29 +37,13 @@
 #define ACQUIRED_AFTER(...) IE_THREAD_ANNOTATION(acquired_after(__VA_ARGS__))
 
 #define REQUIRES(...) IE_THREAD_ANNOTATION(requires_capability(__VA_ARGS__))
-#define REQUIRES_SHARED(...) \
-  IE_THREAD_ANNOTATION(requires_shared_capability(__VA_ARGS__))
 
 #define ACQUIRE(...) IE_THREAD_ANNOTATION(acquire_capability(__VA_ARGS__))
-#define ACQUIRE_SHARED(...) \
-  IE_THREAD_ANNOTATION(acquire_shared_capability(__VA_ARGS__))
 #define RELEASE(...) IE_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
-#define RELEASE_SHARED(...) \
-  IE_THREAD_ANNOTATION(release_shared_capability(__VA_ARGS__))
-// Matches whichever mode (shared or exclusive) a scoped wrapper acquired.
-#define RELEASE_GENERIC(...) \
-  IE_THREAD_ANNOTATION(release_generic_capability(__VA_ARGS__))
-
-#define TRY_ACQUIRE(...) \
-  IE_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
-#define TRY_ACQUIRE_SHARED(...) \
-  IE_THREAD_ANNOTATION(try_acquire_shared_capability(__VA_ARGS__))
 
 #define EXCLUDES(...) IE_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
 
 #define ASSERT_CAPABILITY(x) IE_THREAD_ANNOTATION(assert_capability(x))
-#define ASSERT_SHARED_CAPABILITY(x) \
-  IE_THREAD_ANNOTATION(assert_shared_capability(x))
 
 #define RETURN_CAPABILITY(x) IE_THREAD_ANNOTATION(lock_returned(x))
 

@@ -16,7 +16,7 @@ namespace ie {
 struct OneClassSvmOptions {
   double gamma = 0.01;   // Gaussian kernel width
   double lambda = 0.01;  // regularization
-  size_t budget = 128;   // max support vectors (smallest-|α| eviction)
+  size_t budget = 128;   // max support vectors (see OneClassSvm::Evict)
 };
 
 /// Kernel evaluations reuse each support vector's ‖sv‖², cached when it is
@@ -54,6 +54,12 @@ class OneClassSvm {
   /// returns it once it reaches `stop_at` (or after the last term).
   double Sum(const SparseVector& x, double stop_at);
   void Insert(const SparseVector& x, double alpha);
+  /// Over budget, drops the first support vector of smallest |α|. Under
+  /// the Pegasos decay every α is the same number in exact arithmetic: a
+  /// vector inserted at step i holds η_i·Π_{i<s≤t}(1 − η_s·λ) = 1/(λ(t+2))
+  /// at step t, whatever i is. So rounding, not the rule, picks the
+  /// evicted vector (DESIGN.md §17); the rule stays because the Feat-S
+  /// golden digests and benchmark pins depend on it.
   void Evict();
 
   OneClassSvmOptions options_;

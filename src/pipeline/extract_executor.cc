@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "common/metrics.h"
 #include "common/timer.h"
 #include "common/trace.h"
 
@@ -74,42 +73,31 @@ void ExtractExecutor::Prefetch(DocId doc) {
 }
 
 LabeledExample ExtractExecutor::Take(DocId doc) {
-  if (speculative()) {
+  {
     MutexLock lock(mu_);
+    // A serial executor's cache stays empty (Prefetch is a no-op), so
+    // every Take there is a miss.
     auto it = cache_.find(doc);
-    if (it != cache_.end()) {
-      if (it->second.state == State::kQueued) {
-        // Reclaim: erase so the worker that eventually pops this id skips
-        // it, then compute inline below.
-        cache_.erase(it);
-        ++stats_.misses;
-        IE_METRIC_COUNT("executor.misses");
+    if (it != cache_.end() && it->second.state != State::kQueued) {
+      if (it->second.state == State::kRunning) {
+        ++stats_.waits;
+        IE_TRACE_SCOPE("executor.wait");
+        // Only this consumer inserts/erases cache_ entries, so the
+        // iterator survives the wait; workers flip the state in place.
+        while (it->second.state != State::kDone) done_cv_.Wait(mu_);
       } else {
-        if (it->second.state == State::kRunning) {
-          ++stats_.waits;
-          IE_METRIC_COUNT("executor.waits");
-          IE_TRACE_SCOPE("executor.wait");
-          // Only this consumer inserts/erases cache_ entries, so the
-          // iterator survives the wait; workers flip the state in place.
-          while (it->second.state != State::kDone) done_cv_.Wait(mu_);
-        } else {
-          ++stats_.hits;
-          IE_METRIC_COUNT("executor.hits");
-        }
-        LabeledExample result = std::move(it->second.result);
-        std::exception_ptr error = it->second.error;
-        cache_.erase(it);
-        if (error) std::rethrow_exception(error);
-        return result;
+        ++stats_.hits;
       }
-    } else {
-      ++stats_.misses;
-      IE_METRIC_COUNT("executor.misses");
+      LabeledExample result = std::move(it->second.result);
+      std::exception_ptr error = it->second.error;
+      cache_.erase(it);
+      if (error) std::rethrow_exception(error);
+      return result;
     }
-  } else {
-    MutexLock lock(mu_);
+    // Reclaim queued work: erase so the worker that eventually pops this
+    // id skips it, then compute inline below.
+    if (it != cache_.end()) cache_.erase(it);
     ++stats_.misses;
-    IE_METRIC_COUNT("executor.misses");
   }
   IE_TRACE_SCOPE("executor.inline_task");
   CpuTimer timer;
@@ -138,7 +126,6 @@ size_t ExtractExecutor::CancelQueued() {
       }
     }
     stats_.cancelled += dropped.size();
-    IE_METRIC_COUNT_N("executor.cancelled", dropped.size());
   }
   // Purge the ids workers have not popped yet; any id a worker already
   // holds finds no cache entry and is skipped (same path as Take()'s

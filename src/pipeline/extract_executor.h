@@ -79,11 +79,6 @@ class ExtractExecutor {
 
   ExtractExecutorStats stats() const EXCLUDES(mu_);
 
-  /// Speculative tasks queued but not yet started (0 when not speculative).
-  /// Consumer-thread introspection for the flight recorder's queue-depth
-  /// column; the traced counter executor.queue_depth reads the same value.
-  size_t queue_depth() const { return queue_.size(); }
-
  private:
   enum class State { kQueued, kRunning, kDone };
   struct Entry {

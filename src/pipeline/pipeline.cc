@@ -335,7 +335,6 @@ class ExtractionSession {
   /// recorder on, writes the update's ‖Δw‖ into `record`.
   void Update(IterationRecord* record) {
     IE_TRACE_SCOPE("pipeline.update");
-    IE_METRIC_COUNT("pipeline.updates");
     {
       IE_TRACE_SCOPE("pipeline.retrain");
       CpuTimer timer;
@@ -502,9 +501,9 @@ class ExtractionSession {
   }
 
   /// Completes this iteration's flight-recorder record (DESIGN.md §15)
-  /// from the detector, engine and executor. The recorder is a
-  /// passive observer: recorded and unrecorded runs are byte-identical
-  /// (the golden-hash matrix runs recorder-on).
+  /// with the document's facts and the detector's statistic. The recorder
+  /// is a passive observer: recorded and unrecorded runs are
+  /// byte-identical (the golden-hash matrix runs recorder-on).
   void Record(IterationRecord record, DocId id, bool useful) {
     if (!recorder_.active()) return;
     record.doc = id;
@@ -513,16 +512,7 @@ class ExtractionSession {
     if (detector_ != nullptr) {
       record.detector_statistic = detector_->LastStatistic();
     }
-    if (engine_ != nullptr) {
-      record.full_rescores = engine_->stats().full_rescores;
-    }
-    const ExtractExecutorStats stats = executor_.stats();
-    record.executor_hits = stats.hits;
-    record.executor_waits = stats.waits;
-    record.executor_misses = stats.misses;
-    record.executor_cancelled = stats.cancelled;
-    record.queue_depth = executor_.queue_depth();
-    recorder_.RecordIteration(std::move(record));
+    recorder_.RecordIteration(record);
   }
 
   const SharedContext& context_;

@@ -3,7 +3,7 @@
 // (locale-independent, round-trip exact; DESIGN.md §12).
 //
 // Ledger schema (one JSON object per line; DESIGN.md §15):
-//   {"type":"header","schema":3,...run metadata...}
+//   {"type":"header","schema":4,...run metadata...}
 //   {"type":"iter","i":1,...one IterationRecord...}   × N, flushed each
 //   {"type":"end",...run totals...}                   absent if crashed
 #include "pipeline/recorder.h"
@@ -28,9 +28,9 @@ void AppendKeyString(std::string* out, const char* key, const char* value) {
 }
 
 void AppendKeyUint(std::string* out, const char* key, uint64_t value) {
-  // to_chars instead of snprintf: this runs ~11x per iteration on the
-  // recorder hot path, and the printf machinery alone costs more than the
-  // 3% overhead budget allows at smoke scale.
+  // to_chars instead of snprintf: this runs four times per iteration on
+  // the recorder hot path, and the printf machinery alone costs more than
+  // the 3% overhead budget allows at smoke scale.
   *out += ",\"";
   *out += key;
   *out += "\":";
@@ -82,7 +82,7 @@ void PipelineRecorder::WriteLedgerLine() {
 void PipelineRecorder::BeginRun(const PipelineConfig& config,
                                 size_t pool_size) {
   if (ledger_ == nullptr) return;
-  line_ = "{\"type\":\"header\",\"schema\":3";
+  line_ = "{\"type\":\"header\",\"schema\":4";
   AppendKeyString(&line_, "ranker", RankerKindName(config.ranker));
   AppendKeyString(&line_, "sampler", SamplerKindName(config.sampler));
   AppendKeyString(&line_, "update", UpdateKindName(config.update));
@@ -96,20 +96,14 @@ void PipelineRecorder::BeginRun(const PipelineConfig& config,
   WriteLedgerLine();
 }
 
-void PipelineRecorder::RecordIteration(IterationRecord record) {
-  record.index = iterations_++;
-  useful_total_ += record.useful ? 1 : 0;
-  record.useful_total = useful_total_;
-  record.useful_rate = static_cast<double>(useful_total_) /
-                       static_cast<double>(record.index + 1);
+void PipelineRecorder::RecordIteration(const IterationRecord& record) {
+  ++iterations_;
   if (ledger_ == nullptr) return;
   line_ = "{\"type\":\"iter\"";
-  AppendKeyUint(&line_, "i", record.index + 1);
+  AppendKeyUint(&line_, "i", iterations_);
   AppendKeyUint(&line_, "doc", record.doc);
   AppendKeyString(&line_, "phase", IterationPhaseName(record.phase));
   AppendKeyUint(&line_, "useful", record.useful ? 1 : 0);
-  AppendKeyUint(&line_, "useful_total", record.useful_total);
-  AppendKeyDouble(&line_, "useful_rate", record.useful_rate);
   AppendKeyDouble(&line_, "stat", record.detector_statistic);
   AppendKeyUint(&line_, "retrain", record.retrained ? 1 : 0);
   if (record.retrained) {
@@ -121,12 +115,6 @@ void PipelineRecorder::RecordIteration(IterationRecord record) {
     }
     line_.push_back(']');
   }
-  AppendKeyUint(&line_, "full_rescores", record.full_rescores);
-  AppendKeyUint(&line_, "hits", record.executor_hits);
-  AppendKeyUint(&line_, "waits", record.executor_waits);
-  AppendKeyUint(&line_, "misses", record.executor_misses);
-  AppendKeyUint(&line_, "cancelled", record.executor_cancelled);
-  AppendKeyUint(&line_, "queue", record.queue_depth);
   line_.push_back('}');
   WriteLedgerLine();
 }
@@ -134,9 +122,11 @@ void PipelineRecorder::RecordIteration(IterationRecord record) {
 void PipelineRecorder::EndRun(const PipelineResult& result) {
   if (ledger_ == nullptr) return;
   line_ = "{\"type\":\"end\"";
-  AppendKeyUint(&line_, "iterations", iterations_);
+  const auto useful = std::count(result.processed_useful.begin(),
+                                 result.processed_useful.end(), uint8_t{1});
+  AppendKeyUint(&line_, "iterations", result.processing_order.size());
   AppendKeyUint(&line_, "updates", result.NumUpdates());
-  AppendKeyUint(&line_, "useful_total", useful_total_);
+  AppendKeyUint(&line_, "useful_total", static_cast<uint64_t>(useful));
   AppendKeyDouble(&line_, "extraction_seconds", result.extraction_seconds);
   AppendKeyDouble(&line_, "extract_cpu_seconds", result.extract_cpu_seconds);
   AppendKeyDouble(&line_, "extract_wall_seconds",

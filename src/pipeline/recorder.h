@@ -1,13 +1,12 @@
 // PipelineRecorder — the pipeline flight recorder (DESIGN.md §15). Once
-// per iteration (one consumed document) the pipeline samples a full
-// IterationRecord across its collaborators — usefulness so far, the
-// detector's drift statistic and retrain decision, exact per-component
-// ‖Δw‖ at updates, the re-rank engine's scoring-pass count, executor
-// hit/wait/miss/cancel totals and speculative queue depth — and the
-// recorder writes it to a crash-safe JSONL run ledger
-// (one line per iteration, flushed per line, so a partial file is
-// parseable up to the crash point; schema in DESIGN.md §15, validated by
-// tools/report.py --validate).
+// per iteration (one consumed document) the pipeline hands it an
+// IterationRecord of that document's facts — its id, phase and usefulness,
+// the detector's drift statistic and retrain decision, and exact
+// per-component ‖Δw‖ at updates — and the recorder writes it to a
+// crash-safe JSONL run ledger (one line per iteration, flushed per line,
+// so a partial file is parseable up to the crash point; schema in
+// DESIGN.md §15, validated by tools/report.py --validate). Run totals live
+// in PipelineResult, and only the footer repeats them.
 #pragma once
 
 #include <cstdint>
@@ -33,20 +32,14 @@ inline const char* IterationPhaseName(IterationPhase phase) {
   return "?";
 }
 
-/// One iteration's telemetry. Counter-like fields are cumulative over the
-/// run (monotone non-decreasing across records — the ledger validator
-/// checks this).
+/// One iteration's facts: nothing on it is a running total or a copy of a
+/// count kept elsewhere.
 struct IterationRecord {
-  /// 0-based iteration index == position in PipelineResult's
-  /// processing_order (the ledger's "i" field is this plus 1).
-  uint64_t index = 0;
   uint32_t doc = 0;
   IterationPhase phase = IterationPhase::kMain;
   bool useful = false;
   /// True when this iteration triggered a model update (retrain + rerank).
   bool retrained = false;
-  uint64_t useful_total = 0;  // assigned by RecordIteration, like index
-  double useful_rate = 0.0;   // useful_total / (index + 1)
   /// UpdateDetector::LastStatistic() after observing this document.
   double detector_statistic = 0.0;
   /// ‖Δw‖₂ of the model across this iteration's update (0 unless
@@ -54,14 +47,6 @@ struct IterationRecord {
   /// (RSVM-IE: one entry; BAgg-IE: one per committee member).
   double weight_delta_norm = 0.0;
   std::vector<double> component_delta_norms;
-  uint64_t full_rescores = 0;   // cumulative RerankStats
-  uint64_t executor_hits = 0;   // cumulative ExtractExecutorStats
-  uint64_t executor_waits = 0;
-  uint64_t executor_misses = 0;
-  uint64_t executor_cancelled = 0;
-  /// Speculative tasks queued behind the frontier right now (not
-  /// cumulative).
-  uint64_t queue_depth = 0;
 };
 
 struct PipelineConfig;  // pipeline/pipeline.h
@@ -84,15 +69,14 @@ class PipelineRecorder {
   /// distinct pool documents). Call once, before any iteration.
   void BeginRun(const PipelineConfig& config, size_t pool_size);
 
-  /// Appends one iteration. `record.index`, `useful_total` and
-  /// `useful_rate` are assigned here (call order defines the iteration
-  /// order); the ledger line is flushed before returning, so it survives a
-  /// crash of the very next iteration.
-  void RecordIteration(IterationRecord record);
+  /// Appends one iteration, numbered by call order; the ledger line is
+  /// flushed before returning, so it survives a crash of the very next
+  /// iteration.
+  void RecordIteration(const IterationRecord& record);
 
-  /// Writes the ledger footer line (the run's totals) and closes the file.
-  /// A ledger without a footer is a crashed (truncated) run — still
-  /// parseable, flagged by the validator.
+  /// Writes the ledger footer line (the run's totals, read from `result`)
+  /// and closes the file. A ledger without a footer is a crashed
+  /// (truncated) run — still parseable, flagged by the validator.
   void EndRun(const PipelineResult& result);
 
   /// Iterations recorded so far.
@@ -103,7 +87,6 @@ class PipelineRecorder {
 
   const std::string ledger_path_;
   uint64_t iterations_ = 0;
-  uint64_t useful_total_ = 0;
   std::FILE* ledger_ = nullptr;
   std::string line_;  // reused per-line buffer
 };

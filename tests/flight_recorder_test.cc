@@ -38,20 +38,21 @@ TEST(PipelineRecorderTest, LedgerHasHeaderIterAndFooterLines) {
   ASSERT_TRUE(recorder.active());
 
   recorder.BeginRun(PipelineConfig{}, /*pool_size=*/10);
+  PipelineResult result;
   for (int i = 0; i < 10; ++i) {
     IterationRecord record;
     record.doc = static_cast<uint32_t>(i);
     record.useful = i % 2 == 0;
-    record.executor_misses = static_cast<uint64_t>(i + 1);
     if (i == 3) {
       record.retrained = true;
       record.weight_delta_norm = 0.25;
       record.component_delta_norms = {0.25};
     }
     recorder.RecordIteration(record);
+    result.processing_order.push_back(record.doc);
+    result.processed_useful.push_back(record.useful ? 1 : 0);
   }
   EXPECT_EQ(recorder.iterations(), 10u);
-  PipelineResult result;
   result.update_positions = {4};
   recorder.EndRun(result);
 
@@ -63,13 +64,15 @@ TEST(PipelineRecorderTest, LedgerHasHeaderIterAndFooterLines) {
   for (std::string line; std::getline(stream, line);) lines.push_back(line);
   ASSERT_EQ(lines.size(), 12u);  // header + 10 iters + footer
   EXPECT_NE(lines.front().find("\"type\":\"header\""), std::string::npos);
-  EXPECT_NE(lines.front().find("\"schema\":3"), std::string::npos);
+  EXPECT_NE(lines.front().find("\"schema\":4"), std::string::npos);
   EXPECT_NE(lines.front().find("\"ranker\":\"RSVM-IE\""), std::string::npos);
   EXPECT_NE(lines.front().find("\"pool_size\":10"), std::string::npos);
   EXPECT_NE(lines[1].find("\"type\":\"iter\""), std::string::npos);
-  EXPECT_NE(lines[1].find("\"i\":1"), std::string::npos);
-  // The recorder tallies usefulness itself: documents 0, 2, ... are useful.
-  EXPECT_NE(lines[3].find("\"useful_total\":2"), std::string::npos);
+  // An iter line carries the document's facts and no running totals.
+  EXPECT_EQ(lines[1],
+            "{\"type\":\"iter\",\"i\":1,\"doc\":0,\"phase\":\"main\","
+            "\"useful\":1,\"stat\":0,\"retrain\":0}");
+  EXPECT_NE(lines[2].find("\"useful\":0"), std::string::npos);
   // dw/dw_c appear exactly on the retrained iteration.
   EXPECT_NE(lines[4].find("\"retrain\":1"), std::string::npos);
   EXPECT_NE(lines[4].find("\"dw\":"), std::string::npos);
@@ -78,6 +81,8 @@ TEST(PipelineRecorderTest, LedgerHasHeaderIterAndFooterLines) {
   EXPECT_NE(lines.back().find("\"type\":\"end\""), std::string::npos);
   EXPECT_NE(lines.back().find("\"iterations\":10"), std::string::npos);
   EXPECT_NE(lines.back().find("\"updates\":1"), std::string::npos);
+  // The footer's totals come from the result: documents 0, 2, ... are
+  // useful.
   EXPECT_NE(lines.back().find("\"useful_total\":5"), std::string::npos);
 }
 
@@ -142,29 +147,19 @@ TEST(FlightRecorderPipelineTest, RecordsLedgerWithoutChangingRun) {
   EXPECT_NE(lines.front().find("\"ranker\":\"RSVM-IE\""), std::string::npos);
   EXPECT_NE(lines.back().find("\"type\":\"end\""), std::string::npos);
 
-  // Per-line invariants: strict numbering, cumulative counters monotone,
-  // executor identity hits + waits + misses == i, the useful rate, and
-  // ‖Δw‖ exactly on the retrain lines (RSVM-IE: one component, == dw).
-  const char* cumulative[] = {"useful_total", "full_rescores", "hits",
-                              "waits",        "misses",        "cancelled"};
+  // Per-line facts: strict numbering, the document and its usefulness as
+  // the result lists them, and ‖Δw‖ exactly on the retrain lines (RSVM-IE:
+  // one component, == dw).
   size_t retrain_lines = 0;
   for (size_t n = 1; n + 1 < lines.size(); ++n) {
     const std::string& line = lines[n];
     SCOPED_TRACE(line);
     ASSERT_NE(line.find("\"type\":\"iter\""), std::string::npos);
-    const double i = LedgerNumber(line, "i");
-    EXPECT_EQ(i, static_cast<double>(n));
-    if (n > 1) {
-      for (const char* key : cumulative) {
-        EXPECT_LE(LedgerNumber(lines[n - 1], key), LedgerNumber(line, key))
-            << key;
-      }
-    }
-    EXPECT_EQ(LedgerNumber(line, "hits") + LedgerNumber(line, "waits") +
-                  LedgerNumber(line, "misses"),
-              i);
-    EXPECT_NEAR(LedgerNumber(line, "useful_rate"),
-                LedgerNumber(line, "useful_total") / i, 1e-12);
+    EXPECT_EQ(LedgerNumber(line, "i"), static_cast<double>(n));
+    EXPECT_EQ(LedgerNumber(line, "doc"),
+              static_cast<double>(recorded.processing_order[n - 1]));
+    EXPECT_EQ(LedgerNumber(line, "useful"),
+              static_cast<double>(recorded.processed_useful[n - 1]));
     const double dw = LedgerNumber(line, "dw");
     const std::vector<double> dw_c = LedgerComponentNorms(line);
     if (LedgerNumber(line, "retrain") == 1.0) {

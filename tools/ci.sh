@@ -16,6 +16,9 @@ step() { echo; echo "━━━ $* ━━━"; }
 step "lint self-test (tools/lint_test.py)"
 python3 tools/lint_test.py
 
+step "ledger validator self-test (tools/report_test.py)"
+python3 tools/report_test.py
+
 step "lint (tools/lint.py)"
 python3 tools/lint.py
 
@@ -155,11 +158,12 @@ python3 tools/check_trace.py build-default/trace_extract.json \
     --ledger build-default/ledger_extract.jsonl
 
 step "flight-recorder ledger validation (tools/report.py)"
-# The run ledger must satisfy the schema invariants (strict numbering,
-# monotone cumulative counters, executor identity, phase ordering, footer
-# consistency) — and so must a byte-truncated copy, proving the crash-safe
-# append-per-line property actually yields parseable partial files. The
-# report/diff renderers must run clean on real data.
+# The run ledger must satisfy the schema invariants (exact per-line keys,
+# strict numbering, phase ordering, 0/1 flags, dw/dw_c on retrain lines
+# only, footer totals equal to the lines' counts) — and so must a
+# byte-truncated copy, proving the crash-safe append-per-line property
+# actually yields parseable partial files. The report/diff renderers must
+# run clean on real data.
 python3 tools/report.py --validate build-default/ledger_extract.jsonl
 head -c 2048 build-default/ledger_extract.jsonl \
     > build-default/ledger_truncated.jsonl

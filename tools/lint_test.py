@@ -278,9 +278,20 @@ class UnorderedIterationTest(LintTestBase):
         self.assertEqual(rules_for("src/k.cc", text), [])
 
     def test_foreach_on_untracked_name_not_flagged(self):
-        text = ("OrderedVisitor visitor;\n"
-                "void f() { visitor.ForEach([](int k) { Use(k); }); }\n")
-        self.assertEqual(rules_for("src/o.cc", text), [])
+        # `counts` is tracked, so the rule runs on this file; only the name
+        # tracking decides whether an iteration over `visitor` is flagged.
+        tracked = "std::unordered_map<int, double> counts;\n"
+        for use in ("void f() { for (int k : visitor) Use(k); }\n",
+                    "void f() { auto it = visitor.begin(); }\n"):
+            self.assertEqual(
+                rules_for("src/o.cc",
+                          tracked + "OrderedVisitor visitor;\n" + use),
+                [], msg=use)
+            self.assertIn(
+                "unordered-iteration",
+                rules_for("src/o.cc", tracked +
+                          "std::unordered_map<int, int> visitor;\n" + use),
+                msg=use)
 
 
 class PointerKeyTest(LintTestBase):

@@ -4,9 +4,13 @@
 The pipeline's flight recorder (src/pipeline/recorder.cc, DESIGN.md §15)
 writes one JSON object per line:
 
-  {"type":"header","schema":3, ...run metadata...}
-  {"type":"iter","i":1, ...one iteration...}          x N, flushed per line
+  {"type":"header","schema":4, ...run metadata...}
+  {"type":"iter","i":1, ...one document's facts...}   x N, flushed per line
   {"type":"end", ...run totals...}                    absent if crashed
+
+An iter line carries i, doc, phase, useful, stat and retrain, plus dw and
+dw_c on retrain lines, and nothing else: running totals (useful so far,
+the useful rate) are sums over the useful column, computed here.
 
 Because every line is flushed before the next iteration runs, a crashed
 run's ledger is parseable up to the crash point: a missing footer (or a
@@ -27,10 +31,15 @@ import json
 import math
 import sys
 
+SCHEMA = 4
 PHASES = ("warmup", "main", "tail")
-# Cumulative iteration counters: monotone non-decreasing across the run.
-CUMULATIVE = ("useful_total", "full_rescores", "hits", "waits", "misses",
-              "cancelled")
+ITER_KEYS = ("i", "doc", "phase", "useful", "stat", "retrain")
+UPDATE_KEYS = ("dw", "dw_c")  # on retrain lines only
+
+
+def is_flag(value):
+    """True for the JSON integers 0 and 1 only (not true/false or 1.0)."""
+    return type(value) is int and value in (0, 1)
 
 
 class Ledger:
@@ -102,44 +111,48 @@ def validate(path):
     """Returns a list of findings for one ledger file.
 
     Invariants (beyond parseability):
-      header      schema == 3, present before any iteration
+      header      schema == 4, present before any iteration
+      fields      exactly ITER_KEYS, plus UPDATE_KEYS on retrain lines
       numbering   iter "i" strictly 1,2,3,... (the recorder assigns them)
-      executor    hits + waits + misses == i (exactly one Take per doc)
-      cumulative  monotone non-decreasing counters (CUMULATIVE)
-      usefulness  useful in {0,1}; useful_total increments by useful;
-                  useful_rate == useful_total / i (within 1e-9)
       phases      only warmup|main|tail, transitions only forward
-      retrain     retrain in {0,1}; dw/dw_c present iff retrain
-      footer      when present: iterations == last i, updates == number of
-                  retrain=1 iterations, useful_total matches; missing
-                  footer = truncated run (warning, not a finding)
+      flags       useful and retrain in {0,1}
+      retrain     dw/dw_c present iff retrain == 1
+      footer      when present: iterations == number of iter lines,
+                  updates == number of retrain=1 lines, useful_total ==
+                  sum of useful; missing footer = truncated run (warning,
+                  not a finding)
     """
     findings = []
     ledger = parse_ledger(path, findings)
     if ledger.header is None:
         findings.append("%s: missing header line" % path)
-    elif ledger.header.get("schema") != 3:
+    elif ledger.header.get("schema") != SCHEMA:
         findings.append("%s: unsupported schema %r" %
                         (path, ledger.header.get("schema")))
 
     prev = None
     phase_rank = {name: rank for rank, name in enumerate(PHASES)}
     retrain_count = 0
+    useful_total = 0
     for obj in ledger.iters:
         i = obj.get("i")
         where = "%s: iter i=%r" % (path, i)
         expect = 1 if prev is None else prev["i"] + 1
-        if i != expect:
+        if type(i) is not int or i != expect:
             findings.append("%s: expected i=%d" % (where, expect))
-            # Renumber locally so one gap doesn't cascade into N findings.
-            obj = dict(obj, i=expect)
-            i = expect
+            # Number the next line from this one, so one gap is one
+            # finding; a non-integer "i" takes the expected place.
+            if type(i) is not int:
+                obj = dict(obj, i=expect)
 
-        for key in ("doc", "phase", "useful", "useful_total", "useful_rate",
-                    "stat", "retrain", "full_rescores", "hits", "waits",
-                    "misses", "cancelled", "queue"):
+        for key in ITER_KEYS:
             if key not in obj:
                 findings.append("%s: missing field %r" % (where, key))
+        extra = sorted(set(obj) - {"type"} - set(ITER_KEYS) -
+                       set(UPDATE_KEYS))
+        if extra:
+            findings.append("%s: unexpected field(s) %s" %
+                            (where, ", ".join(extra)))
         phase = obj.get("phase")
         if phase not in phase_rank:
             findings.append("%s: bad phase %r" % (where, phase))
@@ -149,39 +162,19 @@ def validate(path):
                             (where, phase, prev["phase"]))
 
         useful = obj.get("useful")
-        if useful not in (0, 1):
+        if not is_flag(useful):
             findings.append("%s: useful %r not 0/1" % (where, useful))
-        total = obj.get("useful_total")
-        prev_total = prev["useful_total"] if prev else 0
-        if isinstance(total, int) and useful in (0, 1) and \
-                isinstance(prev_total, int) and total != prev_total + useful:
-            findings.append("%s: useful_total %d != %d + useful %d" %
-                            (where, total, prev_total, useful))
-        rate = obj.get("useful_rate")
-        if isinstance(total, int) and isinstance(rate, (int, float)) and \
-                abs(rate - total / i) > 1e-9:
-            findings.append("%s: useful_rate %r != %d/%d" %
-                            (where, rate, total, i))
-
-        consumed = sum(obj.get(k, 0) for k in ("hits", "waits", "misses"))
-        if consumed != i:
-            findings.append("%s: hits+waits+misses %d != i" %
-                            (where, consumed))
-        for key in CUMULATIVE:
-            now, before = obj.get(key), (prev or {}).get(key, 0)
-            if isinstance(now, int) and isinstance(before, int) and \
-                    now < before:
-                findings.append("%s: cumulative %r decreased %d -> %d" %
-                                (where, key, before, now))
+        else:
+            useful_total += useful
 
         retrain = obj.get("retrain")
-        if retrain not in (0, 1):
+        if not is_flag(retrain):
             findings.append("%s: retrain %r not 0/1" % (where, retrain))
         elif retrain == 1:
             retrain_count += 1
-            if "dw" not in obj or "dw_c" not in obj:
+            if any(key not in obj for key in UPDATE_KEYS):
                 findings.append("%s: retrain without dw/dw_c" % where)
-        elif "dw" in obj or "dw_c" in obj:
+        elif any(key in obj for key in UPDATE_KEYS):
             findings.append("%s: dw/dw_c without retrain" % where)
         prev = obj
 
@@ -189,18 +182,13 @@ def validate(path):
         print("%s: no footer — truncated run (%d iteration(s) recovered)" %
               (path, len(ledger.iters)), file=sys.stderr)
     else:
-        last_i = prev["i"] if prev else 0
-        for key, expect in (("iterations", last_i),
-                            ("updates", retrain_count)):
+        for key, expect in (("iterations", len(ledger.iters)),
+                            ("updates", retrain_count),
+                            ("useful_total", useful_total)):
             got = ledger.end.get(key)
             if got != expect:
                 findings.append("%s: footer %s=%r but ledger shows %d" %
                                 (path, key, got, expect))
-        if prev is not None and \
-                ledger.end.get("useful_total") != prev.get("useful_total"):
-            findings.append("%s: footer useful_total %r != last iter %r" %
-                            (path, ledger.end.get("useful_total"),
-                             prev.get("useful_total")))
     return findings
 
 
@@ -231,6 +219,15 @@ def sparkline(values, width):
     return "".join(out)
 
 
+def useful_rates(iters):
+    """The running useful rate after each iteration: useful so far / i."""
+    rates, total = [], 0
+    for n, obj in enumerate(iters, start=1):
+        total += obj.get("useful", 0)
+        rates.append(total / n)
+    return rates
+
+
 def summarize(ledger):
     """Returns a flat dict of headline numbers for report/diff."""
     info = dict(ledger.header or {})
@@ -239,16 +236,9 @@ def summarize(ledger):
     out = {"iterations": len(iters)}
     out.update(("cfg.%s" % k, v) for k, v in sorted(info.items()))
     if iters:
-        last = iters[-1]
-        out["useful_total"] = last.get("useful_total", 0)
-        out["useful_rate"] = last.get("useful_rate", 0.0)
+        out["useful_total"] = sum(o.get("useful", 0) for o in iters)
+        out["useful_rate"] = out["useful_total"] / len(iters)
         out["updates"] = sum(o.get("retrain", 0) for o in iters)
-        out["full_rescores"] = last.get("full_rescores", 0)
-        out["executor_hits"] = last.get("hits", 0)
-        out["executor_waits"] = last.get("waits", 0)
-        out["executor_misses"] = last.get("misses", 0)
-        out["executor_cancelled"] = last.get("cancelled", 0)
-        out["peak_queue_depth"] = max(o.get("queue", 0) for o in iters)
         for phase in PHASES:
             n = sum(1 for o in iters if o.get("phase") == phase)
             if n:
@@ -276,7 +266,7 @@ def report(path):
     iters = ledger.iters
     if iters:
         width = min(64, max(8, len(iters)))
-        rates = [o.get("useful_rate", 0.0) for o in iters]
+        rates = useful_rates(iters)
         stats = [o.get("stat", 0.0) for o in iters]
         print("  useful_rate curve        |%s| %s -> %s" %
               (sparkline(rates, width), fmt(rates[0]), fmt(rates[-1])))
