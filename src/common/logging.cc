@@ -1,50 +1,20 @@
 #include "common/logging.h"
 
-#include <atomic>
-#include <chrono>
-#include <cstdio>
-
 namespace ie {
-
-namespace {
-std::atomic<LogLevel> g_level{LogLevel::kInfo};
-
-const char* LevelName(LogLevel level) {
-  switch (level) {
-    case LogLevel::kDebug:
-      return "DEBUG";
-    case LogLevel::kInfo:
-      return "INFO";
-    case LogLevel::kWarn:
-      return "WARN";
-    case LogLevel::kError:
-      return "ERROR";
-  }
-  return "?";
-}
-}  // namespace
-
-LogLevel GetLogLevel() { return g_level.load(std::memory_order_relaxed); }
-void SetLogLevel(LogLevel level) {
-  g_level.store(level, std::memory_order_relaxed);
-}
-
 namespace internal {
 
-LogMessage::LogMessage(LogLevel level, const char* file, int line)
-    : level_(level) {
+LogMessage::LogMessage(LogLevel level, const char* file, int line) {
   const char* base = file;
   for (const char* p = file; *p; ++p) {
     if (*p == '/') base = p + 1;
   }
-  stream_ << "[" << LevelName(level) << " " << base << ":" << line << "] ";
+  stream_ << "[" << (level == LogLevel::kWarn ? "WARN" : "ERROR") << " "
+          << base << ":" << line << "] ";
 }
 
 LogMessage::~LogMessage() {
-  if (level_ >= GetLogLevel()) {
-    stream_ << "\n";
-    std::cerr << stream_.str();
-  }
+  stream_ << "\n";
+  std::cerr << stream_.str();
 }
 
 FatalLogMessage::~FatalLogMessage() {

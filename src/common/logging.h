@@ -1,14 +1,11 @@
-// Minimal leveled logging to stderr. Benchmarks and the pipeline use INFO
-// for progress; tests typically run at WARN.
+// Minimal logging to stderr. Every product message is a warning, and a
+// failed IE_CHECK prints an error before aborting; there is no level to
+// set, so every message prints.
 //
-// Thread safety: the global level is an atomic (relaxed loads/stores), so
-// Get/SetLogLevel may race freely — executor workers log concurrently with
-// the main loop, and a worker may observe a level change slightly late,
-// never a torn value. Each message is buffered whole in its LogMessage and
-// written to std::cerr in one call; interleaving between concurrent
-// messages happens only at whole-message granularity on glibc
-// (POSIX-locked FILE streams). Pinned by ObservabilityTest
-// ConcurrentLogLevelAndLogging under the tsan preset.
+// Thread safety: logging holds no shared state. Each message is buffered
+// whole in its LogMessage and written to std::cerr in one call;
+// interleaving between concurrent messages happens only at whole-message
+// granularity on glibc (POSIX-locked FILE streams).
 //
 // In the static thread-safety model (DESIGN.md §11) logging is therefore
 // the one concurrent component with no capability at all: it owns no
@@ -23,15 +20,11 @@
 
 namespace ie {
 
-enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
-
-/// Global minimum level; messages below it are dropped. Atomic: safe to
-/// call from any thread at any time (see the thread-safety note above).
-LogLevel GetLogLevel();
-void SetLogLevel(LogLevel level);
+enum class LogLevel { kWarn, kError };
 
 namespace internal {
 
+/// Prints `[<LEVEL> <file basename>:<line>] <message>` on destruction.
 class LogMessage {
  public:
   LogMessage(LogLevel level, const char* file, int line);
@@ -40,11 +33,10 @@ class LogMessage {
   std::ostringstream& stream() { return stream_; }
 
  private:
-  LogLevel level_;
   std::ostringstream stream_;
 };
 
-/// Swallows the streamed expression when the level is disabled.
+/// Swallows the streamed expression when the check holds.
 struct LogVoidify {
   void operator&(std::ostream&) {}
 };
@@ -61,15 +53,9 @@ class FatalLogMessage : public LogMessage {
 }  // namespace internal
 }  // namespace ie
 
-#define IE_LOG_ENABLED(level) (::ie::LogLevel::level >= ::ie::GetLogLevel())
-
-#define IE_LOG(level)                             \
-  !IE_LOG_ENABLED(level)                          \
-      ? (void)0                                   \
-      : ::ie::internal::LogVoidify() &            \
-            ::ie::internal::LogMessage(           \
-                ::ie::LogLevel::level, __FILE__, __LINE__) \
-                .stream()
+#define IE_LOG(level)                                                     \
+  ::ie::internal::LogMessage(::ie::LogLevel::level, __FILE__, __LINE__) \
+      .stream()
 
 #define IE_CHECK(cond)                                               \
   (cond) ? (void)0                                                   \

@@ -31,7 +31,6 @@
 #define SCOPED_CAPABILITY IE_THREAD_ANNOTATION(scoped_lockable)
 
 #define GUARDED_BY(x) IE_THREAD_ANNOTATION(guarded_by(x))
-#define PT_GUARDED_BY(x) IE_THREAD_ANNOTATION(pt_guarded_by(x))
 
 #define ACQUIRED_BEFORE(...) IE_THREAD_ANNOTATION(acquired_before(__VA_ARGS__))
 #define ACQUIRED_AFTER(...) IE_THREAD_ANNOTATION(acquired_after(__VA_ARGS__))
@@ -42,10 +41,6 @@
 #define RELEASE(...) IE_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
 
 #define EXCLUDES(...) IE_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
-
-#define ASSERT_CAPABILITY(x) IE_THREAD_ANNOTATION(assert_capability(x))
-
-#define RETURN_CAPABILITY(x) IE_THREAD_ANNOTATION(lock_returned(x))
 
 // Escape hatch. Policy (enforced by review + DESIGN.md §11): zero uses in
 // src/ outside documented double-checked-locking sites — and as of this

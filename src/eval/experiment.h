@@ -8,11 +8,6 @@
 #include <string>
 #include <vector>
 
-// ARCH: layering (PipelineResult is the pipeline's passive output record;
-// eval only consumes finished results — no behavioral dependency on the
-// pipeline layer. The record stays next to the loop that fills it because
-// it embeds recorder types; revisit when the serving layer splits result
-// schemas.)
 #include "pipeline/result.h"
 
 namespace ie {

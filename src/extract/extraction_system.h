@@ -33,11 +33,9 @@ class ExtractionSystem {
   /// the speculative extraction executor run it on worker threads.
   std::vector<ExtractedTuple> Process(const Document& doc) const;
 
-  const RelationSpec& spec() const { return spec_; }
   const RelationExtractor& relation_extractor() const {
     return *relation_extractor_;
   }
-  size_t num_recognizers() const { return recognizers_.size(); }
 
  private:
   RelationSpec spec_;

@@ -71,6 +71,7 @@ class FactCrawl {
 
   size_t NumQueries() const { return queries_.size(); }
 
+ private:
   struct QueryStats {
     std::string term;
     QueryMethod method;
@@ -79,9 +80,7 @@ class FactCrawl {
     size_t processed_useful = 0;
     size_t processed_total = 0;
   };
-  const std::vector<QueryStats>& queries() const { return queries_; }
 
- private:
   double FBeta(const QueryStats& q, double total_useful_estimate) const;
   void AddQuery(const std::string& term, QueryMethod method);
   void RetrieveSetFor(size_t query_index);

@@ -74,8 +74,8 @@ std::vector<std::string> LearnQueries(
   size_t n_pos = 0;
   for (const LabeledExample& ex : sample) {
     if (ex.label > 0) ++n_pos;
-    for (const auto& [id, value] : ex.features) {
-      (void)value;
+    for (size_t i = 0; i < ex.features.size(); ++i) {
+      const uint32_t id = ex.features.id(i);
       df_all[id] += 1.0;
       if (ex.label > 0) df_pos[id] += 1.0;
     }

@@ -5,13 +5,11 @@
 // SparseVector uses a structure-of-arrays layout (DESIGN.md §14): one
 // contiguous sorted uint32 id array plus a parallel float value array.
 // The scoring kernels (sparse_kernels.h) stream the id array a cache line
-// at a time; iteration stays source-compatible through a proxy iterator
-// that materializes (id, value) pairs on the fly.
+// at a time; callers index id(i) / value(i).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <iterator>
 #include <utility>
 #include <vector>
 
@@ -22,46 +20,6 @@ namespace ie {
 class SparseVector {
  public:
   using Entry = std::pair<uint32_t, float>;
-
-  /// Proxy iterator yielding Entry pairs by value, so range-for loops and
-  /// structured bindings over a SparseVector look exactly like iteration
-  /// over the old vector<Entry> layout.
-  class ConstIterator {
-   public:
-    using iterator_category = std::input_iterator_tag;
-    using value_type = Entry;
-    using difference_type = std::ptrdiff_t;
-    using pointer = const Entry*;
-    using reference = Entry;
-
-    ConstIterator(const uint32_t* id, const float* value)
-        : id_(id), value_(value) {}
-
-    Entry operator*() const { return {*id_, *value_}; }
-
-    // Arrow proxy so `it->first` keeps working on the by-value Entry.
-    struct ArrowProxy {
-      Entry entry;
-      const Entry* operator->() const { return &entry; }
-    };
-    ArrowProxy operator->() const { return {{*id_, *value_}}; }
-
-    ConstIterator& operator++() {
-      ++id_;
-      ++value_;
-      return *this;
-    }
-    bool operator==(const ConstIterator& other) const {
-      return id_ == other.id_;
-    }
-    bool operator!=(const ConstIterator& other) const {
-      return id_ != other.id_;
-    }
-
-   private:
-    const uint32_t* id_;
-    const float* value_;
-  };
 
   SparseVector() = default;
 
@@ -82,14 +40,6 @@ class SparseVector {
   const float* values() const { return vals_.data(); }
   uint32_t id(size_t i) const { return ids_[i]; }
   float value(size_t i) const { return vals_[i]; }
-
-  ConstIterator begin() const {
-    return ConstIterator(ids_.data(), vals_.data());
-  }
-  ConstIterator end() const {
-    return ConstIterator(ids_.data() + ids_.size(),
-                         vals_.data() + vals_.size());
-  }
 
   /// Value at feature id (0 if absent). O(log n).
   float Get(uint32_t id) const;

@@ -100,8 +100,6 @@ class TopKDetector : public UpdateDetector {
                const DocumentRanker& ranker) override;
   std::string name() const override { return "Top-K"; }
 
-  /// Last computed footrule distance (introspection for tests/benches).
-  double last_distance() const { return last_distance_; }
   double LastStatistic() const override { return last_distance_; }
 
  private:
@@ -135,7 +133,6 @@ class ModCDetector : public UpdateDetector {
                const DocumentRanker& ranker) override;
   std::string name() const override { return "Mod-C"; }
 
-  double last_angle_degrees() const { return last_angle_; }
   double LastStatistic() const override { return last_angle_; }
 
  private:
@@ -177,7 +174,6 @@ class FeatSDetector : public UpdateDetector {
                const DocumentRanker& ranker) override;
   std::string name() const override { return "Feat-S"; }
 
-  double last_shift() const { return last_shift_; }
   double LastStatistic() const override { return last_shift_; }
 
  private:

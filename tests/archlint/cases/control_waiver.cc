@@ -2,11 +2,11 @@
 // layering waiver covers an up-include, the const-escape waiver a
 // documented synchronized interior; both reasons wrap across comment
 // lines, which the waiver scanner must tolerate. Must lint clean.
-// archlint: module=eval
+// archlint: module=ranking
 #include "common/status.h"
 // ARCH: layering (corpus control: consuming the pipeline's passive
-// output record only — mirrors eval/experiment.h, no behavioral
-// dependency on the layer above)
+// output record only, no behavioral dependency on the module that links
+// this one)
 #include "pipeline/result.h"
 
 struct Accumulator {

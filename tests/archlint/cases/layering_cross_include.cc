@@ -1,7 +1,6 @@
-// Violation: a learn-layer file including a sibling mid-layer module it
-// has no declared edge to. extract → learn is a declared intra-layer
-// edge; the reverse direction is not, so learn including extract is a
-// layering violation even though both sit in the same layer.
+// Violation: a learn-module file including a module its library does not
+// link. ie_extract links ie_learn; ie_learn does not link ie_extract, so
+// learn including extract is a layering violation.
 // archlint: module=learn
 #include "extract/extraction_system.h"
 

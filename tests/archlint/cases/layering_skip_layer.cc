@@ -1,6 +1,6 @@
-// Violation: a text-layer file reaching up past its own layer into
-// corpus. The DAG is common → text → corpus → ...; text must not know
-// about the corpus structures built on top of it.
+// Violation: a text-module file reaching up into corpus. ie_corpus links
+// ie_text, not the other way round; text must not know about the corpus
+// structures built on top of it.
 // archlint: module=text
 #include "corpus/corpus.h"
 

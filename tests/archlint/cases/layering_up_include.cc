@@ -1,6 +1,6 @@
-// Violation: a ranking-layer file reaching UP into the pipeline layer.
-// The declared DAG places ranking below pipeline; the dependency must be
-// inverted (pipeline includes ranking), not the other way around.
+// Violation: a ranking-module file reaching UP into pipeline. ie_pipeline
+// links ie_ranking, so the dependency must be inverted (pipeline includes
+// ranking), not the other way around.
 // archlint: module=ranking
 #include "pipeline/rerank_engine.h"
 

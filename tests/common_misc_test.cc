@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -210,14 +211,15 @@ TEST(ParallelForEdgeTest, FirstExceptionByWorkerOrderWins) {
 
 // ---- logging -----------------------------------------------------------
 
-TEST(LoggingTest, LevelGate) {
-  const LogLevel old_level = GetLogLevel();
-  SetLogLevel(LogLevel::kError);
-  EXPECT_FALSE(IE_LOG_ENABLED(kInfo));
-  EXPECT_TRUE(IE_LOG_ENABLED(kError));
-  SetLogLevel(LogLevel::kDebug);
-  EXPECT_TRUE(IE_LOG_ENABLED(kInfo));
-  SetLogLevel(old_level);
+TEST(LoggingTest, WarningCarriesLevelFileAndLinePrefix) {
+  std::ostringstream captured;
+  std::streambuf* const saved = std::cerr.rdbuf(captured.rdbuf());
+  const int line = __LINE__ + 1;
+  IE_LOG(kWarn) << "ledger " << 3 << " unwritable";
+  std::cerr.rdbuf(saved);
+  EXPECT_EQ(captured.str(), "[WARN common_misc_test.cc:" +
+                                std::to_string(line) +
+                                "] ledger 3 unwritable\n");
 }
 
 TEST(LoggingTest, CheckPassesOnTrue) {

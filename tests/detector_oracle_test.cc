@@ -76,8 +76,8 @@ size_t RunTopKLockstep(const std::vector<LabeledExample>& stream, int passes,
       const bool fired = product.Observe(ex.features, ex.label > 0, ranker);
       EXPECT_EQ(fired, oracle.Observe(ex.features, ex.label > 0))
           << "check " << checks;
-      EXPECT_TRUE(BitEqual(product.last_distance(), oracle.last_distance()))
-          << "check " << checks << ": " << product.last_distance() << " vs "
+      EXPECT_TRUE(BitEqual(product.LastStatistic(), oracle.last_distance()))
+          << "check " << checks << ": " << product.LastStatistic() << " vs "
           << oracle.last_distance();
       if (side.Update(ex.features, ex.label)) {
         index.Rekey(side.learner(), ex.features);
@@ -612,9 +612,9 @@ size_t RunModCLockstep(RelationId relation, RankerKind kind) {
       const bool fired = product.Observe(ex.features, ex.label > 0, ranker);
       EXPECT_EQ(fired, oracle.Observe(ex.features, ex.label > 0))
           << "document " << docs;
-      EXPECT_TRUE(BitEqual(product.last_angle_degrees(),
+      EXPECT_TRUE(BitEqual(product.LastStatistic(),
                            oracle.last_angle_degrees()))
-          << "document " << docs << ": " << product.last_angle_degrees()
+          << "document " << docs << ": " << product.LastStatistic()
           << " vs " << oracle.last_angle_degrees();
       if (::testing::Test::HasFailure()) return triggers;
       ++docs;

@@ -234,8 +234,8 @@ TEST(ExtractExecutorTest, PropagatesWorkFunctionExceptions) {
 
 TEST(ExtractExecutorStress, RandomizedPrefetchTakeCancel) {
   // TSan-focused stress: hammer the prefetch/take/cancel surface from the
-  // consumer while workers race on the cache. run_sanitized_tests.sh
-  // repeats this suite under the tsan preset.
+  // consumer while workers race on the cache. `tools/ci.sh test tsan`
+  // repeats this suite.
   ExtractExecutorOptions options;
   options.threads = 8;
   options.prefetch_window = 32;

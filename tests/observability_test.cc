@@ -2,7 +2,7 @@
 // instrument semantics, snapshot determinism and deltas, Chrome-trace
 // export invariants, pipeline integration, and a multi-threaded stress
 // surface (ObservabilityStress.*) re-spun under the tsan preset by
-// tools/run_sanitized_tests.sh.
+// `tools/ci.sh test tsan`.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,7 +13,6 @@
 #include <thread>
 #include <vector>
 
-#include "common/logging.h"
 #include "common/metrics.h"
 #include "common/trace.h"
 #include "common/work_queue.h"
@@ -298,7 +297,7 @@ TEST(PipelineObservabilityTest, RunCountersAgreeAcrossSinks) {
   std::remove(path.c_str());
 }
 
-// ---- Concurrency stress (re-spun under tsan by run_sanitized_tests.sh) --
+// ---- Concurrency stress (re-spun by `tools/ci.sh test tsan`) -----------
 
 TEST(ObservabilityStress, RegistryAndTracerFromWorkQueueWorkers) {
   const std::string path = TempPath("trace.json");
@@ -345,35 +344,6 @@ TEST(ObservabilityStress, RegistryAndTracerFromWorkQueueWorkers) {
   EXPECT_EQ(CountOccurrences(json, "\"ph\": \"B\""),
             CountOccurrences(json, "\"ph\": \"E\""));
   std::remove(path.c_str());
-}
-
-TEST(ObservabilityStress, ConcurrentLogLevelAndLogging) {
-  // Pins the documented contract in common/logging.h: Get/SetLogLevel may
-  // race freely with concurrent logging (atomic level, whole-message
-  // writes).
-  const LogLevel original = GetLogLevel();
-  std::atomic<bool> stop{false};
-  std::thread toggler([&] {
-    while (!stop.load(std::memory_order_relaxed)) {
-      SetLogLevel(LogLevel::kError);
-      SetLogLevel(LogLevel::kWarn);
-    }
-  });
-  std::vector<std::thread> loggers;
-  loggers.reserve(4);
-  for (int t = 0; t < 4; ++t) {
-    loggers.emplace_back([] {
-      for (int i = 0; i < 200; ++i) {
-        // kDebug stays below both toggled levels, so nothing prints and
-        // the suite output stays clean while the level race is exercised.
-        IE_LOG(kDebug) << "stress " << i;
-      }
-    });
-  }
-  for (std::thread& logger : loggers) logger.join();
-  stop.store(true, std::memory_order_relaxed);
-  toggler.join();
-  SetLogLevel(original);
 }
 
 }  // namespace

@@ -180,8 +180,8 @@ TEST(SparseKernelTest, WeightVectorRoutesThroughKernelsConsistently) {
     }
     const double dot = weights.Dot(x);
     double want = 0.0;
-    for (const auto& [id, value] : x) {
-      want += weights.Get(id) * static_cast<double>(value);
+    for (size_t i = 0; i < x.size(); ++i) {
+      want += weights.Get(x.id(i)) * static_cast<double>(x.value(i));
     }
     EXPECT_EQ(Bits(dot), Bits(want)) << "trial " << trial;
   }

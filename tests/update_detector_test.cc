@@ -88,7 +88,7 @@ TEST(TopKTest, ShiftTriggersMoreThanSteadyStream) {
     double max_distance = 0.0;
     for (const auto& ex : Stream(150, continuation_base, 2)) {
       detector.Observe(ex.features, ex.label > 0, *ranker);
-      max_distance = std::max(max_distance, detector.last_distance());
+      max_distance = std::max(max_distance, detector.LastStatistic());
     }
     return max_distance;
   };
@@ -111,7 +111,7 @@ TEST(TopKTest, DistributionShiftTriggers) {
     triggers += detector.Observe(ex.features, ex.label > 0, *ranker);
   }
   EXPECT_GT(triggers, 0);
-  EXPECT_GT(detector.last_distance(), 0.0);
+  EXPECT_GT(detector.LastStatistic(), 0.0);
 }
 
 // ---- Mod-C ------------------------------------------------------------
@@ -144,7 +144,7 @@ TEST(ModCTest, ShiftedStreamGrowsAngleAndTriggers) {
     triggers += detector.Observe(ex.features, ex.label > 0, *ranker);
   }
   EXPECT_GT(triggers, 0);
-  EXPECT_GT(detector.last_angle_degrees(), 0.0);
+  EXPECT_GT(detector.LastStatistic(), 0.0);
 }
 
 TEST(ModCTest, RhoZeroNeverFeedsShadow) {
@@ -184,7 +184,7 @@ TEST(FeatSTest, ShiftedDistributionTriggers) {
     triggers += detector.Observe(ex.features, ex.label > 0, *ranker);
   }
   EXPECT_GT(triggers, 0);
-  EXPECT_GT(detector.last_shift(), 0.5);
+  EXPECT_GT(detector.LastStatistic(), 0.5);
 }
 
 TEST(FeatSTest, InDistributionStreamQuiet) {
@@ -223,7 +223,7 @@ TEST(FeatSTest, MarginQuantileIsClampedIntoUnitInterval) {
     std::vector<double> out;
     for (const auto& ex : stream) {
       detector.Observe(ex.features, ex.label > 0, *ranker);
-      out.push_back(detector.last_shift());
+      out.push_back(detector.LastStatistic());
     }
     return out;
   };

@@ -51,14 +51,14 @@ output guarantee:
 Architecture rules (archlint, DESIGN.md §16) — the static side of the
 module layering and the shared-vs-session state split:
 
-  layering-violation   an `#include` that points up or across the declared
-                       module DAG (common → text → corpus → index →
-                       {extract, learn, ranking, sampling, update, eval} →
-                       pipeline → {bench, tools, tests, examples}; the
-                       middle layer's intra-layer edges are listed in
-                       INTRA_LAYER_DEPS and must themselves stay acyclic).
-                       Waive a site with `// ARCH: layering (<reason>)` —
-                       the reason is mandatory.
+  layering-violation   an `#include` of a src/ module that the including
+                       module's library does not link, directly or
+                       transitively: the module DAG is the build's link
+                       graph, read from the `target_link_libraries(ie_<m>
+                       PUBLIC ...)` lines under src/ (bench, tools, tests
+                       and examples include freely). Waive a site with
+                       `// ARCH: layering (<reason>)` — the reason is
+                       mandatory.
   cycle                any include cycle reachable from the linted files
                        (graph-level: the include-graph extractor chases
                        quoted includes transitively). Waivable on the
@@ -126,70 +126,56 @@ WAIVER_RE = re.compile(
 # ---------------------------------------------------------------------------
 # Architecture model (archlint, DESIGN.md §16).
 #
-# The declared module DAG. Layers are ordered bottom to top; a module may
-# include modules in strictly lower layers, itself, and — inside the
-# middle layer — the explicit intra-layer edges below. Everything else is
-# a layering-violation.
-MODULE_LAYERS = (
-    ("common",),
-    ("text",),
-    ("corpus",),
-    ("index",),
-    ("extract", "learn", "ranking", "sampling", "update", "eval"),
-    ("pipeline",),
-    ("bench", "tools", "tests", "examples"),
-)
-# Directed intra-layer edges within the middle layer (module -> modules it
-# may additionally include). These must form a DAG among themselves; the
-# closure is validated at import time so a bad edit fails loudly.
-INTRA_LAYER_DEPS = {
-    "extract": ("learn",),
-    "ranking": ("learn",),
-    "sampling": ("extract", "learn", "ranking"),
-    "update": ("learn", "ranking"),
-    "eval": ("extract", "learn", "ranking"),
-}
+# The module DAG is the build's link graph. The modules are the
+# add_subdirectory entries of src/CMakeLists.txt; a module may include
+# itself and every module its `target_link_libraries(ie_<m> PUBLIC ...)`
+# line in src/<m>/CMakeLists.txt links, directly or transitively.
+# Everything else is a layering-violation. The top trees include freely.
+TOP_MODULES = frozenset(("bench", "tools", "tests", "examples"))
 
-SRC_MODULES = frozenset(
-    m for layer in MODULE_LAYERS[:-1] for m in layer)
-TOP_MODULES = frozenset(MODULE_LAYERS[-1])
+SUBDIRECTORY_RE = re.compile(r"^\s*add_subdirectory\(\s*(\w+)\s*\)", re.M)
 
 
-def _build_allowed_includes():
-    """Maps module -> frozenset of modules it may #include (not counting
-    itself). Validates that INTRA_LAYER_DEPS stays within one layer and is
-    acyclic."""
-    layer_of = {}
-    for rank, layer in enumerate(MODULE_LAYERS):
-        for module in layer:
-            layer_of[module] = rank
-    for module, deps in INTRA_LAYER_DEPS.items():
-        for dep in deps:
-            if layer_of[dep] != layer_of[module]:
-                raise AssertionError(
-                    f"INTRA_LAYER_DEPS: {module} -> {dep} crosses layers")
-    # Transitive closure of the intra-layer edges, with cycle detection.
+def read_module_graph(src_dir):
+    """Maps each module under src_dir to the frozenset of modules it may
+    #include (not counting itself): the closure of its ie_* link edges.
+    Raises AssertionError on a module without a readable link line, an
+    edge to a target that is not a module, or a link cycle."""
+    def read(path):
+        with open(path, encoding="utf-8") as f:
+            return f.read()
+
+    links = {}
+    for module in SUBDIRECTORY_RE.findall(
+            read(os.path.join(src_dir, "CMakeLists.txt"))):
+        path = os.path.join(src_dir, module, "CMakeLists.txt")
+        m = re.search(r"target_link_libraries\(\s*ie_%s\s+PUBLIC\b([^)]*)"
+                      % module, read(path))
+        if m is None:
+            raise AssertionError(
+                f"{path}: no target_link_libraries(ie_{module} PUBLIC ...)")
+        links[module] = re.findall(r"\bie_(\w+)", m.group(1))
     closure = {}
 
     def close(module, trail):
-        if module in closure:
-            return closure[module]
         if module in trail:
             raise AssertionError(
-                f"INTRA_LAYER_DEPS cycle through {module}")
-        deps = set(INTRA_LAYER_DEPS.get(module, ()))
-        for dep in tuple(deps):
-            deps |= close(dep, trail + (module,))
-        closure[module] = deps
-        return deps
+                "link cycle: " + " -> ".join(trail + (module,)))
+        if module not in links:
+            raise AssertionError(
+                f"{trail[-1]} links ie_{module}, which is not a module")
+        if module not in closure:
+            deps = set()
+            for dep in links[module]:
+                deps |= {dep} | close(dep, trail + (module,))
+            closure[module] = frozenset(deps)
+        return closure[module]
 
-    allowed = {}
-    for module, rank in layer_of.items():
-        lower = {m for m, r in layer_of.items() if r < rank}
-        allowed[module] = frozenset(lower | close(module, ()))
-    return allowed
+    return {module: close(module, ()) for module in links}
 
-ALLOWED_INCLUDES = _build_allowed_includes()
+
+ALLOWED_INCLUDES = read_module_graph(os.path.join(REPO_ROOT, "src"))
+SRC_MODULES = frozenset(ALLOWED_INCLUDES)
 
 # Module override for files outside src/ (the archlint violation corpus
 # and lint tests): `// archlint: module=<name>` pins the file's module.
@@ -384,7 +370,7 @@ class FileContext:
 
     @staticmethod
     def _module_of(rel, raw):
-        """The file's module in the declared DAG: the directory under
+        """The file's module in the module DAG: the directory under
         src/, the top-level tree for bench/tools/tests/examples, or an
         explicit `// archlint: module=<m>` marker (corpus/test files)."""
         m = ARCH_MODULE_RE.search(raw)
@@ -723,11 +709,9 @@ def include_module(path):
 class LayeringRule(Rule):
     rule_id = "layering-violation"
 
-    MESSAGE = ("module '%s' must not include '%s' (%s points %s the "
-               "declared DAG common → text → corpus → index → "
-               "{extract,learn,ranking,sampling,update,eval} → pipeline → "
-               "{bench,tools,tests,examples}); invert the dependency, "
-               "move the shared type down, or waive with "
+    MESSAGE = ("module '%s' must not include '%s': src/%s/CMakeLists.txt "
+               "does not link ie_%s, directly or transitively; invert the "
+               "dependency, move the shared type down, or waive with "
                "`// ARCH: layering (<reason>)`")
 
     def check(self, ctx):
@@ -743,9 +727,7 @@ class LayeringRule(Rule):
                 continue
             if ctx.arch_waived(line, "layering"):
                 continue
-            direction = "across" if target in ALLOWED_INCLUDES and \
-                module not in ALLOWED_INCLUDES[target] else "up"
-            yield line, self.MESSAGE % (module, path, target, direction)
+            yield line, self.MESSAGE % (module, path, module, target)
 
 
 class ConstEscapeRule(Rule):

@@ -442,19 +442,37 @@ class LayeringTest(LintTestBase):
                       '#include "common/status.h"\nint x;\n'),
             [])
 
-    def test_declared_intra_layer_edge_allowed(self):
-        # extract → learn is a declared edge of the middle layer.
+    def test_linked_module_allowed(self):
+        # ie_extract links ie_learn.
         self.assertEqual(
             rules_for("src/extract/foo.cc",
                       '#include "learn/linear_model.h"\nint x;\n'),
             [])
 
-    def test_undeclared_intra_layer_edge_flagged(self):
-        # ...but the reverse direction is not declared.
+    def test_unlinked_module_flagged(self):
+        # ...but ie_learn does not link ie_extract.
         self.assertEqual(
             rules_for("src/learn/foo.cc",
                       '#include "extract/ner.h"\nint x;\n'),
             ["layering-violation"])
+
+    def test_module_the_build_does_not_link_flagged(self):
+        # Neither ie_learn nor ie_index links ie_corpus, though both sit
+        # above it in the layer order the lint once declared by hand.
+        for path in ("src/learn/foo.cc", "src/index/foo.cc"):
+            self.assertEqual(
+                rules_for(path, '#include "corpus/corpus.h"\nint x;\n'),
+                ["layering-violation"], msg=path)
+
+    def test_transitively_linked_module_allowed(self):
+        # ie_eval links ie_pipeline, so eval consumes the result record
+        # with no waiver.
+        self.assertEqual(
+            rules_for("src/eval/foo.h",
+                      "#pragma once\n"
+                      '#include "pipeline/result.h"\n'
+                      '#include "ranking/document_ranker.h"\nint x;\n'),
+            [])
 
     def test_skip_layer_up_include_flagged(self):
         self.assertEqual(
@@ -506,15 +524,71 @@ class LayeringTest(LintTestBase):
             [])
 
     def test_dag_closure_is_sane(self):
-        # common is at the bottom of everything; pipeline sees the whole
-        # middle layer; nothing below pipeline may see pipeline.
+        # common is under every module, and no module that pipeline
+        # links may include pipeline.
         for module in lint.SRC_MODULES - {"common"}:
             self.assertIn("common", lint.ALLOWED_INCLUDES[module],
                           msg=module)
-        for module in ("extract", "learn", "ranking", "sampling",
-                       "update", "eval"):
-            self.assertIn(module, lint.ALLOWED_INCLUDES["pipeline"])
-            self.assertNotIn("pipeline", lint.ALLOWED_INCLUDES[module])
+        self.assertTrue(lint.ALLOWED_INCLUDES["pipeline"])
+        for module in lint.ALLOWED_INCLUDES["pipeline"]:
+            self.assertNotIn("pipeline", lint.ALLOWED_INCLUDES[module],
+                             msg=module)
+
+
+class ModuleGraphTest(LintTestBase):
+    def write_tree(self, links):
+        """Writes src/CMakeLists.txt with one add_subdirectory per module
+        and src/<m>/CMakeLists.txt with the given link line (None: no
+        target_link_libraries line at all); returns the src dir."""
+        src = os.path.join(lint.REPO_ROOT, "src")
+        os.makedirs(src)
+        with open(os.path.join(src, "CMakeLists.txt"), "w",
+                  encoding="utf-8") as f:
+            f.write("".join("add_subdirectory(%s)\n" % m for m in links))
+        for module, line in links.items():
+            os.makedirs(os.path.join(src, module))
+            with open(os.path.join(src, module, "CMakeLists.txt"), "w",
+                      encoding="utf-8") as f:
+                f.write("add_library(ie_%s STATIC %s.cc)\n" % (module, module))
+                if line is not None:
+                    f.write(line + "\n")
+        return src
+
+    def test_closure_over_multiline_link_lines(self):
+        src = self.write_tree({
+            "base": "target_link_libraries(ie_base PUBLIC Threads::Threads)",
+            "mid": "target_link_libraries(ie_mid PUBLIC ie_base)",
+            "top": "target_link_libraries(ie_top PUBLIC\n  ie_mid)",
+        })
+        self.assertEqual(lint.read_module_graph(src), {
+            "base": frozenset(),
+            "mid": frozenset({"base"}),
+            "top": frozenset({"base", "mid"}),
+        })
+
+    def test_missing_link_line_raises(self):
+        src = self.write_tree({
+            "base": "target_link_libraries(ie_base PUBLIC Threads::Threads)",
+            "mid": None,
+        })
+        with self.assertRaisesRegex(AssertionError, "ie_mid PUBLIC"):
+            lint.read_module_graph(src)
+
+    def test_link_cycle_raises(self):
+        src = self.write_tree({
+            "a": "target_link_libraries(ie_a PUBLIC ie_b)",
+            "b": "target_link_libraries(ie_b PUBLIC ie_c)",
+            "c": "target_link_libraries(ie_c PUBLIC ie_a)",
+        })
+        with self.assertRaisesRegex(AssertionError, "link cycle"):
+            lint.read_module_graph(src)
+
+    def test_link_to_unknown_target_raises(self):
+        src = self.write_tree({
+            "a": "target_link_libraries(ie_a PUBLIC ie_gone)",
+        })
+        with self.assertRaisesRegex(AssertionError, "not a module"):
+            lint.read_module_graph(src)
 
 
 class CycleTest(LintTestBase):
